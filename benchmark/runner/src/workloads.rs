@@ -10,6 +10,11 @@
 //! are jobs. When all protocols of a repetition shared one topology (as
 //! in the figure sweeps), a few dense, saturated topologies moved the
 //! mean latency by 10-25% from one workload seed to the next.
+//!
+//! Every job uses the quick topology (40 nodes in 350 × 350 m²) but
+//! runs for less than the quick scale's 50 s (see [`Workload::timing`]).
+//! A pass then takes a few seconds, so one run repeats each job often
+//! enough for its fastest run to miss the shared host's slow spells.
 
 use essat::harness::executor::SweepCell;
 use essat::scenario::presets;
@@ -72,20 +77,49 @@ impl Workload {
         }
     }
 
-    /// Repetitions of the protocol × variant grid. Chosen so every pass
-    /// plans at least 100 jobs, leaving at least 10 beyond the 90th
-    /// percentile.
+    /// Repetitions of the protocol × variant grid. Every pass plans at
+    /// least 100 jobs, leaving at least 10 beyond the 90th percentile;
+    /// `query_load` plans twice that, because its mean latency varies
+    /// most between topologies.
     fn reps(self) -> u32 {
         match self {
             Workload::SteadyRate => 7,
-            Workload::QueryLoad => 12,
+            Workload::QueryLoad => 10,
             Workload::Faults => 4,
+        }
+    }
+
+    /// Simulated length of each job, and the window its queries start
+    /// in. A window at least as long as the slowest class period (1 s
+    /// at 3 Hz, 3 s at 1 Hz) keeps query phases uniformly random, and a
+    /// short one lets every query run for most of a short job.
+    /// `query_load` keeps the quick scale's 10 s window, so every query
+    /// starts in its first 10 s and completes several 5 s, 10 s or 15 s
+    /// rounds in 30 s.
+    fn timing(self) -> (SimDuration, SimDuration) {
+        let secs = SimDuration::from_secs;
+        match self {
+            Workload::SteadyRate => (secs(10), secs(2)),
+            Workload::QueryLoad => (secs(30), secs(10)),
+            Workload::Faults => (secs(25), secs(3)),
         }
     }
 
     /// Plans the job list for `seed`.
     pub fn plan(self, seed: u64) -> Vec<Job> {
         let mut jobs = Vec::new();
+        let (duration, phase_window) = self.timing();
+        let quick = |p: Protocol, rate: f64| ExperimentConfig {
+            duration,
+            ..ExperimentConfig::quick(
+                p,
+                WorkloadSpec {
+                    phase_window,
+                    ..WorkloadSpec::paper(rate)
+                },
+                0,
+            )
+        };
         for rep in 0..self.reps() {
             let mut push = |mut cfg: ExperimentConfig, variant: String| {
                 cfg.seed = mix(seed, jobs.len() as u64);
@@ -96,22 +130,23 @@ impl Workload {
                 Workload::SteadyRate => {
                     for rate in [3.0, 5.0] {
                         for p in Protocol::all() {
-                            push(quick(p, WorkloadSpec::paper(rate)), format!("{rate}Hz"));
+                            push(quick(p, rate), format!("{rate}Hz"));
                         }
                     }
                 }
                 Workload::QueryLoad => {
                     for qpc in [1, 5, 10] {
-                        let w = WorkloadSpec::paper(0.2).with_queries_per_class(qpc);
                         for p in Protocol::all() {
-                            push(quick(p, w.clone()), format!("{qpc}qpc"));
+                            let mut cfg = quick(p, 0.2);
+                            cfg.workload = cfg.workload.with_queries_per_class(qpc);
+                            push(cfg, format!("{qpc}qpc"));
                         }
                     }
                 }
                 Workload::Faults => {
                     for preset in FAULT_PRESETS {
                         for p in Protocol::all() {
-                            let cfg = fault_config(quick(p, WorkloadSpec::paper(1.0)), preset);
+                            let cfg = fault_config(quick(p, 1.0), preset);
                             push(cfg, preset.to_string());
                         }
                     }
@@ -120,11 +155,6 @@ impl Workload {
         }
         jobs
     }
-}
-
-/// The quick topology (40 nodes, 50 s); `plan` sets the seed.
-fn quick(p: Protocol, w: WorkloadSpec) -> ExperimentConfig {
-    ExperimentConfig::quick(p, w, 0)
 }
 
 /// Attaches a `faults` preset (repair stays at its enabled default).
