@@ -396,6 +396,43 @@ fn channel_collision_storm(c: &mut Criterion) {
     });
 }
 
+fn channel_dense_overlap(c: &mut Criterion) {
+    use essat_net::channel::TxEndBuf;
+    use essat_net::geometry::Area;
+    // 24 nodes in a 40 m square at 125 m range: a clique, so every
+    // sender interferes at every node.
+    let mut rng = SimRng::seed_from_u64(42);
+    let topo = Topology::random(24, Area::new(40.0, 40.0), 125.0, &mut rng);
+    c.bench_function("micro/channel_dense_overlap", |b| {
+        // Twelve staggered transmissions all in the air at once, then
+        // all end: the worst case for collision marking, where every
+        // begin overlaps every copy in flight at every node.
+        let mut ch = Channel::new(&topo, SimRng::seed_from_u64(7));
+        let mut end = TxEndBuf::default();
+        let mut ids = Vec::with_capacity(12);
+        let mut t = 0u64;
+        b.iter(|| {
+            let airtime = SimDuration::from_micros(416);
+            for s in 0..12u32 {
+                let tx = ch.begin_tx(
+                    SimTime::from_micros(t + s as u64),
+                    NodeId::new(s * 2),
+                    airtime,
+                );
+                ch.recycle_nodes(tx.now_busy);
+                ids.push(tx.id);
+            }
+            let mut corrupted = 0u32;
+            for (i, id) in ids.drain(..).enumerate() {
+                ch.end_tx_into(SimTime::from_micros(t + 416 + i as u64), id, &mut end);
+                corrupted += end.corrupted_len();
+            }
+            t += 1_000;
+            black_box(corrupted)
+        })
+    });
+}
+
 fn gilbert_elliott_step(c: &mut Criterion) {
     use essat_net::channel::LossModel;
     use essat_scenario::gilbert::{GilbertElliott, GilbertElliottParams};
@@ -494,6 +531,7 @@ criterion_group! {
         safe_sleep_decide,
         shaper_round_trip,
         channel_collision_storm,
+        channel_dense_overlap,
         gilbert_elliott_step,
         tree_construction,
         link_quality_ewma,

@@ -33,8 +33,9 @@ use crate::shaper::{Expectations, Release, TrafficShaper, TreeInfo};
 ///
 /// The executor routes expiries back into [`PowerPolicy::on_timer`]
 /// without interpreting them, except for *chain* timers (schedule
-/// chains that survive across events), which it guards with a
-/// generation counter so churn recovery can invalidate a stale chain.
+/// chains that survive across events): it keeps the queue handle of
+/// every pending chain link, and node death and revival cancel them
+/// all, so a revived node can re-arm its chain without duplicating it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyTimer {
     /// SYNC schedule edge (active-window start or end).
@@ -61,24 +62,25 @@ pub enum PolicyTimer {
         target: NodeId,
     },
     /// A timer belonging to an out-of-tree policy. The executor never
-    /// interprets `key`; `chain` selects the generation-guarded
-    /// schedule-chain semantics (see [`PolicyTimer::is_chain`]).
+    /// interprets `key`; `chain` selects the schedule-chain semantics
+    /// (see [`PolicyTimer::is_chain`]).
     Custom {
         /// Policy-defined discriminator (a policy with several timers
         /// tells them apart by key).
         key: u16,
-        /// True for self-perpetuating schedule chains that churn
-        /// recovery must be able to invalidate.
+        /// True for self-perpetuating schedule chains that churn must
+        /// be able to cancel.
         chain: bool,
     },
 }
 
 impl PolicyTimer {
     /// True for self-perpetuating schedule chains (SYNC edges, PSM
-    /// beacons, chain-flagged custom timers): the executor drops
-    /// expiries whose generation no longer matches the node's chain
-    /// generation, so a churn-revived node can re-arm its chain without
-    /// duplicating it.
+    /// beacons, chain-flagged custom timers): the executor tracks each
+    /// pending link by its queue handle and cancels the whole chain when
+    /// the node dies or is revived, so a revived node can re-arm its
+    /// chain without duplicating it. A chain link armed while the node
+    /// is dead is dropped when it fires.
     pub fn is_chain(self) -> bool {
         matches!(
             self,
@@ -115,9 +117,9 @@ pub enum PolicyAction<P> {
     /// Hand a frame to the MAC.
     Enqueue(Frame<P>),
     /// ESSAT sleep: suspend the MAC, switch the radio off, and (when
-    /// `wake_at` is set) arm a generation-guarded wake-up. The node's
-    /// wake generation is bumped either way, invalidating older
-    /// pending wake-ups.
+    /// `wake_at` is set) arm a wake-up. Either way the node's pending
+    /// wake-up, if any, is cancelled on the queue: the newest sleep
+    /// decision owns the node's only wake-up handle.
     Sleep {
         /// When to start the OFF→ON transition; `None` sleeps until
         /// externally re-activated (no queries routed through here).
@@ -131,8 +133,11 @@ pub enum PolicyAction<P> {
 /// Why the executor is giving the policy a chance to sleep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SleepTrigger {
-    /// Node activity quiesced (MAC went idle, a frame completed, a
-    /// round advanced): ESSAT's `checkState` call sites.
+    /// The MAC went quiescent: ESSAT's `checkState` call sites (a frame
+    /// completed, a round advanced, a radio finished waking). The
+    /// executor only delivers this trigger while
+    /// [`NodeView::mac_quiescent`] holds; activity points that leave the
+    /// MAC busy never reach the policy.
     Quiesce,
     /// A protocol-agnostic boundary (end of the setup slot, end of a
     /// forced-awake window): every policy re-evaluates.

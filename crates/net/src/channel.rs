@@ -28,9 +28,14 @@
 //!   instead of cloning the neighbour lists per transmission.
 //! * In-flight transmissions live in a **slab** keyed by a dense slot id
 //!   ([`TxId`] packs slot + generation); there is no hashing anywhere.
-//! * Per-hearer corruption flags and the returned receiver lists draw
-//!   from internal **buffer pools**; the simulator hands vectors back via
-//!   [`Channel::recycle_nodes`] after consuming a [`TxStart`]/[`TxEnd`].
+//! * Collisions are marked in O(degree) with **overlap epochs**: every
+//!   `begin_tx` takes the next value of a counter as its epoch and
+//!   stamps it on each node where the copies in flight just became
+//!   undecodable. A copy is corrupted iff its hearer's stamp is at least
+//!   the copy's epoch, so no transmission is ever revisited.
+//! * The returned receiver lists draw from an internal **buffer pool**;
+//!   the simulator hands vectors back via [`Channel::recycle_nodes`]
+//!   after consuming a [`TxStart`]/[`TxEnd`].
 //!
 //! # Examples
 //!
@@ -112,19 +117,16 @@ impl TxId {
 }
 
 /// One slab slot for an in-flight transmission. Hearers/sensers are the
-/// sender's CSR ranges in the channel's adjacency arrays; only the
-/// per-hearer corruption flags are per-transmission state.
+/// sender's CSR ranges in the channel's adjacency arrays.
 #[derive(Debug)]
 struct ActiveTx {
-    seq: u32,
+    /// The `begin_tx` counter value of this transmission; its copy at
+    /// hearer `h` is corrupted iff `Channel::overlap[h] >= epoch`. The
+    /// low 32 bits double as the [`TxId`] generation.
+    epoch: u64,
     live: bool,
-    /// Index of this slot in `Channel::active` (for O(1) removal).
-    active_pos: u32,
     sender: NodeId,
     start: SimTime,
-    /// Parallel to the sender's communication-range CSR slice; recycled
-    /// through `bool_pool`.
-    corrupted: Vec<bool>,
 }
 
 /// Outcome of starting a transmission.
@@ -253,6 +255,12 @@ impl Csr {
         }
         Csr { flat, off }
     }
+
+    /// Node `i`'s neighbours.
+    #[inline]
+    fn of(&self, i: usize) -> &[NodeId] {
+        &self.flat[self.off[i] as usize..self.off[i + 1] as usize]
+    }
 }
 
 /// The immutable adjacency block a channel consults on every
@@ -284,12 +292,11 @@ impl ChannelAdjacency {
     }
 }
 
-/// Recycled channel buffers (receiver lists, corruption flags) carried
-/// across runs by a world pool so a fresh channel starts warm.
+/// Recycled receiver-list buffers carried across runs by a world pool
+/// so a fresh channel starts warm.
 #[derive(Debug, Default)]
 pub struct ChannelPools {
     nodes: Vec<Vec<NodeId>>,
-    bools: Vec<Vec<bool>>,
 }
 
 /// The shared medium. One instance per simulation.
@@ -298,13 +305,16 @@ pub struct Channel {
     adj: Arc<ChannelAdjacency>,
     carrier_count: Vec<u32>,
     transmitting: Vec<bool>,
-    /// Transmission slab; `active` lists the live slot ids.
+    /// Per node, the epoch of the latest `begin_tx` that made every copy
+    /// then in flight there undecodable (0: never). Only ever raised to
+    /// the current epoch, so it is monotone.
+    overlap: Vec<u64>,
+    /// Number of `begin_tx` calls so far: the newest transmission's
+    /// epoch.
+    epoch: u64,
+    /// Transmission slab; `live` marks the in-flight slots.
     slots: Vec<ActiveTx>,
-    active: Vec<u32>,
     free: Vec<u32>,
-    next_seq: u32,
-    /// Recycled per-hearer corruption buffers.
-    bool_pool: Vec<Vec<bool>>,
     /// Recycled receiver-list buffers (see [`Channel::recycle_nodes`]).
     node_pool: Vec<Vec<NodeId>>,
     drop_prob: f64,
@@ -328,11 +338,10 @@ impl Channel {
             adj,
             carrier_count: vec![0; n],
             transmitting: vec![false; n],
+            overlap: vec![0; n],
+            epoch: 0,
             slots: Vec::new(),
-            active: Vec::new(),
             free: Vec::new(),
-            next_seq: 0,
-            bool_pool: Vec::new(),
             node_pool: Vec::new(),
             drop_prob: 0.0,
             loss_model: None,
@@ -380,22 +389,32 @@ impl Channel {
         self.transmitting[node.index()]
     }
 
-    /// Run counters.
+    /// Run counters. `collisions` includes the already-corrupted copies
+    /// of transmissions still in flight, so it counts every corrupted
+    /// pair as of now, not only those resolved by an end.
     pub fn stats(&self) -> ChannelStats {
-        self.stats
+        let mut stats = self.stats;
+        for tx in self.slots.iter().filter(|tx| tx.live) {
+            stats.collisions += self
+                .adj
+                .neighbors
+                .of(tx.sender.index())
+                .iter()
+                .filter(|h| self.overlap[h.index()] >= tx.epoch)
+                .count() as u64;
+        }
+        stats
     }
 
-    /// Moves the channel's warmed buffer pools into `pools` (called at
+    /// Moves the channel's warmed buffer pool into `pools` (called at
     /// the end of a pooled run so the next run's channel starts warm).
     pub fn harvest_pools(&mut self, pools: &mut ChannelPools) {
         pools.nodes.append(&mut self.node_pool);
-        pools.bools.append(&mut self.bool_pool);
     }
 
-    /// Adopts previously harvested buffer pools.
+    /// Adopts a previously harvested buffer pool.
     pub fn adopt_pools(&mut self, pools: &mut ChannelPools) {
         self.node_pool.append(&mut pools.nodes);
-        self.bool_pool.append(&mut pools.bools);
     }
 
     /// Returns a receiver-list vector to the channel's buffer pool.
@@ -412,28 +431,6 @@ impl Channel {
         self.node_pool.pop().unwrap_or_default()
     }
 
-    /// Marks the copy of in-flight transmission `slot` as corrupted at
-    /// hearer position `pos`, counting the collision once.
-    fn corrupt_at(stats: &mut ChannelStats, tx: &mut ActiveTx, pos: usize) {
-        if !tx.corrupted[pos] {
-            tx.corrupted[pos] = true;
-            stats.collisions += 1;
-        }
-    }
-
-    /// Corrupts every in-flight copy decodable at `node`.
-    fn corrupt_copies_at(&mut self, node: NodeId) {
-        for i in 0..self.active.len() {
-            let slot = self.active[i] as usize;
-            let s = self.slots[slot].sender.index();
-            let hearers = &self.adj.neighbors.flat
-                [self.adj.neighbors.off[s] as usize..self.adj.neighbors.off[s + 1] as usize];
-            if let Some(pos) = hearers.iter().position(|&h| h == node) {
-                Self::corrupt_at(&mut self.stats, &mut self.slots[slot], pos);
-            }
-        }
-    }
-
     /// Starts a transmission from `sender` lasting `airtime`.
     ///
     /// The caller must schedule a call to [`Channel::end_tx`] exactly
@@ -445,93 +442,57 @@ impl Channel {
     /// this).
     pub fn begin_tx(&mut self, now: SimTime, sender: NodeId, airtime: SimDuration) -> TxStart {
         let _ = airtime; // airtime is enforced by the caller's end event
+        let si = sender.index();
         assert!(
-            !self.transmitting[sender.index()],
+            !self.transmitting[si],
             "{sender} started a second concurrent transmission"
         );
         self.stats.transmissions += 1;
-        self.transmitting[sender.index()] = true;
+        self.epoch += 1;
+        let epoch = self.epoch;
+        self.transmitting[si] = true;
+        // Half-duplex: the sender cannot receive while transmitting, so
+        // every copy in flight at it is lost.
+        self.overlap[si] = epoch;
 
-        // The sender cannot receive while transmitting: corrupt every
-        // in-flight copy addressed at it.
-        self.corrupt_copies_at(sender);
-
-        let si = sender.index();
-        let hearer_count = (self.adj.neighbors.off[si + 1] - self.adj.neighbors.off[si]) as usize;
-        let mut corrupted = self.bool_pool.pop().unwrap_or_default();
-        corrupted.clear();
-        corrupted.resize(hearer_count, false);
+        // Energy is sensed — and corrupts receptions — out to the
+        // interference range; only communication-range hearers can
+        // decode the frame itself. A second audible transmission at `h`
+        // destroys every decodable copy there, the new one included (no
+        // capture), and a transmitting hearer cannot decode the new copy
+        // (half-duplex). The stamp covers exactly the copies begun so
+        // far: later transmissions carry larger epochs.
         let mut now_busy = self.take_nodes();
-
-        // Energy is sensed — and corrupts concurrent receptions — out to
-        // the interference range; only communication-range hearers can
-        // decode the frame itself.
-        let (i0, i1) = (
-            self.adj.interference.off[si] as usize,
-            self.adj.interference.off[si + 1] as usize,
-        );
-        for idx in i0..i1 {
-            let h = self.adj.interference.flat[idx];
-            let cc = &mut self.carrier_count[h.index()];
+        for &h in self.adj.interference.of(si) {
+            let hi = h.index();
+            let cc = &mut self.carrier_count[hi];
             *cc += 1;
-            let cc = *cc;
-            if cc == 1 {
+            if *cc == 1 {
                 now_busy.push(h);
             }
-            // Overlap: any second audible transmission at h destroys
-            // every decodable copy there (no capture).
-            if cc >= 2 {
-                self.corrupt_copies_at(h);
-            }
-        }
-        let (h0, h1) = (
-            self.adj.neighbors.off[si] as usize,
-            self.adj.neighbors.off[si + 1] as usize,
-        );
-        for (i, idx) in (h0..h1).enumerate() {
-            let h = self.adj.neighbors.flat[idx];
-            // Half-duplex: a transmitting hearer cannot receive.
-            if self.transmitting[h.index()] {
-                corrupted[i] = true;
-                self.stats.collisions += 1;
-            }
-            // The new copy is corrupted wherever other energy overlaps.
-            if self.carrier_count[h.index()] >= 2 && !corrupted[i] {
-                corrupted[i] = true;
-                self.stats.collisions += 1;
+            if *cc >= 2 || self.transmitting[hi] {
+                self.overlap[hi] = epoch;
             }
         }
 
-        let seq = self.next_seq;
-        self.next_seq = self.next_seq.wrapping_add(1);
-        let active_pos = self.active.len() as u32;
+        let tx = ActiveTx {
+            epoch,
+            live: true,
+            sender,
+            start: now,
+        };
         let slot = match self.free.pop() {
             Some(s) => {
-                let tx = &mut self.slots[s as usize];
-                tx.seq = seq;
-                tx.live = true;
-                tx.active_pos = active_pos;
-                tx.sender = sender;
-                tx.start = now;
-                tx.corrupted = corrupted;
+                self.slots[s as usize] = tx;
                 s
             }
             None => {
-                let s = self.slots.len() as u32;
-                self.slots.push(ActiveTx {
-                    seq,
-                    live: true,
-                    active_pos,
-                    sender,
-                    start: now,
-                    corrupted,
-                });
-                s
+                self.slots.push(tx);
+                self.slots.len() as u32 - 1
             }
         };
-        self.active.push(slot);
         TxStart {
-            id: TxId::new(slot, seq),
+            id: TxId::new(slot, epoch as u32),
             now_busy,
         }
     }
@@ -568,82 +529,61 @@ impl Channel {
     /// transitions into a caller-recycled [`TxEndBuf`].
     ///
     /// The fan-out is vectorised: receivers are classified with slice
-    /// passes over the sender's CSR adjacency ranges — one pass finalises
-    /// the per-hearer corruption flags (loss injection draws happen here,
-    /// in ascending-id order), then clean and corrupted hearers are
-    /// written as contiguous partitions of the flat outcome list.
+    /// passes over the sender's CSR adjacency ranges — one pass writes
+    /// the clean hearers (loss injection draws happen here, in
+    /// ascending-id order, one per copy that no overlap corrupted), the
+    /// next the rest, as contiguous partitions of the flat outcome list.
     ///
     /// # Panics
     ///
     /// Panics if `id` does not correspond to an in-flight transmission.
     pub fn end_tx_into(&mut self, now: SimTime, id: TxId, out: &mut TxEndBuf) {
         let slot = id.slot();
-        assert!(
-            self.slots
-                .get(slot)
-                .is_some_and(|tx| tx.live && tx.seq == id.seq()),
-            "end_tx for unknown transmission"
-        );
-        // Detach the slot from the active set (swap-remove, O(1)).
-        let (sender, start, mut corrupted, pos) = {
-            let tx = &mut self.slots[slot];
-            tx.live = false;
-            (
-                tx.sender,
-                tx.start,
-                std::mem::take(&mut tx.corrupted),
-                tx.active_pos as usize,
-            )
-        };
-        self.active.swap_remove(pos);
-        if pos < self.active.len() {
-            let moved = self.active[pos] as usize;
-            self.slots[moved].active_pos = pos as u32;
-        }
+        let tx = self
+            .slots
+            .get_mut(slot)
+            .filter(|tx| tx.live && tx.epoch as u32 == id.seq())
+            .expect("end_tx for unknown transmission");
+        tx.live = false;
+        let (sender, epoch) = (tx.sender, tx.epoch);
+        out.reset(sender, tx.start);
         self.free.push(slot as u32);
-        self.transmitting[sender.index()] = false;
-        out.reset(sender, start);
-
         let si = sender.index();
-        let (h0, h1) = (
-            self.adj.neighbors.off[si] as usize,
-            self.adj.neighbors.off[si + 1] as usize,
-        );
-        let hearers = &self.adj.neighbors.flat[h0..h1];
+        self.transmitting[si] = false;
+        let hearers = self.adj.neighbors.of(si);
 
-        // Pass 1 — finalise corruption flags in hearer (ascending-id)
-        // order. Loss draws must happen here, one per otherwise-clean
-        // copy, to keep the RNG sequence identical to the historical
-        // per-receiver path.
-        if self.loss_model.is_some() || self.drop_prob > 0.0 {
-            for (i, &h) in hearers.iter().enumerate() {
-                if corrupted[i] {
-                    continue;
-                }
+        // Pass 1 — the clean hearers, in hearer (ascending-id) order.
+        // Loss draws happen here and only here: one per copy no overlap
+        // corrupted, in hearer order, which fixes the RNG draw sequence.
+        let lossy = self.loss_model.is_some() || self.drop_prob > 0.0;
+        for &h in hearers {
+            if self.overlap[h.index()] >= epoch {
+                self.stats.collisions += 1;
+                continue;
+            }
+            if lossy {
                 // Loss sources compose: the per-link model (if any) OR
-                // the configured baseline probability. An installed
-                // model used to silently override the baseline.
+                // the configured baseline probability.
                 let injected = match self.loss_model.as_deref_mut() {
                     Some(model) => model.dropped(now, sender, h),
                     None => false,
                 } || (self.drop_prob > 0.0 && self.rng.chance(self.drop_prob));
                 if injected {
-                    corrupted[i] = true;
                     self.stats.injected_drops += 1;
+                    continue;
                 }
             }
-        }
-
-        // Pass 2 — partition hearers into the flat outcome list: clean
-        // first, corrupted second, both in hearer order.
-        for (i, &h) in hearers.iter().enumerate() {
-            if !corrupted[i] {
-                out.nodes.push(h);
-            }
+            out.nodes.push(h);
         }
         out.clean_end = out.nodes.len();
-        for (i, &h) in hearers.iter().enumerate() {
-            if corrupted[i] {
+
+        // Pass 2 — the corrupted hearers: every hearer missing from the
+        // (ascending) clean partition, in hearer order.
+        let mut next_clean = 0;
+        for &h in hearers {
+            if next_clean < out.clean_end && out.nodes[next_clean] == h {
+                next_clean += 1;
+            } else {
                 out.nodes.push(h);
             }
         }
@@ -651,11 +591,7 @@ impl Channel {
 
         // Pass 3 — decrement carrier counts over the interference range,
         // appending the 1 → 0 transitions as the final partition.
-        let (i0, i1) = (
-            self.adj.interference.off[si] as usize,
-            self.adj.interference.off[si + 1] as usize,
-        );
-        for &h in &self.adj.interference.flat[i0..i1] {
+        for &h in self.adj.interference.of(si) {
             let cc = &mut self.carrier_count[h.index()];
             debug_assert!(*cc > 0, "carrier count underflow at {h}");
             *cc -= 1;
@@ -663,9 +599,6 @@ impl Channel {
                 out.nodes.push(h);
             }
         }
-
-        // Return the corruption buffer to the pool.
-        self.bool_pool.push(corrupted);
     }
 }
 

@@ -50,6 +50,8 @@ pub struct RoutingTree {
     rank: Vec<u32>,
     member: Vec<bool>,
     members: Vec<NodeId>,
+    /// The deepest member level, cached by `rebuild_derived`.
+    max_level: u32,
 }
 
 impl RoutingTree {
@@ -105,13 +107,14 @@ impl RoutingTree {
             rank: vec![0; n],
             member: vec![false; n],
             members: Vec::new(),
+            max_level: 0,
         };
         tree.rebuild_derived();
         tree
     }
 
-    /// Recomputes children lists, membership, and ranks from the parent
-    /// array + levels.
+    /// Recomputes children lists, membership, ranks, and the deepest
+    /// level from the parent array + levels.
     fn rebuild_derived(&mut self) {
         let n = self.parent.len();
         for c in &mut self.children {
@@ -142,6 +145,15 @@ impl RoutingTree {
                 .unwrap_or(0);
             self.rank[u.index()] = r;
         }
+        self.max_level = self.scan_max_level();
+    }
+
+    fn scan_max_level(&self) -> u32 {
+        self.members
+            .iter()
+            .filter_map(|&m| self.level[m.index()])
+            .max()
+            .unwrap_or(0)
     }
 
     /// The root node.
@@ -186,13 +198,10 @@ impl RoutingTree {
     }
 
     /// The deepest level among members (equals [`RoutingTree::max_rank`]
-    /// on any tree, since the root's rank is the height).
+    /// on any tree, since the root's rank is the height). O(1): cached
+    /// whenever the tree changes.
     pub fn max_level(&self) -> u32 {
-        self.members
-            .iter()
-            .filter_map(|&m| self.level[m.index()])
-            .max()
-            .unwrap_or(0)
+        self.max_level
     }
 
     /// True if `node` is a member with no children.
@@ -579,6 +588,11 @@ impl RoutingTree {
             // Acyclicity: walking parents reaches the root.
             assert!(self.is_descendant(m, self.root), "{m} reaches root");
         }
+        assert_eq!(
+            self.max_level,
+            self.scan_max_level(),
+            "cached max_level matches the members"
+        );
     }
 }
 

@@ -156,12 +156,20 @@ impl<P: Probe> World<P> {
 
     /// Gives the node's policy a chance to sleep (`checkState` call
     /// sites and protocol-agnostic boundaries).
+    ///
+    /// A `Quiesce` checkpoint reaches neither the probe nor the policy
+    /// unless the MAC really is quiescent (the [`SleepTrigger::Quiesce`]
+    /// contract): most quiesce call sites fire mid-contention, where no
+    /// policy may act.
     pub(crate) fn sleep_checkpoint(
         &mut self,
         node: NodeId,
         trigger: SleepTrigger,
         ctx: &mut Context<'_, Ev>,
     ) {
+        if trigger == SleepTrigger::Quiesce && !self.nodes[node.index()].mac.is_quiescent() {
+            return;
+        }
         self.probe
             .on_sleep_checkpoint(ctx.now(), node.index() as u32);
         let view = self.node_view(node, ctx.now());

@@ -29,8 +29,8 @@ use essat::wsn::runner;
 use essat::wsn::sim::World;
 
 /// The example's own schedule-edge timer: out-of-tree policies get
-/// private timers via `PolicyTimer::Custom` (`chain: true` opts into
-/// the churn-recovery generation guard, like SYNC edges).
+/// private timers via `PolicyTimer::Custom` (`chain: true` lets churn
+/// cancel the pending chain link on death and revival, like SYNC edges).
 const EDGE: PolicyTimer = PolicyTimer::Custom {
     key: 0,
     chain: true,
