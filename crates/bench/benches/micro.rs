@@ -10,7 +10,7 @@ use essat_core::nts::Nts;
 use essat_core::safe_sleep::SafeSleep;
 use essat_core::shaper::{TrafficShaper, TreeInfo};
 use essat_core::sts::Sts;
-use essat_net::channel::Channel;
+use essat_net::channel::{Channel, TxEndBuf};
 use essat_net::ids::NodeId;
 use essat_net::topology::Topology;
 use essat_query::aggregate::{AggState, AggregateOp};
@@ -230,43 +230,15 @@ fn mac_timer_arm_disarm_churn(c: &mut Criterion) {
     });
 }
 
-fn batch_drain(c: &mut Criterion) {
-    c.bench_function("micro/batch_drain_10k", |b| {
-        // The engine's batched consumption loop (pop_batch_before +
-        // per-entry claim) over the same workload as
-        // `event_queue_push_pop_10k` — the delta between the two is the
-        // per-event cursor overhead the batch drain removes.
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            let mut rng = SimRng::seed_from_u64(1);
-            for i in 0..10_000u64 {
-                q.push(SimTime::from_nanos(rng.next_u64() % 1_000_000), i);
-            }
-            let deadline = SimTime::from_nanos(u64::MAX / 2);
-            let mut buf = Vec::new();
-            let mut sum = 0u64;
-            while q.pop_batch_before(deadline, &mut buf) != 0 {
-                for &entry in &buf {
-                    if let Some(e) = q.claim(entry) {
-                        sum = sum.wrapping_add(e);
-                    }
-                }
-            }
-            black_box(sum)
-        })
-    });
-}
-
 fn channel_end_tx_vectorised(c: &mut Criterion) {
-    use essat_net::channel::TxEndBuf;
     let mut rng = SimRng::seed_from_u64(42);
     let topo = Topology::random_paper(&mut rng);
     c.bench_function("micro/channel_end_tx_vectorised", |b| {
-        // The zero-copy fan-out path the simulator actually runs: the
-        // same begin/end cycle as `channel_start_end_tx`, but ends
-        // resolve through `end_tx_into` into one recycled flat buffer
-        // (clean | corrupted | now-idle partitions) instead of three
-        // per-call vectors.
+        // Four spread-out senders transmit concurrently, then all
+        // transmissions end — one busy begin/end cycle of the paper
+        // deployment, including the collision bookkeeping. Ends resolve
+        // through `end_tx_into` into one recycled flat buffer (clean |
+        // corrupted | now-idle partitions), the path the simulator runs.
         let mut ch = Channel::new(&topo, SimRng::seed_from_u64(7));
         let mut end = TxEndBuf::default();
         let mut t = 0u64;
@@ -279,34 +251,6 @@ fn channel_end_tx_vectorised(c: &mut Criterion) {
                 ch.recycle_nodes(tx.now_busy);
                 ch.end_tx_into(t0 + airtime, tx.id, &mut end);
                 clean += end.clean().len();
-            }
-            t += 1_000;
-            black_box(clean)
-        })
-    });
-}
-
-fn channel_start_end_tx(c: &mut Criterion) {
-    let mut rng = SimRng::seed_from_u64(42);
-    let topo = Topology::random_paper(&mut rng);
-    c.bench_function("micro/channel_start_end_tx", |b| {
-        let mut ch = Channel::new(&topo, SimRng::seed_from_u64(7));
-        let mut t = 0u64;
-        b.iter(|| {
-            // Four spread-out senders transmit concurrently, then all
-            // transmissions end — one busy begin/end cycle of the paper
-            // deployment, including the collision bookkeeping.
-            let t0 = SimTime::from_micros(t);
-            let airtime = SimDuration::from_micros(416);
-            let txs = [0u32, 20, 40, 60].map(|s| ch.begin_tx(t0, NodeId::new(s), airtime));
-            let mut clean = 0usize;
-            for tx in txs {
-                ch.recycle_nodes(tx.now_busy);
-                let end = ch.end_tx(t0 + airtime, tx.id);
-                clean += end.clean_receivers.len();
-                ch.recycle_nodes(end.clean_receivers);
-                ch.recycle_nodes(end.corrupted_receivers);
-                ch.recycle_nodes(end.now_idle);
             }
             t += 1_000;
             black_box(clean)
@@ -381,6 +325,7 @@ fn channel_collision_storm(c: &mut Criterion) {
     c.bench_function("micro/channel_40_overlapping_tx", |b| {
         b.iter(|| {
             let mut ch = Channel::new(&topo, SimRng::seed_from_u64(7));
+            let mut end = TxEndBuf::default();
             let mut txs = Vec::new();
             for i in 0..40u32 {
                 let t = SimTime::from_micros(i as u64 * 10);
@@ -388,8 +333,8 @@ fn channel_collision_storm(c: &mut Criterion) {
             }
             let mut clean = 0usize;
             for (i, tx) in txs.into_iter().enumerate() {
-                let end = ch.end_tx(SimTime::from_micros(416 + i as u64 * 10), tx.id);
-                clean += end.clean_receivers.len();
+                ch.end_tx_into(SimTime::from_micros(416 + i as u64 * 10), tx.id, &mut end);
+                clean += end.clean().len();
             }
             black_box(clean)
         })
@@ -397,7 +342,6 @@ fn channel_collision_storm(c: &mut Criterion) {
 }
 
 fn channel_dense_overlap(c: &mut Criterion) {
-    use essat_net::channel::TxEndBuf;
     use essat_net::geometry::Area;
     // 24 nodes in a 40 m square at 125 m range: a clique, so every
     // sender interferes at every node.
@@ -525,8 +469,6 @@ criterion_group! {
         timer_wheel_push_pop,
         timer_wheel_cancel_churn,
         mac_timer_arm_disarm_churn,
-        batch_drain,
-        channel_start_end_tx,
         channel_end_tx_vectorised,
         safe_sleep_decide,
         shaper_round_trip,

@@ -2,15 +2,13 @@
 //! all cores.
 //!
 //! The paper's evaluation is a grid — figures × sweep points × protocols
-//! × repetitions — of fully independent simulation runs. The old harness
-//! parallelised only the 2–5 repetitions of one data point at a time
-//! (`runner::run_many`), so a nine-point six-protocol sweep executed as
-//! 54 sequential barriers, each leaving most cores idle. The executor
-//! instead flattens **every** `(cell, repetition)` tuple into a single
-//! job list and lets a pool of workers self-schedule off one shared
-//! atomic cursor: an idle worker always steals the next unclaimed job,
-//! whatever figure it belongs to, so the grid drains with no barriers at
-//! all.
+//! × repetitions — of fully independent simulation runs, each data point
+//! averaged over repetitions with derived seeds. The executor is the one
+//! path for running many worlds: it flattens **every**
+//! `(cell, repetition)` tuple into a single job list and lets a pool of
+//! workers self-schedule off one shared atomic cursor. An idle worker
+//! always steals the next unclaimed job, whatever figure it belongs to,
+//! so the grid drains with no per-point barriers at all.
 //!
 //! Determinism: each job is a pure function of its `ExperimentConfig`
 //! (seed included), and results land in pre-assigned slots indexed by
@@ -30,6 +28,7 @@ use essat_net::ids::NodeId;
 use essat_obs::json::escape;
 use essat_obs::perfetto::PerfettoBuilder;
 use essat_obs::profile::RunTimings;
+use essat_obs::NullProbe;
 use essat_wsn::config::{ExperimentConfig, Protocol};
 use essat_wsn::metrics::RunResult;
 use essat_wsn::payload::Payload;
@@ -573,14 +572,16 @@ impl SweepExecutor {
         let attempt = |scratch: &mut WorldScratch, timings: &mut RunTimings| {
             *timings = RunTimings::default();
             catch_unwind(AssertUnwindSafe(|| {
-                World::run_pooled_timed(
+                World::run_instrumented(
                     cfg,
                     &|c, n, e| factory(c, n, e),
                     Some(cache),
                     scratch,
                     budget,
+                    NullProbe,
                     timings,
                 )
+                .0
             }))
         };
         match attempt(scratch, timings) {

@@ -18,7 +18,7 @@
 //!
 //! # Hot-path layout
 //!
-//! `begin_tx`/`end_tx` run once per frame (plus retries) and dominate
+//! `begin_tx`/`end_tx_into` run once per frame (plus retries) and dominate
 //! dense-traffic simulations, so the channel is built to not allocate in
 //! steady state:
 //!
@@ -33,14 +33,14 @@
 //!   stamps it on each node where the copies in flight just became
 //!   undecodable. A copy is corrupted iff its hearer's stamp is at least
 //!   the copy's epoch, so no transmission is ever revisited.
-//! * The returned receiver lists draw from an internal **buffer pool**;
-//!   the simulator hands vectors back via [`Channel::recycle_nodes`]
-//!   after consuming a [`TxStart`]/[`TxEnd`].
+//! * [`TxStart::now_busy`] draws from an internal **buffer pool**; the
+//!   simulator hands the vector back via [`Channel::recycle_nodes`].
+//!   Ends write into one caller-recycled [`TxEndBuf`].
 //!
 //! # Examples
 //!
 //! ```
-//! use essat_net::channel::Channel;
+//! use essat_net::channel::{Channel, TxEndBuf};
 //! use essat_net::ids::NodeId;
 //! use essat_net::topology::Topology;
 //! use essat_sim::rng::SimRng;
@@ -52,8 +52,9 @@
 //! let tx = ch.begin_tx(t0, NodeId::new(0), SimDuration::from_micros(416));
 //! assert!(ch.carrier_busy(NodeId::new(1)));
 //! assert!(!ch.carrier_busy(NodeId::new(2)), "node 2 is out of range of 0");
-//! let end = ch.end_tx(t0 + SimDuration::from_micros(416), tx.id);
-//! assert_eq!(end.clean_receivers, vec![NodeId::new(1)]);
+//! let mut end = TxEndBuf::default();
+//! ch.end_tx_into(t0 + SimDuration::from_micros(416), tx.id, &mut end);
+//! assert_eq!(end.clean(), [NodeId::new(1)]);
 //! ```
 
 use std::sync::Arc;
@@ -65,7 +66,7 @@ use crate::ids::NodeId;
 use crate::topology::Topology;
 
 /// A pluggable per-link loss process consulted once per otherwise-clean
-/// frame copy at [`Channel::end_tx`] time.
+/// frame copy at [`Channel::end_tx_into`] time.
 ///
 /// Implementations own whatever per-link state they need (e.g. the
 /// scenario engine's Gilbert–Elliott chains) and must be deterministic
@@ -132,40 +133,20 @@ struct ActiveTx {
 /// Outcome of starting a transmission.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TxStart {
-    /// Handle to pass to [`Channel::end_tx`].
+    /// Handle to pass to [`Channel::end_tx_into`].
     pub id: TxId,
     /// Nodes at which the medium just became busy (carrier 0 → 1);
     /// their MACs must be notified.
     pub now_busy: Vec<NodeId>,
 }
 
-/// Outcome of finishing a transmission.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TxEnd {
-    /// The transmitting node.
-    pub sender: NodeId,
-    /// When the transmission started.
-    pub started: SimTime,
-    /// Hearers whose copy survived collisions and loss injection.
-    /// The caller must still verify each receiver's radio was active for
-    /// the whole airtime before delivering to its MAC.
-    pub clean_receivers: Vec<NodeId>,
-    /// Hearers whose copy was corrupted (collision, half-duplex, or
-    /// injected loss).
-    pub corrupted_receivers: Vec<NodeId>,
-    /// Nodes at which the medium just became idle (carrier 1 → 0);
-    /// their MACs must be notified.
-    pub now_idle: Vec<NodeId>,
-}
-
-/// Reusable outcome buffer for [`Channel::end_tx_into`] — the simulator's
-/// allocation-free fan-out path.
+/// Reusable outcome buffer for [`Channel::end_tx_into`]: the outcome of
+/// finishing a transmission, without allocating in steady state.
 ///
 /// The three receiver classes live in **one contiguous list** partitioned
 /// as `[clean | corrupted | now-idle]`; each class is exposed as a slice.
-/// One buffer per world replaces the three pooled vectors per call that
-/// [`Channel::end_tx`] returns, and the flat layout keeps the fan-out
-/// loops on a single warm allocation.
+/// One buffer per world keeps the fan-out loops on a single warm
+/// allocation.
 #[derive(Debug)]
 pub struct TxEndBuf {
     /// The transmitting node.
@@ -191,20 +172,23 @@ impl Default for TxEndBuf {
 
 impl TxEndBuf {
     /// Hearers whose copy survived collisions and loss injection, in
-    /// ascending id (CSR) order.
+    /// ascending id (CSR) order. The caller must still verify each
+    /// receiver's radio was active for the whole airtime before
+    /// delivering to its MAC.
     #[inline]
     pub fn clean(&self) -> &[NodeId] {
         &self.nodes[..self.clean_end]
     }
 
-    /// Hearers whose copy was corrupted, in ascending id order.
+    /// Hearers whose copy was corrupted (collision, half-duplex, or
+    /// injected loss), in ascending id order.
     #[inline]
     pub fn corrupted(&self) -> &[NodeId] {
         &self.nodes[self.clean_end..self.corrupted_end]
     }
 
     /// Nodes at which the medium just became idle (carrier 1 → 0), in
-    /// interference-CSR order.
+    /// interference-CSR order; their MACs must be notified.
     #[inline]
     pub fn now_idle(&self) -> &[NodeId] {
         &self.nodes[self.corrupted_end..]
@@ -419,9 +403,9 @@ impl Channel {
 
     /// Returns a receiver-list vector to the channel's buffer pool.
     ///
-    /// Optional: callers that consume [`TxStart::now_busy`] or the
-    /// [`TxEnd`] lists can hand the vectors back here to keep the
-    /// begin/end paths allocation-free in steady state.
+    /// Optional: callers that consume [`TxStart::now_busy`] can hand the
+    /// vector back here to keep the begin path allocation-free in steady
+    /// state.
     pub fn recycle_nodes(&mut self, mut v: Vec<NodeId>) {
         v.clear();
         self.node_pool.push(v);
@@ -433,7 +417,7 @@ impl Channel {
 
     /// Starts a transmission from `sender` lasting `airtime`.
     ///
-    /// The caller must schedule a call to [`Channel::end_tx`] exactly
+    /// The caller must schedule a call to [`Channel::end_tx_into`] exactly
     /// `airtime` later and must ensure the sender's radio is active.
     ///
     /// # Panics
@@ -497,34 +481,6 @@ impl Channel {
         }
     }
 
-    /// Finishes a transmission, returning delivery outcomes and carrier
-    /// transitions.
-    ///
-    /// Convenience wrapper over [`Channel::end_tx_into`] that splits the
-    /// flat outcome buffer into three pooled vectors. The simulator's hot
-    /// path uses `end_tx_into` directly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not correspond to an in-flight transmission.
-    pub fn end_tx(&mut self, now: SimTime, id: TxId) -> TxEnd {
-        let mut buf = TxEndBuf::default();
-        self.end_tx_into(now, id, &mut buf);
-        let mut clean = self.take_nodes();
-        let mut corrupted_rx = self.take_nodes();
-        let mut now_idle = self.take_nodes();
-        clean.extend_from_slice(buf.clean());
-        corrupted_rx.extend_from_slice(buf.corrupted());
-        now_idle.extend_from_slice(buf.now_idle());
-        TxEnd {
-            sender: buf.sender,
-            started: buf.started,
-            clean_receivers: clean,
-            corrupted_receivers: corrupted_rx,
-            now_idle,
-        }
-    }
-
     /// Finishes a transmission, writing delivery outcomes and carrier
     /// transitions into a caller-recycled [`TxEndBuf`].
     ///
@@ -543,7 +499,7 @@ impl Channel {
             .slots
             .get_mut(slot)
             .filter(|tx| tx.live && tx.epoch as u32 == id.seq())
-            .expect("end_tx for unknown transmission");
+            .expect("end_tx_into for unknown transmission");
         tx.live = false;
         let (sender, epoch) = (tx.sender, tx.epoch);
         out.reset(sender, tx.start);
@@ -618,6 +574,13 @@ mod tests {
         NodeId::new(i)
     }
 
+    /// Ends `id` at `now` into a fresh outcome buffer.
+    pub(super) fn finish(ch: &mut Channel, now: SimTime, id: TxId) -> TxEndBuf {
+        let mut out = TxEndBuf::default();
+        ch.end_tx_into(now, id, &mut out);
+        out
+    }
+
     /// 0 - 1 - 2 - 3 line, only adjacent nodes hear each other.
     fn line4() -> Channel {
         let topo = Topology::line(4, 10.0, 12.0);
@@ -629,10 +592,10 @@ mod tests {
         let mut ch = line4();
         let tx = ch.begin_tx(t_us(0), n(1), us(416));
         assert_eq!(tx.now_busy, vec![n(0), n(2)]);
-        let end = ch.end_tx(t_us(416), tx.id);
-        assert_eq!(end.clean_receivers, vec![n(0), n(2)]);
-        assert!(end.corrupted_receivers.is_empty());
-        assert_eq!(end.now_idle, vec![n(0), n(2)]);
+        let end = finish(&mut ch, t_us(416), tx.id);
+        assert_eq!(end.clean(), [n(0), n(2)]);
+        assert!(end.corrupted().is_empty());
+        assert_eq!(end.now_idle(), [n(0), n(2)]);
         assert_eq!(ch.stats().transmissions, 1);
         assert_eq!(ch.stats().collisions, 0);
     }
@@ -643,63 +606,25 @@ mod tests {
         // 0 and 2 both transmit; node 1 hears both -> both corrupt at 1.
         let a = ch.begin_tx(t_us(0), n(0), us(416));
         let b = ch.begin_tx(t_us(100), n(2), us(416));
-        let end_a = ch.end_tx(t_us(416), a.id);
-        assert!(end_a.clean_receivers.is_empty());
-        assert_eq!(end_a.corrupted_receivers, vec![n(1)]);
-        let end_b = ch.end_tx(t_us(516), b.id);
+        let end_a = finish(&mut ch, t_us(416), a.id);
+        assert!(end_a.clean().is_empty());
+        assert_eq!(end_a.corrupted(), [n(1)]);
+        let end_b = finish(&mut ch, t_us(516), b.id);
         // Node 3 only hears 2, so its copy survives; node 1's copy died.
-        assert_eq!(end_b.clean_receivers, vec![n(3)]);
-        assert_eq!(end_b.corrupted_receivers, vec![n(1)]);
+        assert_eq!(end_b.clean(), [n(3)]);
+        assert_eq!(end_b.corrupted(), [n(1)]);
         assert!(ch.stats().collisions >= 2);
-    }
-
-    #[test]
-    fn end_tx_into_partitions_match_wrapper() {
-        // Two identically-seeded channels with loss injection: the
-        // pooled three-vector wrapper and the flat-buffer path must
-        // produce the same partitions, in the same order, from the
-        // same RNG draw sequence.
-        let topo = Topology::line(6, 10.0, 12.0);
-        let mut a = Channel::new(&topo, SimRng::seed_from_u64(9));
-        let mut b = Channel::new(&topo, SimRng::seed_from_u64(9));
-        a.set_drop_probability(0.4);
-        b.set_drop_probability(0.4);
-        let mut buf = TxEndBuf::default();
-        for round in 0..64u64 {
-            let t0 = t_us(round * 1_000);
-            let sender = n((round % 6) as u32);
-            let ta = a.begin_tx(t0, sender, us(416));
-            let tb = b.begin_tx(t0, sender, us(416));
-            a.recycle_nodes(ta.now_busy);
-            b.recycle_nodes(tb.now_busy);
-            let end = a.end_tx(t0 + us(416), ta.id);
-            b.end_tx_into(t0 + us(416), tb.id, &mut buf);
-            assert_eq!(end.sender, buf.sender);
-            assert_eq!(end.started, buf.started);
-            assert_eq!(end.clean_receivers.as_slice(), buf.clean());
-            assert_eq!(end.corrupted_receivers.as_slice(), buf.corrupted());
-            assert_eq!(end.now_idle.as_slice(), buf.now_idle());
-            assert_eq!(end.corrupted_receivers.len() as u32, buf.corrupted_len());
-            a.recycle_nodes(end.clean_receivers);
-            a.recycle_nodes(end.corrupted_receivers);
-            a.recycle_nodes(end.now_idle);
-        }
-        assert_eq!(a.stats(), b.stats());
-        assert!(
-            a.stats().injected_drops > 0,
-            "the corrupted partition was never exercised"
-        );
     }
 
     #[test]
     fn non_overlapping_sequential_txs_are_clean() {
         let mut ch = line4();
         let a = ch.begin_tx(t_us(0), n(0), us(416));
-        let ea = ch.end_tx(t_us(416), a.id);
-        assert_eq!(ea.clean_receivers, vec![n(1)]);
+        let ea = finish(&mut ch, t_us(416), a.id);
+        assert_eq!(ea.clean(), [n(1)]);
         let b = ch.begin_tx(t_us(500), n(2), us(416));
-        let eb = ch.end_tx(t_us(916), b.id);
-        assert_eq!(eb.clean_receivers, vec![n(1), n(3)]);
+        let eb = finish(&mut ch, t_us(916), b.id);
+        assert_eq!(eb.clean(), [n(1), n(3)]);
         assert_eq!(ch.stats().collisions, 0);
     }
 
@@ -711,18 +636,18 @@ mod tests {
         // doesn't count toward its carrier).
         let a = ch.begin_tx(t_us(0), n(1), us(416));
         let b = ch.begin_tx(t_us(10), n(2), us(100));
-        let eb = ch.end_tx(t_us(110), b.id);
+        let eb = finish(&mut ch, t_us(110), b.id);
         assert!(
-            !eb.clean_receivers.contains(&n(1)),
+            !eb.clean().contains(&n(1)),
             "transmitting node must not receive"
         );
         // 3 hears only 2's tx -> clean there.
-        assert!(eb.clean_receivers.contains(&n(3)));
-        let ea = ch.end_tx(t_us(416), a.id);
+        assert!(eb.clean().contains(&n(3)));
+        let ea = finish(&mut ch, t_us(416), a.id);
         // 1's frame is corrupted at 2 (2 was transmitting during it).
-        assert!(ea.corrupted_receivers.contains(&n(2)));
+        assert!(ea.corrupted().contains(&n(2)));
         // ...and clean at 0 (0 heard only 1's frame).
-        assert!(ea.clean_receivers.contains(&n(0)));
+        assert!(ea.clean().contains(&n(0)));
     }
 
     #[test]
@@ -731,9 +656,9 @@ mod tests {
         let a = ch.begin_tx(t_us(0), n(0), us(416)); // 1 hears
                                                      // 2 starts mid-flight; at node 1 carrier goes 1 -> 2.
         let _b = ch.begin_tx(t_us(200), n(2), us(416));
-        let ea = ch.end_tx(t_us(416), a.id);
-        assert_eq!(ea.corrupted_receivers, vec![n(1)]);
-        assert!(ea.clean_receivers.is_empty());
+        let ea = finish(&mut ch, t_us(416), a.id);
+        assert_eq!(ea.corrupted(), [n(1)]);
+        assert!(ea.clean().is_empty());
     }
 
     #[test]
@@ -745,11 +670,11 @@ mod tests {
         assert!(!ch.carrier_busy(n(3)));
         let b = ch.begin_tx(t_us(10), n(2), us(416));
         assert!(ch.carrier_busy(n(3)));
-        let ea = ch.end_tx(t_us(416), a.id);
-        assert!(!ea.now_idle.contains(&n(1)), "1 still hears 2's tx");
+        let ea = finish(&mut ch, t_us(416), a.id);
+        assert!(!ea.now_idle().contains(&n(1)), "1 still hears 2's tx");
         assert!(ch.carrier_busy(n(1)));
-        let eb = ch.end_tx(t_us(426), b.id);
-        assert!(eb.now_idle.contains(&n(1)));
+        let eb = finish(&mut ch, t_us(426), b.id);
+        assert!(eb.now_idle().contains(&n(1)));
         assert!(!ch.carrier_busy(n(1)));
         assert!(!ch.carrier_busy(n(3)));
     }
@@ -760,7 +685,7 @@ mod tests {
         assert!(!ch.is_transmitting(n(0)));
         let a = ch.begin_tx(t_us(0), n(0), us(10));
         assert!(ch.is_transmitting(n(0)));
-        ch.end_tx(t_us(10), a.id);
+        finish(&mut ch, t_us(10), a.id);
         assert!(!ch.is_transmitting(n(0)));
     }
 
@@ -777,11 +702,11 @@ mod tests {
     fn stale_tx_id_rejected() {
         let mut ch = line4();
         let a = ch.begin_tx(t_us(0), n(0), us(10));
-        ch.end_tx(t_us(10), a.id);
+        finish(&mut ch, t_us(10), a.id);
         // The slot is reused by a new transmission; the stale id must
         // not end it.
         let _b = ch.begin_tx(t_us(20), n(2), us(10));
-        ch.end_tx(t_us(30), a.id);
+        finish(&mut ch, t_us(30), a.id);
     }
 
     #[test]
@@ -790,11 +715,8 @@ mod tests {
         for i in 0..1_000u64 {
             let t0 = t_us(i * 1_000);
             let tx = ch.begin_tx(t0, n((i % 4) as u32), us(416));
-            let end = ch.end_tx(t0 + us(416), tx.id);
+            finish(&mut ch, t0 + us(416), tx.id);
             ch.recycle_nodes(tx.now_busy);
-            ch.recycle_nodes(end.clean_receivers);
-            ch.recycle_nodes(end.corrupted_receivers);
-            ch.recycle_nodes(end.now_idle);
         }
         assert_eq!(ch.stats().transmissions, 1_000);
         assert_eq!(ch.stats().collisions, 0);
@@ -814,8 +736,8 @@ mod tests {
         for i in 0..trials {
             let t0 = SimTime::from_micros(i * 1000);
             let tx = ch.begin_tx(t0, n(0), us(416));
-            let end = ch.end_tx(t0 + us(416), tx.id);
-            if end.corrupted_receivers.contains(&n(1)) {
+            let end = finish(&mut ch, t0 + us(416), tx.id);
+            if end.corrupted().contains(&n(1)) {
                 dropped += 1;
             }
         }
@@ -841,25 +763,25 @@ mod tests {
         let mut ch = line4();
         ch.set_loss_model(Box::new(DropAt(n(0))));
         let tx = ch.begin_tx(t_us(0), n(1), us(416));
-        let end = ch.end_tx(t_us(416), tx.id);
-        assert_eq!(end.clean_receivers, vec![n(2)]);
-        assert_eq!(end.corrupted_receivers, vec![n(0)]);
+        let end = finish(&mut ch, t_us(416), tx.id);
+        assert_eq!(end.clean(), [n(2)]);
+        assert_eq!(end.corrupted(), [n(0)]);
         assert_eq!(ch.stats().injected_drops, 1);
         // Baseline composes on top of the model instead of being
         // silently overridden (the PR 3 review bug): with p = 1 every
         // copy the model spared is still dropped by the baseline.
         ch.set_drop_probability(1.0);
         let tx = ch.begin_tx(t_us(1_000), n(1), us(416));
-        let end = ch.end_tx(t_us(1_416), tx.id);
-        assert!(end.clean_receivers.is_empty(), "baseline must still fire");
-        assert_eq!(end.corrupted_receivers, vec![n(0), n(2)]);
+        let end = finish(&mut ch, t_us(1_416), tx.id);
+        assert!(end.clean().is_empty(), "baseline must still fire");
+        assert_eq!(end.corrupted(), [n(0), n(2)]);
         assert_eq!(ch.stats().injected_drops, 3);
         // Removing the model keeps the static path.
         ch.clear_loss_model();
         let tx = ch.begin_tx(t_us(2_000), n(1), us(416));
-        let end = ch.end_tx(t_us(2_416), tx.id);
-        assert!(end.clean_receivers.is_empty(), "p = 1 drops every copy");
-        assert_eq!(end.corrupted_receivers, vec![n(0), n(2)]);
+        let end = finish(&mut ch, t_us(2_416), tx.id);
+        assert!(end.clean().is_empty(), "p = 1 drops every copy");
+        assert_eq!(end.corrupted(), [n(0), n(2)]);
     }
 
     #[test]
@@ -876,7 +798,7 @@ mod tests {
         let mut ch = line4();
         ch.set_loss_model(Box::new(Recorder(log.clone())));
         let tx = ch.begin_tx(t_us(100), n(1), us(416));
-        let _ = ch.end_tx(t_us(516), tx.id);
+        let _ = finish(&mut ch, t_us(516), tx.id);
         assert_eq!(
             *log.lock().unwrap(),
             vec![(t_us(516), n(1), n(0)), (t_us(516), n(1), n(2))]
@@ -889,16 +811,16 @@ mod tests {
         let mut ch = Channel::new(&topo, SimRng::seed_from_u64(1));
         let tx = ch.begin_tx(t_us(0), n(0), us(416));
         assert!(tx.now_busy.is_empty());
-        let end = ch.end_tx(t_us(416), tx.id);
-        assert!(end.clean_receivers.is_empty());
-        assert!(end.corrupted_receivers.is_empty());
+        let end = finish(&mut ch, t_us(416), tx.id);
+        assert!(end.clean().is_empty());
+        assert!(end.corrupted().is_empty());
     }
 
     #[test]
     fn tx_end_reports_start_time() {
         let mut ch = line4();
         let tx = ch.begin_tx(t_us(123), n(0), us(10));
-        let end = ch.end_tx(t_us(133), tx.id);
+        let end = finish(&mut ch, t_us(133), tx.id);
         assert_eq!(end.started, t_us(123));
         assert_eq!(end.sender, n(0));
     }
@@ -906,6 +828,7 @@ mod tests {
 
 #[cfg(test)]
 mod interference_tests {
+    use super::tests::finish;
     use super::*;
     use crate::topology::Topology;
     use essat_sim::rng::SimRng;
@@ -941,10 +864,10 @@ mod interference_tests {
         );
         assert!(tx.now_busy.contains(&n(2)));
         assert!(!ch.carrier_busy(n(3)), "three hops is beyond interference");
-        let end = ch.end_tx(t_us(416), tx.id);
-        assert_eq!(end.clean_receivers, vec![n(1)], "only comm-range decodes");
-        assert!(!end.corrupted_receivers.contains(&n(2)));
-        assert!(end.now_idle.contains(&n(2)));
+        let end = finish(&mut ch, t_us(416), tx.id);
+        assert_eq!(end.clean(), [n(1)], "only comm-range decodes");
+        assert!(!end.corrupted().contains(&n(2)));
+        assert!(end.now_idle().contains(&n(2)));
         assert!(!ch.carrier_busy(n(2)));
     }
 
@@ -956,12 +879,12 @@ mod interference_tests {
         // classic hidden-terminal corruption the one-range model misses.
         let a = ch.begin_tx(t_us(0), n(0), us(416));
         let _b = ch.begin_tx(t_us(100), n(3), us(416));
-        let ea = ch.end_tx(t_us(416), a.id);
+        let ea = finish(&mut ch, t_us(416), a.id);
         assert!(
-            ea.corrupted_receivers.contains(&n(1)),
+            ea.corrupted().contains(&n(1)),
             "interference-range overlap must corrupt"
         );
-        assert!(ea.clean_receivers.is_empty());
+        assert!(ea.clean().is_empty());
     }
 
     #[test]
@@ -972,7 +895,7 @@ mod interference_tests {
         let mut ch = Channel::new(&topo, SimRng::seed_from_u64(5));
         let a = ch.begin_tx(t_us(0), n(0), us(416));
         let _b = ch.begin_tx(t_us(100), n(3), us(416));
-        let ea = ch.end_tx(t_us(416), a.id);
-        assert_eq!(ea.clean_receivers, vec![n(1)]);
+        let ea = finish(&mut ch, t_us(416), a.id);
+        assert_eq!(ea.clean(), [n(1)]);
     }
 }

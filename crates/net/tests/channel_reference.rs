@@ -163,8 +163,7 @@ impl<'t> Reference<'t> {
     }
 }
 
-/// Ends `(id, ref index)` on both sides — through `end_tx` or
-/// `end_tx_into` — and compares the outcomes.
+/// Ends `(id, ref index)` on both sides and compares the outcomes.
 fn end_both(
     ch: &mut Channel,
     rf: &mut Reference<'_>,
@@ -174,25 +173,14 @@ fn end_both(
     (id, t): (TxId, usize),
 ) {
     let want = rf.end(pos, now, t);
-    let got = if pos.is_multiple_of(2) {
-        let e = ch.end_tx(now, id);
-        RefEnd {
-            sender: e.sender,
-            started: e.started,
-            clean: e.clean_receivers,
-            corrupted: e.corrupted_receivers,
-            now_idle: e.now_idle,
-        }
-    } else {
-        ch.end_tx_into(now, id, buf);
-        assert_eq!(buf.corrupted_len() as usize, buf.corrupted().len());
-        RefEnd {
-            sender: buf.sender,
-            started: buf.started,
-            clean: buf.clean().to_vec(),
-            corrupted: buf.corrupted().to_vec(),
-            now_idle: buf.now_idle().to_vec(),
-        }
+    ch.end_tx_into(now, id, buf);
+    assert_eq!(buf.corrupted_len() as usize, buf.corrupted().len());
+    let got = RefEnd {
+        sender: buf.sender,
+        started: buf.started,
+        clean: buf.clean().to_vec(),
+        corrupted: buf.corrupted().to_vec(),
+        now_idle: buf.now_idle().to_vec(),
     };
     assert_eq!(got, want, "end of tx {t} at script position {pos}");
 }

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use essat_net::channel::Channel;
+use essat_net::channel::{Channel, TxEndBuf};
 use essat_net::frame::airtime;
 use essat_net::geometry::Area;
 use essat_net::ids::NodeId;
@@ -70,11 +70,12 @@ proptest! {
             let hearers = topo.neighbors(sender).len();
             live.push((sender, start.id, hearers));
         }
+        let mut end = TxEndBuf::default();
         for (i, (sender, id, hearers)) in live.iter().enumerate() {
-            let end = ch.end_tx(SimTime::from_micros(20_000 + i as u64), *id);
+            ch.end_tx_into(SimTime::from_micros(20_000 + i as u64), *id, &mut end);
             prop_assert_eq!(end.sender, *sender);
             prop_assert_eq!(
-                end.clean_receivers.len() + end.corrupted_receivers.len(),
+                end.clean().len() + end.corrupted().len(),
                 *hearers,
                 "receiver partition broken"
             );

@@ -44,12 +44,12 @@
 //!
 //! let mut engine = Engine::new(Clock { ticks: 0 });
 //! engine.schedule_at(SimTime::ZERO, Ev::Tick);
-//! engine.run_until_idle();
+//! assert_eq!(engine.run_until(SimTime::from_millis(100)), 5);
 //! assert_eq!(engine.model().ticks, 5);
-//! assert_eq!(engine.now(), SimTime::from_millis(40));
+//! assert_eq!(engine.now(), SimTime::from_millis(100));
 //! ```
 
-use crate::queue::{BatchEntry, EventId, EventQueue};
+use crate::queue::{EventId, EventQueue};
 use crate::time::{SimDuration, SimTime};
 
 /// World state driven by the engine.
@@ -140,9 +140,6 @@ pub struct Engine<M: Model> {
     queue: EventQueue<M::Event>,
     model: M,
     processed: u64,
-    /// Reusable batch-drain buffer for the bounded-run loops: one wheel
-    /// bucket's worth of ordering handles at a time.
-    batch: Vec<BatchEntry>,
 }
 
 impl<M: Model> Engine<M> {
@@ -166,7 +163,6 @@ impl<M: Model> Engine<M> {
             queue,
             model,
             processed: 0,
-            batch: Vec::new(),
         }
     }
 
@@ -240,9 +236,7 @@ impl<M: Model> Engine<M> {
         self.queue.cancel(id)
     }
 
-    /// Advances the clock to `time` and hands `event` to the model —
-    /// the single dispatch path shared by [`Engine::step`] and
-    /// [`Engine::run_until`].
+    /// Advances the clock to `time` and hands `event` to the model.
     fn dispatch(&mut self, time: SimTime, id: EventId, event: M::Event) {
         debug_assert!(time >= self.now, "event queue violated monotonicity");
         self.now = time;
@@ -255,75 +249,21 @@ impl<M: Model> Engine<M> {
         self.model.handle(event, &mut ctx);
     }
 
-    /// Processes the single earliest pending event. Returns `false` if the
-    /// queue was empty.
-    pub fn step(&mut self) -> bool {
-        match self.queue.pop() {
-            Some((time, id, event)) => {
-                self.dispatch(time, id, event);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Runs until the queue is empty.
-    ///
-    /// Returns the number of events processed by this call.
-    pub fn run_until_idle(&mut self) -> u64 {
-        let before = self.processed;
-        while self.step() {}
-        self.processed - before
-    }
-
-    /// Merges any events that sorted ahead of the unclaimed batch entry
-    /// `e` (pushed into the current bucket after the batch was drained)
-    /// back into the dispatch order, then claims and dispatches `e` itself
-    /// if it is still live.
-    #[inline]
-    fn dispatch_batch_entry(&mut self, e: BatchEntry) {
-        if self.queue.batch_dirty() {
-            while let Some((time, id, event)) = self.queue.pop_before_entry(e) {
-                self.dispatch(time, id, event);
-            }
-        }
-        if let Some(event) = self.queue.claim(e) {
-            self.dispatch(e.time(), e.id(), event);
-        }
-    }
-
     /// Runs events with fire time `<= deadline`, then advances the clock
     /// to exactly `deadline` (even if the queue still holds later events).
     ///
-    /// Drains the queue one sorted wheel bucket at a time instead of one
-    /// cursor pass per event; liveness is re-validated per entry at
-    /// dispatch, so a handler cancelling a later event in the same
-    /// drained bucket still suppresses it.
+    /// One [`EventQueue::pop_before`] per event: a handler that cancels
+    /// a later pending event, even one in the same wheel bucket or at
+    /// the same instant, removes it before it can be popped.
     ///
     /// Returns the number of events processed by this call.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let before = self.processed;
-        let mut buf = std::mem::take(&mut self.batch);
-        while self.queue.pop_batch_before(deadline, &mut buf) != 0 {
-            for &e in &buf {
-                self.dispatch_batch_entry(e);
-            }
+        while let Some((time, id, event)) = self.queue.pop_before(deadline) {
+            self.dispatch(time, id, event);
         }
-        self.batch = buf;
-        if self.now < deadline {
-            self.now = deadline;
-        }
+        self.now = self.now.max(deadline);
         self.processed - before
-    }
-
-    /// Runs at most `budget` events; returns how many actually ran. Useful
-    /// as a watchdog against runaway models in tests.
-    pub fn run_with_budget(&mut self, budget: u64) -> u64 {
-        let mut ran = 0;
-        while ran < budget && self.step() {
-            ran += 1;
-        }
-        ran
     }
 
     /// [`Engine::run_until`] with an event budget: runs events with fire
@@ -333,54 +273,20 @@ impl<M: Model> Engine<M> {
     /// stays at the last processed event). The deterministic runaway
     /// guard for sweep jobs: the same `(model, seed, budget)` either
     /// always completes or always trips, independent of wall clock.
-    /// Budget accounting stays per-event under batch draining: when the
-    /// budget runs out mid-bucket, the unclaimed remainder of the batch
-    /// is re-filed with original sequence numbers, so those events stay
-    /// pending in their exact total-order positions.
     pub fn run_until_capped(&mut self, deadline: SimTime, budget: u64) -> bool {
-        let mut ran = 0u64;
-        let mut buf = std::mem::take(&mut self.batch);
-        while self.queue.pop_batch_before(deadline, &mut buf) != 0 {
-            for i in 0..buf.len() {
-                let e = buf[i];
-                if self.queue.batch_dirty() {
-                    while ran < budget {
-                        match self.queue.pop_before_entry(e) {
-                            Some((time, id, event)) => {
-                                self.dispatch(time, id, event);
-                                ran += 1;
-                            }
-                            None => break,
-                        }
-                    }
-                }
-                if ran >= budget {
-                    // Give the unclaimed tail back (stale entries are
-                    // dropped), then report exhaustion only if a live
-                    // event at or before the deadline actually remains —
-                    // the tail may have been entirely cancelled.
-                    self.queue.requeue_batch(&buf[i..]);
-                    self.batch = buf;
-                    match self.queue.peek_time() {
-                        Some(t) if t <= deadline => return false,
-                        _ => {
-                            if self.now < deadline {
-                                self.now = deadline;
-                            }
-                            return true;
-                        }
-                    }
-                }
-                if let Some(event) = self.queue.claim(e) {
-                    self.dispatch(e.time(), e.id(), event);
-                    ran += 1;
-                }
-            }
+        for _ in 0..budget {
+            let Some((time, id, event)) = self.queue.pop_before(deadline) else {
+                self.now = self.now.max(deadline);
+                return true;
+            };
+            self.dispatch(time, id, event);
         }
-        self.batch = buf;
-        if self.now < deadline {
-            self.now = deadline;
+        // The budget is spent: the run is finished only if no event at
+        // or before the deadline remains.
+        if self.queue.peek_time().is_some_and(|t| t <= deadline) {
+            return false;
         }
+        self.now = self.now.max(deadline);
         true
     }
 }
@@ -439,7 +345,7 @@ mod tests {
         e.schedule_at(SimTime::from_millis(20), Ev::Mark(2));
         e.schedule_at(SimTime::from_millis(10), Ev::Mark(1));
         assert_eq!(e.pending(), 2);
-        let ran = e.run_until_idle();
+        let ran = e.run_until(SimTime::from_millis(20));
         assert_eq!(ran, 2);
         assert_eq!(
             e.model().log,
@@ -452,7 +358,7 @@ mod tests {
     fn handlers_can_schedule_more_events() {
         let mut e = Engine::new(Recorder::default());
         e.schedule_at(SimTime::from_millis(5), Ev::Spawn);
-        e.run_until_idle();
+        e.run_until(SimTime::from_millis(10));
         // schedule_now event runs at the same instant, after already-queued
         // same-time events; the delayed one runs 1ms later.
         assert_eq!(
@@ -470,28 +376,26 @@ mod tests {
         let victim = e.schedule_at(SimTime::from_millis(10), Ev::Mark(1));
         e.model_mut().cancel_targets = vec![victim];
         e.schedule_at(SimTime::from_millis(5), Ev::CancelOther);
-        e.run_until_idle();
+        e.run_until(SimTime::from_millis(20));
         assert!(e.model().log.is_empty());
     }
 
-    /// A wheel-bucket-aligned instant: events within `WIDTH_NS` of it
-    /// land in the same drained batch.
+    /// An instant ≈10 ms in, three quarters of the way into its 2^16 ns
+    /// wheel bucket (611 × 2^14 ns = 152.75 × 2^16 ns): events less than
+    /// 16.384 µs after it share its bucket.
     fn bucket_start() -> SimTime {
-        // 611 × the 2^14 ns bucket width ≈ 10 ms.
         SimTime::from_nanos(611 << 14)
     }
 
     #[test]
     fn cancel_later_same_bucket_event_from_drained_batch() {
-        // Regression: batch draining hands the engine a whole sorted
-        // bucket at once, but liveness must be re-validated per entry —
-        // an event dispatched from the batch that cancels a later entry
-        // of the *same* bucket (even at the very same instant) still
-        // suppresses it.
+        // Regression: an event that cancels a later entry of the *same*
+        // wheel bucket (even at the very same instant) suppresses it,
+        // although the bucket is already sorted and being drained.
         let mut e = Engine::new(Recorder::default());
         let t = bucket_start();
         e.schedule_at(t, Ev::CancelOther);
-        // Same instant, later seq — drained into the same batch.
+        // Same instant, later seq — same bucket.
         let v1 = e.schedule_at(t, Ev::Mark(1));
         // Same bucket, strictly later time.
         let v2 = e.schedule_at(t + SimDuration::from_nanos(8_192), Ev::Mark(2));
@@ -505,14 +409,13 @@ mod tests {
     #[test]
     fn disarm_rearm_against_drained_batch_suppresses_and_replaces() {
         // Regression for the cancel-on-disarm timer path: a handler
-        // cancels a pending timer that was *already drained into the
-        // current batch* (same bucket, later seq) and immediately
-        // re-arms a replacement. The cancelled entry must not fire and
-        // the replacement must fire at its own (time, seq) position —
-        // the exact shape a MAC disarm/re-arm produces.
+        // cancels a pending timer in the *same bucket* (later seq) and
+        // immediately re-arms a replacement. The cancelled entry must
+        // not fire and the replacement must fire at its own (time, seq)
+        // position — the exact shape a MAC disarm/re-arm produces.
         let mut e = Engine::new(Recorder::default());
         let t = bucket_start();
-        // The "armed timer", drained into the same batch as the disarm.
+        // The "armed timer", in the same bucket as the disarm.
         let armed = e.schedule_at(t + SimDuration::from_nanos(200), Ev::Mark(1));
         e.model_mut().cancel_targets = vec![armed];
         e.schedule_at(
@@ -539,8 +442,8 @@ mod tests {
     #[test]
     fn rearm_into_currently_draining_bucket_fires_in_order() {
         // A replacement timer pushed into the wheel bucket that is being
-        // drained right now must be merged into dispatch order via the
-        // dirty-batch path, while a pre-drain cancel stays suppressed.
+        // drained right now fires in (time, seq) order, while a cancel
+        // issued before the run stays suppressed.
         let mut e = Engine::new(Recorder::default());
         let t = bucket_start();
         let seed = e.schedule_at(
@@ -565,10 +468,9 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_mid_bucket_leaves_tail_pending() {
-        // Regression: `run_until_capped` accounting stays per-event
-        // under batch draining. Exhaustion midway through a drained
-        // bucket re-files the unclaimed tail, which then runs — in
-        // order — on the next call.
+        // Regression: `run_until_capped` counts events, not buckets.
+        // Exhaustion midway through a bucket leaves its tail queued,
+        // and the tail runs — in order — on the next call.
         let mut e = Engine::new(Recorder::default());
         let t = bucket_start();
         for i in 0..5u64 {
@@ -592,7 +494,7 @@ mod tests {
         assert_eq!(ran, 1);
         assert_eq!(e.now(), SimTime::from_millis(20));
         assert_eq!(e.pending(), 1);
-        e.run_until_idle();
+        e.run_until(SimTime::from_millis(30));
         assert_eq!(e.model().log.len(), 2);
     }
 
@@ -601,17 +503,6 @@ mod tests {
         let mut e = Engine::new(Recorder::default());
         e.run_until(SimTime::from_secs(7));
         assert_eq!(e.now(), SimTime::from_secs(7));
-    }
-
-    #[test]
-    fn budget_limits_work() {
-        let mut e = Engine::new(Recorder::default());
-        for i in 0..10 {
-            e.schedule_at(SimTime::from_millis(i), Ev::Mark(i as u32));
-        }
-        assert_eq!(e.run_with_budget(3), 3);
-        assert_eq!(e.model().log.len(), 3);
-        assert_eq!(e.processed(), 3);
     }
 
     #[test]
@@ -636,7 +527,7 @@ mod tests {
     fn scheduling_past_panics() {
         let mut e = Engine::new(Recorder::default());
         e.schedule_at(SimTime::from_millis(10), Ev::Mark(1));
-        e.run_until_idle();
+        e.run_until(SimTime::from_millis(10));
         e.schedule_at(SimTime::from_millis(5), Ev::Mark(2));
     }
 
@@ -644,7 +535,7 @@ mod tests {
     fn into_model_returns_state() {
         let mut e = Engine::new(Recorder::default());
         e.schedule_at(SimTime::ZERO, Ev::Mark(7));
-        e.run_until_idle();
+        e.run_until(SimTime::ZERO);
         let m = e.into_model();
         assert_eq!(m.log, vec![(SimTime::ZERO, 7)]);
     }

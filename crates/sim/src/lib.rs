@@ -36,7 +36,7 @@
 //!
 //! let mut engine = Engine::new(Pinger { sent: 0 });
 //! engine.schedule_at(SimTime::ZERO, Ev::Ping);
-//! engine.run_until_idle();
+//! engine.run_until(SimTime::from_secs(1));
 //! assert_eq!(engine.model().sent, 3);
 //! ```
 

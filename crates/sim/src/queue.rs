@@ -38,21 +38,6 @@
 //! insert into the current bucket at their sorted position, which keeps
 //! the total order exact even while the bucket is being drained.
 //!
-//! # Batch drain
-//!
-//! [`EventQueue::pop_batch_before`] hands out the current bucket's sorted
-//! run of entries up to a deadline in one pass, for callers (the engine's
-//! hot loop) that would otherwise pay one cursor pass per event. Batched
-//! entries are *ordering handles only*: the payload stays in the slab
-//! until [`EventQueue::claim`], which re-validates liveness — a handler
-//! dispatched from the batch may cancel a later entry of the same batch,
-//! and the claim then returns `None` instead of double-dispatching.
-//! Pushes that land in the current bucket while a batch is outstanding
-//! set a dirty flag ([`EventQueue::batch_dirty`]); the caller merges such
-//! intruders back into the total order via
-//! [`EventQueue::pop_before_entry`], and un-claimed entries can be
-//! re-filed with [`EventQueue::requeue_batch`] (budget exhaustion).
-//!
 //! # Examples
 //!
 //! ```
@@ -77,10 +62,11 @@ use std::collections::BinaryHeap;
 use crate::time::SimTime;
 
 /// log2 of the bucket width in nanoseconds: 2^16 ns = 65.536 µs, a few
-/// 802.11 20 µs slots. Wide enough that a batch drain hands the engine
-/// several events at a time (a 16.384 µs bucket held ~1 event, paying a
-/// cursor advance per event); narrow enough that the sorted insert for
-/// pushes into the current bucket stays cheap.
+/// 802.11 20 µs slots. Wide enough that consecutive pops usually find
+/// their event in the bucket the cursor already sits on (a 16.384 µs
+/// bucket held ~1 event, paying a cursor advance per pop); narrow
+/// enough that the sort on arrival and the sorted insert for pushes
+/// into the current bucket stay cheap.
 const BUCKET_SHIFT: u32 = 16;
 /// Number of buckets in the ring (must be a power of two). With
 /// [`BUCKET_SHIFT`] this spans ≈268 ms of near future — wide enough
@@ -138,35 +124,6 @@ impl Ord for Entry {
     }
 }
 
-/// An ordering handle drained by [`EventQueue::pop_batch_before`].
-///
-/// Holds no payload: the event stays in the slab until
-/// [`EventQueue::claim`]s it, so cancellations issued between drain and
-/// dispatch are still honoured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchEntry {
-    time: SimTime,
-    seq: u64,
-    slot: u32,
-}
-
-impl BatchEntry {
-    /// The fire time of the drained entry.
-    #[inline]
-    pub fn time(&self) -> SimTime {
-        self.time
-    }
-
-    /// The cancellation handle of the drained entry.
-    #[inline]
-    pub fn id(&self) -> EventId {
-        EventId {
-            seq: self.seq,
-            slot: self.slot,
-        }
-    }
-}
-
 /// Deterministic future-event set.
 ///
 /// See the [module documentation](self) for ordering and cancellation
@@ -196,11 +153,6 @@ pub struct EventQueue<E> {
     sorted: bool,
     /// Events at or beyond the wheel horizon, ordered by `(time, seq)`.
     overflow: BinaryHeap<Reverse<Entry>>,
-    /// Set when a push lands in (or before) the current bucket while a
-    /// drained batch may be outstanding — the new entry could sort ahead
-    /// of batch entries not yet claimed. Cleared by
-    /// [`EventQueue::pop_batch_before`].
-    batch_dirty: bool,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -224,7 +176,6 @@ impl<E> EventQueue<E> {
             drain: 0,
             sorted: false,
             overflow: BinaryHeap::new(),
-            batch_dirty: false,
         }
     }
 
@@ -276,10 +227,7 @@ impl<E> EventQueue<E> {
         if abs <= self.cur_abs {
             // Current bucket (or the past — the engine forbids that, but
             // the queue keeps exact order regardless): keep the drained
-            // suffix sorted. The new entry may sort ahead of an
-            // outstanding batch's unclaimed tail, so flag the batch
-            // dirty for the caller's merge check.
-            self.batch_dirty = true;
+            // suffix sorted.
             let ring = (self.cur_abs & BUCKET_MASK) as usize;
             if self.sorted {
                 let tail = &self.wheel[ring][self.drain..];
@@ -466,110 +414,6 @@ impl<E> EventQueue<E> {
         Some(self.consume_head(e))
     }
 
-    /// Copies the current bucket's remaining live entries with fire time
-    /// `<= deadline` into `buf`, advancing the drained prefix past them.
-    /// The bucket is already settled (sorted, `drain` on a live entry).
-    fn drain_bucket_into(&mut self, deadline: SimTime, buf: &mut Vec<BatchEntry>) {
-        let ring = (self.cur_abs & BUCKET_MASK) as usize;
-        let bucket = &self.wheel[ring];
-        let mut i = self.drain;
-        while i < bucket.len() {
-            let e = bucket[i];
-            if e.time > deadline {
-                break;
-            }
-            i += 1;
-            let sl = &self.slots[e.slot as usize];
-            if sl.seq == e.seq && sl.event.is_some() {
-                buf.push(BatchEntry {
-                    time: e.time,
-                    seq: e.seq,
-                    slot: e.slot,
-                });
-            }
-        }
-        self.drain = i;
-    }
-
-    /// Drains the current bucket's sorted run of live entries with fire
-    /// time `<= deadline` into `buf` (cleared first) in exact
-    /// `(time, seq)` order, and returns how many were drained — zero when
-    /// nothing is pending at or before the deadline.
-    ///
-    /// The drained entries are ordering handles only: the caller must
-    /// [`EventQueue::claim`] each one at dispatch, which re-validates
-    /// liveness (a handler may cancel a later entry of the same batch).
-    /// While the batch is outstanding, [`EventQueue::batch_dirty`] tells
-    /// the caller whether a push may have landed ahead of the unclaimed
-    /// tail; entries that will not be claimed must be given back via
-    /// [`EventQueue::requeue_batch`].
-    pub fn pop_batch_before(&mut self, deadline: SimTime, buf: &mut Vec<BatchEntry>) -> usize {
-        buf.clear();
-        let Some(first) = self.settle_head() else {
-            return 0;
-        };
-        if first.time > deadline {
-            return 0;
-        }
-        self.drain_bucket_into(deadline, buf);
-        self.batch_dirty = false;
-        buf.len()
-    }
-
-    /// True if a push landed in (or before) the current bucket since the
-    /// last [`EventQueue::pop_batch_before`] — i.e. an event may now sort
-    /// ahead of batch entries not yet claimed, and the caller must merge
-    /// via [`EventQueue::pop_before_entry`] before claiming each one.
-    #[inline]
-    pub fn batch_dirty(&self) -> bool {
-        self.batch_dirty
-    }
-
-    /// Pops the earliest pending event only if it sorts strictly before
-    /// the batch entry `e` — the merge point for events pushed into the
-    /// current bucket while a drained batch is outstanding.
-    pub fn pop_before_entry(&mut self, e: BatchEntry) -> Option<(SimTime, EventId, E)> {
-        let head = self.settle_head()?;
-        if (head.time, head.seq) >= (e.time, e.seq) {
-            return None;
-        }
-        Some(self.consume_head(head))
-    }
-
-    /// Takes the payload of a drained batch entry if it is still live.
-    /// Returns `None` when the entry was cancelled between drain and
-    /// claim — the liveness re-validation that makes cancel-during-batch
-    /// exact (no double dispatch, no ghost dispatch).
-    #[inline]
-    pub fn claim(&mut self, e: BatchEntry) -> Option<E> {
-        let sl = &mut self.slots[e.slot as usize];
-        if sl.seq != e.seq {
-            return None;
-        }
-        let event = sl.event.take()?;
-        self.free.push(e.slot);
-        self.live -= 1;
-        Some(event)
-    }
-
-    /// Re-files drained batch entries that will not be claimed (e.g. an
-    /// event budget ran out mid-batch). The payloads never left the slab,
-    /// so only the ordering entries are restored — with their original
-    /// sequence numbers, keeping the total order exact. Entries cancelled
-    /// while the batch was outstanding are dropped.
-    pub fn requeue_batch(&mut self, entries: &[BatchEntry]) {
-        for &e in entries {
-            let sl = &self.slots[e.slot as usize];
-            if sl.seq == e.seq && sl.event.is_some() {
-                self.insert_entry(Entry {
-                    time: e.time,
-                    seq: e.seq,
-                    slot: e.slot,
-                });
-            }
-        }
-    }
-
     /// Number of live (non-cancelled) pending events.
     pub fn len(&self) -> usize {
         self.live
@@ -608,7 +452,6 @@ impl<E> EventQueue<E> {
         self.drain = 0;
         self.sorted = false;
         self.overflow.clear();
-        self.batch_dirty = false;
     }
 }
 
@@ -757,7 +600,7 @@ mod tests {
         assert_eq!(q.peak_len(), 1);
     }
 
-    /// Events far beyond the wheel horizon (≈67 ms) take the overflow
+    /// Events far beyond the wheel horizon (≈268 ms) take the overflow
     /// path and must still interleave exactly with near-future events.
     #[test]
     fn far_future_overflow_keeps_order() {
@@ -809,42 +652,12 @@ mod tests {
         q.push(base, 0);
         q.push(base + SimDuration::from_micros(4), 2);
         assert_eq!(q.pop().unwrap().2, 0);
-        // Same bucket (16.384 µs wide), between the popped head and the
+        // Same bucket (65.536 µs wide), between the popped head and the
         // remaining entry.
         q.push(base + SimDuration::from_micros(2), 1);
         q.push(base + SimDuration::from_micros(4), 3); // FIFO after 2
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, _, e)| e)).collect();
         assert_eq!(order, vec![1, 2, 3]);
-    }
-
-    /// The cancel-on-disarm contract against an outstanding batch:
-    /// cancelling an entry already drained into the batch makes its
-    /// `claim` return `None`, `requeue_batch` drops it, and the freed
-    /// slot's reuse never resurrects the stale handle.
-    #[test]
-    fn cancel_of_batch_drained_entry_suppresses_claim_and_requeue() {
-        let mut q = EventQueue::new();
-        let base = SimTime::from_micros(100);
-        q.push(base, 0);
-        let armed = q.push(base + SimDuration::from_micros(2), 1);
-        q.push(base + SimDuration::from_micros(4), 2);
-        let mut buf = Vec::new();
-        assert_eq!(q.pop_batch_before(SimTime::from_millis(1), &mut buf), 3);
-        // Disarm between drain and dispatch (what a handler does when it
-        // cancels a later same-bucket timer).
-        assert!(q.cancel(armed));
-        assert_eq!(q.claim(buf[0]), Some(0));
-        assert_eq!(q.claim(buf[1]), None, "cancelled entry must not dispatch");
-        // The freed slot may be reused immediately; the stale batch entry
-        // still must not claim the new occupant.
-        let reused = q.push(base + SimDuration::from_micros(3), 9);
-        assert_eq!(q.claim(buf[1]), None, "slot reuse must not resurrect");
-        // Requeue the unclaimed tail: the live entry survives, and the
-        // re-armed replacement pops in exact order with it.
-        q.requeue_batch(&buf[2..]);
-        assert!(q.is_pending(reused));
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, _, e)| e)).collect();
-        assert_eq!(order, vec![9, 2]);
     }
 
     /// Pushing after an idle (empty) stretch jumps the cursor instead of

@@ -233,7 +233,7 @@ fn queue_stress_is_stable() {
 
 /// Differential test of the timer-wheel queue against a reference
 /// binary-heap model over random interleaved push / pop / cancel
-/// workloads. Times span three regimes relative to the wheel's ≈67 ms
+/// workloads. Times span three regimes relative to the wheel's ≈268 ms
 /// near-future window — current-bucket inserts, in-window buckets, and
 /// far-future overflow (which must migrate back into the wheel as the
 /// cursor advances) — and pops interleave with pushes so earlier-than-
@@ -355,8 +355,8 @@ mod wheel_vs_reference {
         (
             0u8..3,
             // Mix µs-scale (current bucket), ms-scale (in-window) and
-            // 100 ms-scale (overflow) times.
-            prop_oneof![0u64..20_000, 0u64..5_000_000, 0u64..150_000_000],
+            // second-scale (past the ≈268 ms horizon: overflow) times.
+            prop_oneof![0u64..20_000, 0u64..5_000_000, 0u64..1_000_000_000],
             any::<u16>(),
         )
     }
@@ -400,17 +400,17 @@ mod wheel_vs_reference {
             }
         }
 
-        /// Differential test of the batch-drain protocol (the exact
-        /// consumption loop the engine runs: `pop_batch_before`, then
-        /// per entry a dirty-merge via `pop_before_entry` followed by
-        /// `claim`) against the reference heap, with mid-drain pushes
-        /// into the current bucket, far-future pushes whose overflow
-        /// entries must migrate across batch boundaries, and cancels of
-        /// not-yet-claimed batch entries.
+        /// Differential test of the engine's bounded-run loop — one
+        /// `pop_before(deadline)` per dispatch — against the reference
+        /// heap, with pushes into the bucket being drained, far-future
+        /// pushes past the wheel horizon whose overflow entries must
+        /// migrate back, and cancels of pending entries, each played
+        /// between dispatches like a handler would. Whatever lies past
+        /// the deadline stays queued and drains in the same order.
         #[test]
-        fn batch_drain_matches_reference(
+        fn pop_before_matches_reference(
             initial in proptest::collection::vec(
-                prop_oneof![0u64..20_000, 0u64..5_000_000, 0u64..150_000_000],
+                prop_oneof![0u64..20_000, 0u64..5_000_000, 0u64..1_000_000_000],
                 1..150,
             ),
             script in proptest::collection::vec((0u8..3, 0u64..20_000, any::<u16>()), 0..150),
@@ -426,58 +426,45 @@ mod wheel_vs_reference {
             }
             let mut script = script.into_iter();
             let deadline = SimTime::from_nanos(2_000_000_000);
-            let mut buf = Vec::new();
-            while q.pop_batch_before(deadline, &mut buf) != 0 {
-                for &e in &buf {
-                    // One scripted interference op per batch entry,
-                    // played *between* dispatches like a handler would.
-                    match script.next() {
-                        Some((0, dt, _)) => {
-                            // Near push: often lands in the bucket being
-                            // consumed and must merge into dispatch order.
-                            let t = e.time().as_nanos() + dt % 4_096;
-                            ids.push(q.push(SimTime::from_nanos(t), payload));
-                            r.push(t, payload);
-                            payload += 1;
-                        }
-                        Some((1, dt, _)) => {
-                            // Far push: lands in the overflow heap and
-                            // must migrate back as later batches drain.
-                            let t = e.time().as_nanos() + 100_000_000 + dt;
-                            ids.push(q.push(SimTime::from_nanos(t), payload));
-                            r.push(t, payload);
-                            payload += 1;
-                        }
-                        Some((_, _, pick)) if !ids.is_empty() => {
-                            let id = ids[pick as usize % ids.len()];
-                            prop_assert_eq!(
-                                q.cancel(id),
-                                r.cancel(id.as_u64()),
-                                "cancel outcome diverged"
-                            );
-                        }
-                        _ => {}
+            while let Some((now, _, p)) = q.pop_before(deadline) {
+                let now = now.as_nanos();
+                prop_assert_eq!(Some((now, p)), r.pop(), "dispatch order diverged");
+                match script.next() {
+                    Some((0, dt, _)) => {
+                        // Near push: often lands in the bucket being
+                        // drained and must sort into dispatch order.
+                        let t = now + dt % 4_096;
+                        ids.push(q.push(SimTime::from_nanos(t), payload));
+                        r.push(t, payload);
+                        payload += 1;
                     }
-                    if q.batch_dirty() {
-                        while let Some((t, _, p)) = q.pop_before_entry(e) {
-                            prop_assert_eq!(
-                                Some((t.as_nanos(), p)),
-                                r.pop(),
-                                "mid-drain intruder order diverged"
-                            );
-                        }
+                    Some((1, dt, _)) => {
+                        // Far push: past the horizon, so it lands in the
+                        // overflow heap and must migrate back.
+                        let t = now + 300_000_000 + dt;
+                        ids.push(q.push(SimTime::from_nanos(t), payload));
+                        r.push(t, payload);
+                        payload += 1;
                     }
-                    if let Some(p) = q.claim(e) {
+                    Some((_, _, pick)) if !ids.is_empty() => {
+                        let id = ids[pick as usize % ids.len()];
                         prop_assert_eq!(
-                            Some((e.time().as_nanos(), p)),
-                            r.pop(),
-                            "batch dispatch order diverged"
+                            q.cancel(id),
+                            r.cancel(id.as_u64()),
+                            "cancel outcome diverged"
                         );
                     }
+                    _ => {}
                 }
             }
-            prop_assert!(q.is_empty(), "wheel retains events past the drain");
-            prop_assert_eq!(r.pop(), None, "reference retains events the wheel dropped");
+            loop {
+                let got = q.pop().map(|(t, _, p)| (t.as_nanos(), p));
+                prop_assert_eq!(got, r.pop(), "post-deadline order diverged");
+                match got {
+                    Some((t, _)) => prop_assert!(t > deadline.as_nanos(), "deadline overrun"),
+                    None => break,
+                }
+            }
         }
 
         /// Differential test of the true-cancellation timer protocol
@@ -538,7 +525,8 @@ mod wheel_vs_reference {
         /// even though it reaches the wheel via the overflow heap.
         #[test]
         fn far_future_fifo_survives_migration(
-            far in 67_000_000u64..1_000_000_000,
+            // At or past the wheel horizon (4096 buckets × 2^16 ns).
+            far in 268_435_456u64..1_000_000_000,
             burst in 2usize..60,
         ) {
             let mut q = EventQueue::new();

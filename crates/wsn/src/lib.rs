@@ -16,7 +16,7 @@
 //!   deterministic engine.
 //! * [`metrics`] — duty cycles (per node / per rank), query latencies,
 //!   sleep-interval histograms, phase-update overhead.
-//! * [`runner`] — the paper's five-runs-with-90%-CI protocol, threaded.
+//! * [`runner`] — one-call runs, with or without an observability probe.
 //!
 //! ## Quickstart
 //!
@@ -49,6 +49,6 @@ pub mod prelude {
     pub use crate::metrics::{MacTotals, NodeMetrics, QueryMetrics, RunResult};
     pub use crate::payload::Payload;
     pub use crate::protocol::{PolicyEnv, PolicyFactory};
-    pub use crate::runner::{run_many, run_one, run_probed, run_summary, Summary};
+    pub use crate::runner::{run_one, run_probed};
     pub use crate::sim::{Ev, World};
 }

@@ -1,17 +1,14 @@
-//! Multi-run experiment execution and summarisation.
+//! One-call experiment runs.
 //!
-//! The paper averages every data point over five runs with re-drawn node
-//! positions and query phases, reporting 90% confidence intervals.
-//! [`run_many`] reproduces that protocol (one derived seed per run,
-//! executed on worker threads — runs are independent and deterministic
-//! per seed), and [`Summary`] carries the aggregated statistics the
-//! figures print.
-
-use std::thread;
+//! [`run_one`] runs a configuration with the default policy factory;
+//! [`run_probed`] does the same with an observability [`Probe`]
+//! attached. The paper's repetition protocol (five runs per data point
+//! with derived seeds, reported with 90% confidence intervals) runs on
+//! the harness's `SweepExecutor`, which spreads every repetition of a
+//! whole figure grid over the worker threads.
 
 use essat_obs::profile::RunTimings;
-use essat_obs::Probe;
-use essat_sim::stats::{Confidence, OnlineStats};
+use essat_obs::{NullProbe, Probe};
 
 use crate::config::ExperimentConfig;
 use crate::metrics::RunResult;
@@ -20,7 +17,16 @@ use crate::sim::{World, WorldScratch};
 
 /// Runs a single experiment.
 pub fn run_one(cfg: &ExperimentConfig) -> RunResult {
-    World::run(cfg)
+    let (result, _) = World::run_instrumented(
+        cfg,
+        &Protocol::build_policy,
+        None,
+        &mut WorldScratch::new(),
+        None,
+        NullProbe,
+        &mut RunTimings::default(),
+    );
+    result.expect("uncapped run cannot exhaust a budget")
 }
 
 /// Runs a single experiment with an observability [`Probe`] attached,
@@ -32,102 +38,14 @@ pub fn run_one(cfg: &ExperimentConfig) -> RunResult {
 /// byte-identical to [`run_one`] on the same configuration (pinned by
 /// `tests/probes.rs`).
 pub fn run_probed<P: Probe>(cfg: &ExperimentConfig, probe: P) -> (RunResult, P) {
-    let mut scratch = WorldScratch::new();
-    let mut timings = RunTimings::default();
     let (result, probe) = World::run_instrumented(
         cfg,
         &Protocol::build_policy,
         None,
-        &mut scratch,
+        &mut WorldScratch::new(),
         None,
         probe,
-        &mut timings,
+        &mut RunTimings::default(),
     );
     (result.expect("uncapped run cannot exhaust a budget"), probe)
-}
-
-/// Runs `runs` independent repetitions (seeds `seed, seed+1, …`),
-/// in parallel, returning results ordered by seed.
-pub fn run_many(cfg: &ExperimentConfig, runs: u32) -> Vec<RunResult> {
-    assert!(runs > 0, "need at least one run");
-    let configs: Vec<ExperimentConfig> = (0..runs)
-        .map(|i| {
-            let mut c = cfg.clone();
-            c.seed = cfg.seed.wrapping_add(i as u64);
-            c
-        })
-        .collect();
-    thread::scope(|scope| {
-        let handles: Vec<_> = configs
-            .iter()
-            .map(|c| scope.spawn(move || World::run(c)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("simulation thread panicked"))
-            .collect()
-    })
-}
-
-/// Aggregated statistics over repeated runs of one configuration.
-#[derive(Debug, Clone)]
-pub struct Summary {
-    /// Per-run average node duty cycle (percent).
-    pub duty_pct: OnlineStats,
-    /// Per-run average query latency (seconds).
-    pub latency_s: OnlineStats,
-    /// Per-run delivery ratio.
-    pub delivery: OnlineStats,
-    /// Per-run phase-update overhead (bits per report).
-    pub phase_overhead_bits: OnlineStats,
-    /// Number of runs.
-    pub runs: u32,
-}
-
-impl Summary {
-    /// Summarises a set of runs.
-    pub fn from_runs(results: &[RunResult]) -> Self {
-        let mut duty = OnlineStats::new();
-        let mut lat = OnlineStats::new();
-        let mut del = OnlineStats::new();
-        let mut ovh = OnlineStats::new();
-        for r in results {
-            duty.add(r.avg_duty_cycle_pct());
-            lat.add(r.avg_latency_s());
-            del.add(r.delivery_ratio());
-            ovh.add(r.phase_overhead_bits_per_report());
-        }
-        Summary {
-            duty_pct: duty,
-            latency_s: lat,
-            delivery: del,
-            phase_overhead_bits: ovh,
-            runs: results.len() as u32,
-        }
-    }
-
-    /// Mean duty cycle in percent.
-    pub fn duty_mean(&self) -> f64 {
-        self.duty_pct.mean()
-    }
-
-    /// 90% CI half-width of the duty cycle, the paper's reporting style.
-    pub fn duty_ci90(&self) -> f64 {
-        self.duty_pct.ci_halfwidth(Confidence::P90)
-    }
-
-    /// Mean query latency in seconds.
-    pub fn latency_mean(&self) -> f64 {
-        self.latency_s.mean()
-    }
-
-    /// 90% CI half-width of the latency.
-    pub fn latency_ci90(&self) -> f64 {
-        self.latency_s.ci_halfwidth(Confidence::P90)
-    }
-}
-
-/// Runs a configuration `runs` times and summarises.
-pub fn run_summary(cfg: &ExperimentConfig, runs: u32) -> Summary {
-    Summary::from_runs(&run_many(cfg, runs))
 }

@@ -168,7 +168,7 @@ mod tests {
 
     #[test]
     fn run_to_completion_settles_all_radios() {
-        let r = World::run(&quick_cfg(Protocol::DtsSs, 6));
+        let r = crate::runner::run_one(&quick_cfg(Protocol::DtsSs, 6));
         // Every member contributes a node metric with a sane duty cycle.
         assert!(!r.nodes.is_empty());
         for n in &r.nodes {

@@ -1,8 +1,8 @@
 //! Sweep-wide reuse: the per-worker scratch pool and the shared
 //! immutable build cache.
 //!
-//! A paper figure is hundreds of independent runs, and before this
-//! module each of them paid the same two fixed costs: (1) allocating a
+//! A paper figure is hundreds of independent runs, and without this
+//! module each of them pays the same two fixed costs: (1) allocating a
 //! fresh event-queue slab, channel buffer pools and policy/MAC action
 //! buffers, all of which immediately re-grow to the same steady-state
 //! shapes, and (2) re-deriving the identical topology, routing tree and
@@ -11,9 +11,9 @@
 //!
 //! [`WorldScratch`] fixes (1): a sweep worker keeps one scratch per
 //! thread and threads it through
-//! [`World::run_pooled`](super::world::World::run_pooled), which adopts
-//! the warmed allocations at construction and salvages them at
-//! finalise. [`BuildCache`] fixes (2): a lock-guarded map from the
+//! [`World::run_instrumented`](super::world::World::run_instrumented),
+//! which adopts the warmed allocations at construction and salvages them
+//! at finalise. [`BuildCache`] fixes (2): a lock-guarded map from the
 //! build inputs to an [`Arc`]-shared immutable `Prebuilt` block
 //! (topology + pristine routing tree + channel CSR adjacency). Runs
 //! clone the cheap mutable tree from the pristine copy and share the
@@ -48,9 +48,9 @@ use crate::payload::Payload;
 /// A worker's recyclable run state: everything a
 /// [`World`](super::world::World) allocates that the *next* run on the
 /// same thread can reuse — the event-queue slab and wheel buckets, the
-/// channel's receiver/corruption buffer pools, the policy- and
+/// channel's receiver-list buffer pool, the policy- and
 /// MAC-action buffers, and the tree-view child buffers. See
-/// [`World::run_pooled`](super::world::World::run_pooled).
+/// [`World::run_instrumented`](super::world::World::run_instrumented).
 #[derive(Debug, Default)]
 pub struct WorldScratch {
     pub(crate) queue: EventQueue<Ev>,

@@ -14,6 +14,7 @@ use essat_scenario::spec::Scenario;
 use essat_sim::time::{SimDuration, SimTime};
 use essat_wsn::config::{ExperimentConfig, Protocol, WorkloadSpec};
 use essat_wsn::payload::Payload;
+use essat_wsn::runner;
 use essat_wsn::sim::World;
 
 /// Counts of the `Quiesce` checkpoints a policy saw.
@@ -185,7 +186,7 @@ fn run_recorded(cfg: &ExperimentConfig) -> Arc<Seen> {
     // The wrapper forwards everything, so the run is the protocol's own.
     assert_eq!(
         result.digest(),
-        World::run(cfg).digest(),
+        runner::run_one(cfg).digest(),
         "{}",
         cfg.protocol
     );

@@ -1,7 +1,7 @@
-//! Reproducibility: identical seeds give bit-identical metrics; the
-//! multi-run helper derives distinct seeds; results are stable across
-//! the threaded runner; and the parallel sweep executor produces
-//! byte-identical figure data to the serial path.
+//! Reproducibility: identical seeds give bit-identical metrics; sweep
+//! repetitions derive distinct seeds and match single runs; the
+//! parallel sweep executor produces byte-identical figure data to the
+//! serial path; and pooled worlds match fresh construction.
 
 use essat::harness::executor::{SweepCell, SweepExecutor};
 use essat::harness::figures;
@@ -46,30 +46,27 @@ fn identical_seeds_identical_runs_all_protocols() {
     }
 }
 
+/// Repetitions run on the sweep executor: a 3-rep cell on eight
+/// workers takes seeds `s, s+1, s+2`, and each repetition is
+/// byte-identical to a direct `run_one` of its seed.
 #[test]
-fn threaded_runner_matches_sequential() {
+fn executor_reps_derive_seeds_and_match_run_one() {
     let base = cfg(Protocol::DtsSs, 200);
-    let threaded = runner::run_many(&base, 3);
-    for (i, r) in threaded.iter().enumerate() {
+    let reps = SweepExecutor::with_threads(8)
+        .run(&[SweepCell::new(base.clone(), 3)])
+        .remove(0);
+    let seeds: Vec<u64> = reps.iter().map(|r| r.seed).collect();
+    assert_eq!(seeds, vec![200, 201, 202]);
+    for r in &reps {
         let mut c = base.clone();
-        c.seed = base.seed + i as u64;
-        let seq = runner::run_one(&c);
-        assert_eq!(r.seed, seq.seed);
-        assert_eq!(r.events_processed, seq.events_processed);
-        assert_eq!(r.avg_duty_cycle_pct(), seq.avg_duty_cycle_pct());
+        c.seed = r.seed;
+        assert_eq!(r.digest(), runner::run_one(&c).digest(), "seed {}", r.seed);
     }
-}
-
-#[test]
-fn derived_seeds_are_distinct() {
-    let rs = runner::run_many(&cfg(Protocol::NtsSs, 300), 3);
-    assert_eq!(rs.len(), 3);
-    let seeds: Vec<u64> = rs.iter().map(|r| r.seed).collect();
-    assert_eq!(seeds, vec![300, 301, 302]);
     // Different seeds — different topologies — different event counts.
+    let events: Vec<u64> = reps.iter().map(|r| r.events_processed).collect();
     assert!(
-        rs[0].events_processed != rs[1].events_processed
-            || rs[1].events_processed != rs[2].events_processed
+        events[0] != events[1] && events[1] != events[2] && events[0] != events[2],
+        "{events:?}"
     );
 }
 
@@ -86,25 +83,6 @@ fn parallel_executor_matches_serial_byte_identical() {
         serial.render_table().into_bytes(),
         parallel.render_table().into_bytes()
     );
-}
-
-/// Executor cells reproduce exactly what the per-point runner produced,
-/// so figures keep their historical values across the refactor.
-#[test]
-fn executor_cell_matches_run_many() {
-    let base = cfg(Protocol::StsSs, 512);
-    let via_runner = runner::run_many(&base, 3);
-    let via_exec = SweepExecutor::new()
-        .run(&[SweepCell::new(base, 3)])
-        .remove(0);
-    assert_eq!(via_runner.len(), via_exec.len());
-    for (a, b) in via_runner.iter().zip(&via_exec) {
-        assert_eq!(a.seed, b.seed);
-        assert_eq!(a.events_processed, b.events_processed);
-        assert_eq!(a.avg_duty_cycle_pct(), b.avg_duty_cycle_pct());
-        assert_eq!(a.avg_latency_s(), b.avg_latency_s());
-        assert_eq!(a.reports_sent, b.reports_sent);
-    }
 }
 
 /// A scenario-driven sweep (bursty links + churn + diurnal phases) is
@@ -172,17 +150,6 @@ fn scenario_trace_replay_is_exact() {
     assert_eq!(live.lifetime, replayed.lifetime);
 }
 
-#[test]
-fn run_summary_aggregates() {
-    let s = runner::run_summary(&cfg(Protocol::DtsSs, 400), 3);
-    assert_eq!(s.runs, 3);
-    assert!(s.duty_mean() > 0.0 && s.duty_mean() < 100.0);
-    assert!(s.latency_mean() > 0.0);
-    assert!(s.duty_ci90() >= 0.0);
-    assert!(s.latency_ci90() >= 0.0);
-    assert!(s.delivery.mean() > 0.5);
-}
-
 /// Sweep-wide reuse must be invisible in the results: a run through a
 /// **warmed** worker scratch (recycled event-queue slab, channel buffer
 /// pools, action buffers) sharing a [`BuildCache`]d topology/tree/CSR
@@ -191,6 +158,8 @@ fn run_summary_aggregates() {
 /// deaths) and across protocols interleaved on the same scratch.
 #[test]
 fn pooled_worlds_and_build_cache_match_fresh_construction() {
+    use essat::obs::profile::RunTimings;
+    use essat::obs::NullProbe;
     use essat::scenario::presets;
     use essat::scenario::spec::Scenario;
     use essat::wsn::sim::{BuildCache, World, WorldScratch};
@@ -221,8 +190,16 @@ fn pooled_worlds_and_build_cache_match_fresh_construction() {
     for pass in 0..2 {
         for c in &configs {
             let fresh = runner::run_one(c).digest();
-            let pooled =
-                World::run_pooled(c, &Protocol::build_policy, Some(&cache), &mut scratch).digest();
+            let (pooled, _) = World::run_instrumented(
+                c,
+                &Protocol::build_policy,
+                Some(&cache),
+                &mut scratch,
+                None,
+                NullProbe,
+                &mut RunTimings::default(),
+            );
+            let pooled = pooled.expect("uncapped run").digest();
             assert_eq!(
                 fresh, pooled,
                 "pass {pass}: pooled run diverged for {} (seed {})",

@@ -81,12 +81,10 @@ fn event_budget_exhaustion_is_reported() {
     assert!(f.reason.contains("event budget"), "reason: {}", f.reason);
 }
 
-/// Budget accounting stays per-event under batch draining. The engine
-/// consumes events a wheel bucket at a time, but a budget of N must
-/// trip after exactly N dispatches — exhaustion midway through a
-/// drained bucket leaves the remainder pending and reports the same
-/// structured failure as before batching, at every cap value around
-/// bucket-sized dispatch bursts.
+/// Budget accounting is per event: a budget of N trips after exactly N
+/// dispatches, and exhaustion midway through a wheel bucket leaves the
+/// remainder pending and reports the same structured failure at every
+/// cap value around bucket-sized dispatch bursts.
 #[test]
 fn budget_exhaustion_mid_bucket_reports_identically() {
     for budget in [1u64, 97, 100, 101, 128, 1_000] {

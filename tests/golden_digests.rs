@@ -7,10 +7,9 @@
 //! The golden file carries a `digest-version:` header naming the digest
 //! schema it was recorded under (files without one are version 1).
 //! Intentional digest migrations bump
-//! [`essat::wsn::metrics::RunResult::DIGEST_VERSION`], regenerate the
-//! goldens, and keep the previous version's file committed as
-//! `quick_digests_v<N>.txt` so the migration history stays auditable.
-//! Version 2 retired stale-event dispatches (true timer cancellation):
+//! [`essat::wsn::metrics::RunResult::DIGEST_VERSION`] and regenerate the
+//! goldens; git history keeps the previous file, so the migration trail
+//! stays auditable. Version 2 retired stale-event dispatches (true timer cancellation):
 //! only the hashed `events_processed` / `peak_queue_depth` counters
 //! moved; every simulation-level metric is byte-identical to version 1.
 //! Version 3 grew the preimage with the self-healing counters
@@ -33,9 +32,6 @@ use essat::wsn::runner;
 
 const GOLDEN_PATH: &str = "tests/golden/quick_digests.txt";
 const GOLDEN: &str = include_str!("golden/quick_digests.txt");
-/// The previous digest schemas' goldens, retained for auditability.
-const GOLDEN_V1: &str = include_str!("golden/quick_digests_v1.txt");
-const GOLDEN_V2: &str = include_str!("golden/quick_digests_v2.txt");
 const SEED: u64 = 2025;
 
 /// All eight protocols, in the order the golden file records them.
@@ -92,8 +88,8 @@ fn quick_scale_digests_match_goldens() {
              # Every run must reproduce these byte-identically; regenerate\n\
              # (UPDATE_GOLDENS=1) only for intentional behaviour changes,\n\
              # and say why in the commit that rewrites this file. When the\n\
-             # digest schema itself changes, bump RunResult::DIGEST_VERSION\n\
-             # and keep the old file as quick_digests_v<N>.txt.\n",
+             # digest schema itself changes, bump RunResult::DIGEST_VERSION;\n\
+             # git history keeps the previous file.\n",
             RunResult::DIGEST_VERSION
         );
         for (p, d) in &current {
@@ -110,7 +106,7 @@ fn quick_scale_digests_match_goldens() {
         "golden file {GOLDEN_PATH} is digest-version {version} but this build produces \
          digest-version {}. If the schema change is intentional, regenerate with\n\
          \n    UPDATE_GOLDENS=1 cargo test --test golden_digests -- --nocapture\n\
-         \nand keep the old file committed as quick_digests_v{version}.txt",
+         \nand commit the new file; git history keeps the version-{version} file",
         RunResult::DIGEST_VERSION
     );
     assert_eq!(golden.len(), ALL.len(), "golden file covers all protocols");
@@ -124,28 +120,5 @@ fn quick_scale_digests_match_goldens() {
              \n    UPDATE_GOLDENS=1 cargo test --test golden_digests -- --nocapture\n\
              \nand explain why in the commit; otherwise it is a regression"
         );
-    }
-}
-
-/// The retained previous-version goldens stay parseable and complete,
-/// so the migration trail cannot silently rot.
-#[test]
-fn retained_v1_goldens_parse() {
-    for (raw, version) in [(GOLDEN_V1, 1), (GOLDEN_V2, 2)] {
-        let (parsed, entries) = parse_goldens(raw);
-        assert_eq!(
-            parsed, version,
-            "quick_digests_v{version}.txt records digest-version {version}"
-        );
-        assert_eq!(
-            entries.len(),
-            ALL.len(),
-            "v{version} file covers all protocols"
-        );
-        for ((name, digest), p) in entries.iter().zip(&ALL) {
-            assert_eq!(name, &p.to_string(), "v{version} file order matches ALL");
-            assert_eq!(digest.len(), 16, "v{version} digests are 16 hex chars");
-            assert!(digest.chars().all(|c| c.is_ascii_hexdigit()));
-        }
     }
 }
