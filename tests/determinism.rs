@@ -46,28 +46,67 @@ fn identical_seeds_identical_runs_all_protocols() {
     }
 }
 
-/// Repetitions run on the sweep executor: a 3-rep cell on eight
-/// workers takes seeds `s, s+1, s+2`, and each repetition is
-/// byte-identical to a direct `run_one` of its seed.
+/// A 3-rep cell on eight workers matches running each derived seed
+/// sequentially through `run_one`.
 #[test]
-fn executor_reps_derive_seeds_and_match_run_one() {
+fn threaded_runner_matches_sequential() {
     let base = cfg(Protocol::DtsSs, 200);
-    let reps = SweepExecutor::with_threads(8)
+    let threaded = SweepExecutor::with_threads(8)
         .run(&[SweepCell::new(base.clone(), 3)])
         .remove(0);
-    let seeds: Vec<u64> = reps.iter().map(|r| r.seed).collect();
-    assert_eq!(seeds, vec![200, 201, 202]);
-    for r in &reps {
+    assert_eq!(threaded.len(), 3);
+    for (i, r) in threaded.iter().enumerate() {
         let mut c = base.clone();
-        c.seed = r.seed;
-        assert_eq!(r.digest(), runner::run_one(&c).digest(), "seed {}", r.seed);
+        c.seed = base.seed + i as u64;
+        let seq = runner::run_one(&c);
+        assert_eq!(r.seed, seq.seed);
+        assert_eq!(r.events_processed, seq.events_processed);
+        assert_eq!(r.avg_duty_cycle_pct(), seq.avg_duty_cycle_pct());
+        assert_eq!(r.digest(), seq.digest(), "seed {}", r.seed);
     }
+}
+
+/// Repetitions of a cell take seeds `s, s+1, s+2`.
+#[test]
+fn derived_seeds_are_distinct() {
+    let rs = SweepExecutor::new()
+        .run(&[SweepCell::new(cfg(Protocol::NtsSs, 300), 3)])
+        .remove(0);
+    assert_eq!(rs.len(), 3);
+    let seeds: Vec<u64> = rs.iter().map(|r| r.seed).collect();
+    assert_eq!(seeds, vec![300, 301, 302]);
     // Different seeds — different topologies — different event counts.
-    let events: Vec<u64> = reps.iter().map(|r| r.events_processed).collect();
+    let events: Vec<u64> = rs.iter().map(|r| r.events_processed).collect();
     assert!(
         events[0] != events[1] && events[1] != events[2] && events[0] != events[2],
         "{events:?}"
     );
+}
+
+/// Executor cells reproduce exactly what the per-point runner produced
+/// (one `run_one` per derived seed), so figures keep their historical
+/// values.
+#[test]
+fn executor_cell_matches_run_many() {
+    let base = cfg(Protocol::StsSs, 512);
+    let via_runner: Vec<_> = (0..3)
+        .map(|i| {
+            let mut c = base.clone();
+            c.seed = base.seed + i;
+            runner::run_one(&c)
+        })
+        .collect();
+    let via_exec = SweepExecutor::new()
+        .run(&[SweepCell::new(base, 3)])
+        .remove(0);
+    assert_eq!(via_runner.len(), via_exec.len());
+    for (a, b) in via_runner.iter().zip(&via_exec) {
+        assert_eq!(a.seed, b.seed);
+        assert_eq!(a.events_processed, b.events_processed);
+        assert_eq!(a.avg_duty_cycle_pct(), b.avg_duty_cycle_pct());
+        assert_eq!(a.avg_latency_s(), b.avg_latency_s());
+        assert_eq!(a.reports_sent, b.reports_sent);
+    }
 }
 
 /// The work-stealing sweep executor must produce byte-identical figure
