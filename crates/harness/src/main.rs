@@ -18,7 +18,8 @@
 //!              200 s, 5 runs; the default). --quick is shorthand for
 //!              --scale quick.
 //! --seed N     master seed (default 2024)
-//! --csv DIR    also write each figure as CSV into DIR
+//! --csv DIR    also write each figure as CSV into DIR, plus
+//!              digests.txt: one `RunResult::digest()` per job
 //! --threads N  worker threads (default: all cores)
 //! --bench-json PATH  where to write the run's performance record
 //!              (default: BENCH_harness.json in the working directory)
@@ -45,7 +46,7 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
-use essat_harness::executor::SweepExecutor;
+use essat_harness::executor::{SweepCell, SweepExecutor};
 use essat_harness::figures::{self, QuerySweepData, RateSweepData};
 use essat_harness::scale::Scale;
 use essat_harness::table::FigureData;
@@ -53,6 +54,7 @@ use essat_obs::sample::TimeSeriesSampler;
 use essat_obs::trace::TimelineTracer;
 use essat_obs::Fanout;
 use essat_sim::time::SimDuration;
+use essat_wsn::metrics::RunResult;
 use essat_wsn::runner::run_probed;
 
 fn main() {
@@ -259,10 +261,7 @@ fn main() {
             &mut cells,
         );
     }
-    let total_jobs: u32 = cells
-        .iter()
-        .map(|c: &essat_harness::executor::SweepCell| c.runs)
-        .sum();
+    let total_jobs: u32 = cells.iter().map(|c: &SweepCell| c.runs).sum();
     eprintln!(
         "# executing {} simulation runs ({} sweep cells) as one job list…",
         total_jobs,
@@ -281,6 +280,11 @@ fn main() {
         }
     }
     let grid = outcome.results;
+    if let Some(dir) = &csv_dir {
+        let path = dir.join("digests.txt");
+        std::fs::write(&path, digest_lines(&spans, &cells, &grid)).expect("write digests");
+        eprintln!("# wrote {}", path.display());
+    }
     let slice = |key: &str| {
         spans
             .iter()
@@ -481,6 +485,30 @@ fn main() {
             Err(e) => eprintln!("# could not write {}: {e}", path.display()),
         }
     }
+}
+
+/// The per-job digest oracle: a `# digest-version:` header, then one
+/// `<plan key> <cell index within the plan> <protocol> <seed> <digest>`
+/// line per completed job, in job order. Failed jobs have no line.
+fn digest_lines(
+    spans: &[(&str, usize, usize)],
+    cells: &[SweepCell],
+    grid: &[Vec<RunResult>],
+) -> String {
+    let mut out = format!("# digest-version: {}\n", RunResult::DIGEST_VERSION);
+    for &(key, start, len) in spans {
+        for ci in 0..len {
+            let protocol = cells[start + ci].cfg.protocol;
+            for r in &grid[start + ci] {
+                out.push_str(&format!(
+                    "{key} {ci} {protocol} {} {}\n",
+                    r.seed,
+                    r.digest()
+                ));
+            }
+        }
+    }
+    out
 }
 
 fn usage(err: &str) -> ! {

@@ -1,5 +1,6 @@
 //! The executor's side of the `PowerPolicy` contract, observed from a
-//! policy: a `Quiesce` sleep checkpoint means the MAC went quiescent.
+//! policy: a `Quiesce` sleep checkpoint means the MAC went quiescent,
+//! and a policy may sleep the radio from inside a frame delivery.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -30,6 +31,8 @@ struct Seen {
 struct Recording {
     inner: Box<dyn PowerPolicy<Payload>>,
     seen: Arc<Seen>,
+    /// Also sleep the radio for 5 ms after every report dispatch.
+    nap: bool,
 }
 
 impl PowerPolicy<Payload> for Recording {
@@ -60,7 +63,12 @@ impl PowerPolicy<Payload> for Recording {
         view: &NodeView,
         out: &mut Vec<PolicyAction<Payload>>,
     ) {
-        self.inner.dispatch_report(frame, dest, view, out)
+        self.inner.dispatch_report(frame, dest, view, out);
+        if self.nap && view.radio_active && view.mac_can_suspend && !view.dead {
+            out.push(PolicyAction::Sleep {
+                wake_at: Some(view.now + SimDuration::from_millis(5)),
+            });
+        }
     }
 
     fn on_round_skipped(
@@ -181,6 +189,7 @@ fn run_recorded(cfg: &ExperimentConfig) -> Arc<Seen> {
         Box::new(Recording {
             inner: Protocol::build_policy(cfg, node, env),
             seen: Arc::clone(&seen),
+            nap: false,
         })
     });
     // The wrapper forwards everything, so the run is the protocol's own.
@@ -215,5 +224,41 @@ fn quiesce_checkpoints_only_reach_policies_with_a_quiescent_mac() {
                 "{protocol}: no Quiesce checkpoint reached the policy"
             );
         }
+    }
+}
+
+/// Per-protocol digests of the napping runs in
+/// [`sleep_inside_a_delivery_matches_pinned_digests`], recorded while
+/// the MAC still held its own timer handles.
+const NAP_DIGESTS: [(Protocol, &str); 8] = [
+    (Protocol::DtsSs, "bdab5cf01f6dde39"),
+    (Protocol::StsSs, "b08383253e86fff2"),
+    (Protocol::NtsSs, "8bc1f841fba2ba3a"),
+    (Protocol::TagSs, "628c2b1acc428bc4"),
+    (Protocol::Sync, "ab448051a72f4475"),
+    (Protocol::Psm, "53d4a5021da16d98"),
+    (Protocol::Span, "3be853ae6757c124"),
+    (Protocol::AlwaysOn, "e2de4ab46a157454"),
+];
+
+/// A report dispatched while a child's report is being delivered
+/// (the parent's round completes and its own report goes out) sleeps
+/// the radio inside the delivery, while the MAC batch that delivered
+/// the frame still holds its `SetTimer(AckDelay)`. That timer was
+/// disarmed by the sleep, so the executor must not schedule it; the
+/// sanitizer would panic on its stale expiry.
+#[test]
+fn sleep_inside_a_delivery_matches_pinned_digests() {
+    for (protocol, want) in NAP_DIGESTS {
+        let mut cfg = ExperimentConfig::quick(protocol, WorkloadSpec::paper(5.0), 3);
+        cfg.duration = SimDuration::from_secs(8);
+        let result = World::run_with(&cfg, &|cfg, node, env| {
+            Box::new(Recording {
+                inner: Protocol::build_policy(cfg, node, env),
+                seen: Arc::new(Seen::default()),
+                nap: true,
+            })
+        });
+        assert_eq!(result.digest(), want, "{protocol}");
     }
 }
