@@ -12,11 +12,12 @@ use essat_core::shaper::{TrafficShaper, TreeInfo};
 use essat_core::sts::Sts;
 use essat_net::channel::{Channel, TxEndBuf};
 use essat_net::ids::NodeId;
+use essat_net::mac::{Mac, MacAction, MacTimer};
 use essat_net::topology::Topology;
 use essat_query::aggregate::{AggState, AggregateOp};
 use essat_query::model::{Query, QueryId};
 use essat_query::tree::RoutingTree;
-use essat_sim::queue::EventQueue;
+use essat_sim::queue::{EventId, EventQueue};
 use essat_sim::rng::SimRng;
 use essat_sim::time::{SimDuration, SimTime};
 
@@ -138,26 +139,34 @@ fn timer_wheel_cancel_churn(c: &mut Criterion) {
 }
 
 /// Executes one MAC action batch against a real event queue the way the
-/// simulator's executor does: `SetTimer` pushes an expiry event and hands
-/// the id back through `timer_scheduled` (cancelling any displaced
-/// handle), `StartTx` completes instantaneously, and every surrendered
-/// handle from `pop_cancelled` becomes a real `queue.cancel`.
+/// simulator's executor does, with one stored expiry handle per timer
+/// kind: `SetTimer` cancels the kind's stored expiry and, while the MAC
+/// still has the timer armed, pushes and stores a new one;
+/// `CancelTimer` cancels the stored expiry; `StartTx` completes
+/// instantaneously.
 fn run_mac_actions(
-    mac: &mut essat_net::mac::Mac<u64>,
-    q: &mut EventQueue<essat_net::mac::MacTimer>,
+    mac: &mut Mac<u64>,
+    q: &mut EventQueue<MacTimer>,
+    ev: &mut [Option<EventId>; MacTimer::COUNT],
     now: SimTime,
-    acts: &mut Vec<essat_net::mac::MacAction<u64>>,
-    spare: &mut Vec<essat_net::mac::MacAction<u64>>,
+    acts: &mut Vec<MacAction<u64>>,
+    spare: &mut Vec<MacAction<u64>>,
 ) {
-    use essat_net::mac::MacAction;
     while !acts.is_empty() {
         spare.clear();
         for a in acts.drain(..) {
             match a {
                 MacAction::SetTimer { kind, after } => {
-                    let id = q.push(now + after, kind);
-                    if let Some(stale) = mac.timer_scheduled(kind, id) {
-                        q.cancel(stale);
+                    if let Some(old) = ev[kind.idx()].take() {
+                        q.cancel(old);
+                    }
+                    if mac.is_armed(kind) {
+                        ev[kind.idx()] = Some(q.push(now + after, kind));
+                    }
+                }
+                MacAction::CancelTimer { kind } => {
+                    if let Some(old) = ev[kind.idx()].take() {
+                        q.cancel(old);
                     }
                 }
                 MacAction::StartTx { .. } => {
@@ -168,23 +177,20 @@ fn run_mac_actions(
                 _ => {}
             }
         }
-        while let Some(id) = mac.pop_cancelled() {
-            q.cancel(id);
-        }
         std::mem::swap(acts, spare);
     }
 }
 
 fn mac_timer_arm_disarm_churn(c: &mut Criterion) {
     use essat_net::frame::{Dest, Frame, FrameKind};
-    use essat_net::mac::{Mac, MacParams};
+    use essat_net::mac::MacParams;
     c.bench_function("micro/mac_timer_arm_disarm_churn", |b| {
         // The CSMA/CA contention cycle's timer lifecycle end-to-end:
         // every DIFS/backoff arm schedules a real expiry event, every
-        // carrier interruption disarms it via true cancellation
-        // (`timer_scheduled` / `pop_cancelled` / `queue.cancel`), and
-        // expiries dispatch through the wheel. This is the path that
-        // replaced generation-fencing, so its cost is tracked here.
+        // carrier interruption cancels it on the queue through the
+        // stored handle, and expiries dispatch through the wheel. This
+        // is the path that replaced generation-fencing, so its cost is
+        // tracked here.
         b.iter(|| {
             let mut mac: Mac<u64> = Mac::new(
                 NodeId::new(0),
@@ -192,6 +198,7 @@ fn mac_timer_arm_disarm_churn(c: &mut Criterion) {
                 SimRng::seed_from_u64(11),
             );
             let mut q = EventQueue::new();
+            let mut ev = [None; MacTimer::COUNT];
             let mut acts = Vec::new();
             let mut spare = Vec::new();
             let mut now = SimTime::from_nanos(0);
@@ -206,22 +213,24 @@ fn mac_timer_arm_disarm_churn(c: &mut Criterion) {
                     payload: step,
                 };
                 mac.enqueue_into(f, now, &mut acts);
-                run_mac_actions(&mut mac, &mut q, now, &mut acts, &mut spare);
+                run_mac_actions(&mut mac, &mut q, &mut ev, now, &mut acts, &mut spare);
                 if step % 3 == 0 {
                     // Carrier goes busy then idle: the Difs/Backoff
                     // disarm + re-arm churn this bench exists for.
-                    mac.carrier_busy(now);
-                    while let Some(id) = mac.pop_cancelled() {
-                        q.cancel(id);
+                    if let Some(kind) = mac.carrier_busy(now) {
+                        if let Some(id) = ev[kind.idx()].take() {
+                            q.cancel(id);
+                        }
                     }
                     mac.carrier_idle_into(now, &mut acts);
-                    run_mac_actions(&mut mac, &mut q, now, &mut acts, &mut spare);
+                    run_mac_actions(&mut mac, &mut q, &mut ev, now, &mut acts, &mut spare);
                 }
                 while let Some((t, _, kind)) = q.pop() {
                     now = now.max(t);
                     fired += 1;
+                    ev[kind.idx()] = None;
                     mac.timer_fired_into(kind, now, &mut acts);
-                    run_mac_actions(&mut mac, &mut q, now, &mut acts, &mut spare);
+                    run_mac_actions(&mut mac, &mut q, &mut ev, now, &mut acts, &mut spare);
                 }
                 now += SimDuration::from_micros(100);
             }

@@ -18,20 +18,18 @@
 //!   re-ACKed but delivered once);
 //! * suspension while the node's radio is off.
 //!
-//! The state machine never touches the engine: every input returns a list
-//! of [`MacAction`]s (timers to arm, transmissions to start, frames to
-//! deliver up) that the simulator executes. Timers are *truly cancelled*:
-//! the MAC keeps the live [`EventId`] of every armed timer (reported back
-//! by the executor via [`Mac::timer_scheduled`] after it schedules a
-//! [`MacAction::SetTimer`]) and, on disarm or re-arm, surrenders the
-//! superseded handle through [`Mac::pop_cancelled`] for the executor to
-//! `cancel` on its queue — a disarmed timer never dispatches at all,
-//! instead of firing stale and being filtered by a generation check.
+//! The state machine never touches the engine: every input appends
+//! [`MacAction`]s (timers to arm or cancel, transmissions to start,
+//! frames to deliver up) to a caller-recycled buffer that the simulator
+//! executes. The MAC records only *which* timers are armed
+//! ([`Mac::is_armed`]); the executor owns the expiry events. It
+//! schedules one per [`MacAction::SetTimer`] and cancels it on
+//! [`MacAction::CancelTimer`], on a timer [`Mac::carrier_busy`] froze,
+//! and when the radio sleeps, so a disarmed timer never dispatches.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
-use essat_sim::queue::EventId;
 use essat_sim::rng::SimRng;
 use essat_sim::time::{SimDuration, SimTime};
 
@@ -90,8 +88,8 @@ impl Default for MacParams {
 }
 
 /// Timer classes the MAC arms. The simulator routes expiry back via
-/// [`Mac::timer_fired`]; at most one timer of each kind is armed at a
-/// time, and the MAC owns its cancellation handle.
+/// [`Mac::timer_fired_into`]; at most one timer of each kind is armed
+/// at a time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MacTimer {
     /// Idle-medium wait before transmission or backoff.
@@ -105,8 +103,11 @@ pub enum MacTimer {
 }
 
 impl MacTimer {
-    const COUNT: usize = 4;
-    fn idx(self) -> usize {
+    /// Number of timer kinds.
+    pub const COUNT: usize = 4;
+
+    /// Dense index in `0..COUNT`, for per-kind arrays.
+    pub fn idx(self) -> usize {
         match self {
             MacTimer::Difs => 0,
             MacTimer::Backoff => 1,
@@ -131,18 +132,23 @@ impl fmt::Display for MacTimer {
 /// Instructions emitted by the MAC for the simulator to execute.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MacAction<P> {
-    /// Arm (or re-arm) a timer; deliver expiry via [`Mac::timer_fired`].
-    /// After scheduling the expiry event, the executor must hand its
-    /// [`EventId`] back through [`Mac::timer_scheduled`] (and cancel any
-    /// handle that call returns) so disarms can truly cancel it.
+    /// Arm (or re-arm) a timer; deliver expiry via
+    /// [`Mac::timer_fired_into`]. An earlier action of the same batch
+    /// may already have disarmed it again: schedule only while
+    /// [`Mac::is_armed`] holds.
     SetTimer {
         /// Which timer.
         kind: MacTimer,
         /// Delay from now.
         after: SimDuration,
     },
-    /// Put a frame on the air for `airtime`; call [`Mac::tx_ended`] when
-    /// it completes.
+    /// A timer was disarmed: cancel its pending expiry.
+    CancelTimer {
+        /// Which timer.
+        kind: MacTimer,
+    },
+    /// Put a frame on the air for `airtime`; call [`Mac::tx_ended_into`]
+    /// when it completes.
     StartTx {
         /// The frame (already containing its final size).
         frame: Frame<P>,
@@ -239,14 +245,8 @@ pub struct Mac<P> {
     /// (the paper's §4.3 phase-update-request-in-ACK mechanism).
     ack_notes: HashMap<NodeId, P>,
     after_ack: AfterAck,
-    /// Live expiry-event handle per timer kind, reported by the executor
-    /// via [`Mac::timer_scheduled`]. `Some` iff an expiry event for that
-    /// kind is (believed) pending in the simulator's queue.
-    timer_ev: [Option<EventId>; MacTimer::COUNT],
+    /// Which timer kinds are armed ([`Mac::is_armed`]).
     timer_armed: [bool; MacTimer::COUNT],
-    /// Handles of superseded timers awaiting cancellation by the
-    /// executor (drained via [`Mac::pop_cancelled`]).
-    cancelled: Vec<EventId>,
     last_seen: HashMap<NodeId, FrameId>,
     next_frame_seq: u64,
     stats: MacStats,
@@ -271,9 +271,7 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
             pending_acks: VecDeque::new(),
             ack_notes: HashMap::new(),
             after_ack: AfterAck::AccessCycle,
-            timer_ev: [None; MacTimer::COUNT],
             timer_armed: [false; MacTimer::COUNT],
-            cancelled: Vec::new(),
             last_seen: HashMap::new(),
             next_frame_seq: 0,
             stats: MacStats::default(),
@@ -327,62 +325,20 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
         !matches!(self.state, State::TxData | State::TxAck | State::WaitAck)
     }
 
+    /// True while a timer of `kind` is armed: from the call that emits
+    /// its [`MacAction::SetTimer`] until it fires or is disarmed.
+    pub fn is_armed(&self, kind: MacTimer) -> bool {
+        self.timer_armed[kind.idx()]
+    }
+
     fn arm(&mut self, kind: MacTimer, after: SimDuration, out: &mut Vec<MacAction<P>>) {
-        let i = kind.idx();
-        if let Some(old) = self.timer_ev[i].take() {
-            self.cancelled.push(old);
-        }
-        self.timer_armed[i] = true;
+        self.timer_armed[kind.idx()] = true;
         out.push(MacAction::SetTimer { kind, after });
     }
 
-    fn disarm(&mut self, kind: MacTimer) {
-        let i = kind.idx();
-        self.timer_armed[i] = false;
-        if let Some(old) = self.timer_ev[i].take() {
-            self.cancelled.push(old);
-        }
-    }
-
-    /// Reports the expiry event the executor scheduled for the most
-    /// recent [`MacAction::SetTimer`] of `kind`. Returns a handle the
-    /// executor must cancel: either a displaced older expiry event, or
-    /// `id` itself when the arm was already superseded by a disarm later
-    /// in the same action batch.
-    #[must_use = "a returned handle must be cancelled on the event queue"]
-    pub fn timer_scheduled(&mut self, kind: MacTimer, id: EventId) -> Option<EventId> {
-        let i = kind.idx();
-        if !self.timer_armed[i] {
-            return Some(id);
-        }
-        self.timer_ev[i].replace(id)
-    }
-
-    /// Pops one handle awaiting cancellation (a disarmed or superseded
-    /// timer's expiry event). The executor drains this after every call
-    /// that may disarm timers and cancels each handle on its queue.
-    #[inline]
-    pub fn pop_cancelled(&mut self) -> Option<EventId> {
-        self.cancelled.pop()
-    }
-
-    /// Moves every stored timer handle into the pending-cancel buffer
-    /// and disarms all timers — used when the node dies or the MAC is
-    /// about to be replaced, so no expiry event outlives its owner.
-    pub fn cancel_all_timers(&mut self) {
-        for i in 0..MacTimer::COUNT {
-            self.timer_armed[i] = false;
-            if let Some(old) = self.timer_ev[i].take() {
-                self.cancelled.push(old);
-            }
-        }
-    }
-
-    /// The stored expiry-event handle for `kind`, if armed. Lets the
-    /// executor cross-check (under `sanitize`) that a dispatched timer
-    /// expiry is the event the MAC still expects.
-    pub fn timer_event(&self, kind: MacTimer) -> Option<EventId> {
-        self.timer_ev[kind.idx()]
+    fn disarm(&mut self, kind: MacTimer, out: &mut Vec<MacAction<P>>) {
+        self.timer_armed[kind.idx()] = false;
+        out.push(MacAction::CancelTimer { kind });
     }
 
     /// Hands a data frame to the MAC for transmission.
@@ -391,14 +347,6 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
     ///
     /// Panics if the frame is not a data frame or claims a different
     /// source.
-    pub fn enqueue(&mut self, frame: Frame<P>, now: SimTime) -> Vec<MacAction<P>> {
-        let mut out = Vec::new();
-        self.enqueue_into(frame, now, &mut out);
-        out
-    }
-
-    /// [`Mac::enqueue`], appending actions to a caller-recycled buffer
-    /// (the simulator's allocation-free hot path).
     pub fn enqueue_into(&mut self, frame: Frame<P>, now: SimTime, out: &mut Vec<MacAction<P>>) {
         assert_eq!(
             frame.kind,
@@ -447,39 +395,19 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
         out.push(MacAction::StartTx { frame, airtime });
     }
 
-    /// The medium became busy at this node. Never produces actions (the
-    /// MAC only freezes timers), so there is no buffer to fill.
-    pub fn carrier_busy(&mut self, now: SimTime) {
+    /// The medium became busy at this node. Never produces actions: it
+    /// freezes a running DIFS or backoff and returns that timer, whose
+    /// pending expiry the caller cancels.
+    #[must_use = "the frozen timer's pending expiry must be cancelled"]
+    pub fn carrier_busy(&mut self, now: SimTime) -> Option<MacTimer> {
         self.medium_busy = true;
-        match self.state {
-            State::Difs => {
-                self.disarm(MacTimer::Difs);
-                self.state = State::WaitIdle;
-                // Interrupted DIFS forces a contention backoff.
-                self.cw_pending = true;
-            }
-            State::Backoff => {
-                self.disarm(MacTimer::Backoff);
-                let remaining = self.backoff_deadline.saturating_duration_since(now);
-                // Round the frozen credit up to whole slots, as the
-                // standard decrements per-slot.
-                let slot = self.params.slot.as_nanos().max(1);
-                let slots = remaining.as_nanos().div_ceil(slot);
-                self.backoff_remaining = Some(SimDuration::from_nanos(slots * slot));
-                self.state = State::WaitIdle;
-            }
-            _ => {}
-        }
+        let kind = self.freeze(now)?;
+        self.timer_armed[kind.idx()] = false;
+        self.state = State::WaitIdle;
+        Some(kind)
     }
 
     /// The medium became idle at this node.
-    pub fn carrier_idle(&mut self, now: SimTime) -> Vec<MacAction<P>> {
-        let mut out = Vec::new();
-        self.carrier_idle_into(now, &mut out);
-        out
-    }
-
-    /// [`Mac::carrier_idle`] into a caller-recycled buffer.
     pub fn carrier_idle_into(&mut self, _now: SimTime, out: &mut Vec<MacAction<P>>) {
         self.medium_busy = false;
         if self.state == State::WaitIdle {
@@ -488,27 +416,15 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
         }
     }
 
-    /// A timer armed through [`MacAction::SetTimer`] expired. Disarmed
-    /// timers are truly cancelled on the event queue, so every expiry
-    /// that arrives here is current.
-    pub fn timer_fired(&mut self, kind: MacTimer, now: SimTime) -> Vec<MacAction<P>> {
-        let mut out = Vec::new();
-        self.timer_fired_into(kind, now, &mut out);
-        out
-    }
-
-    /// [`Mac::timer_fired`] into a caller-recycled buffer.
+    /// A timer armed through [`MacAction::SetTimer`] expired. The
+    /// executor cancels every disarmed timer's expiry, so an expiry
+    /// that arrives here is current; a stray one is ignored.
     pub fn timer_fired_into(&mut self, kind: MacTimer, now: SimTime, out: &mut Vec<MacAction<P>>) {
         let i = kind.idx();
         if !self.timer_armed[i] {
-            // Defensive: with true cancellation a disarmed timer's expiry
-            // never dispatches. Tolerated (not asserted) because a node
-            // revival swaps in a fresh MAC, and an expiry armed by the
-            // old one while the node was dead may still be in flight.
             return;
         }
         self.timer_armed[i] = false;
-        self.timer_ev[i] = None; // consumed by this very dispatch
         match kind {
             MacTimer::Difs => {
                 debug_assert_eq!(self.state, State::Difs);
@@ -561,7 +477,11 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
                             self.after_ack = match self.state {
                                 State::WaitAck => AfterAck::WaitAck,
                                 _ => {
-                                    self.freeze_access(now);
+                                    // Interrupt a DIFS or backoff for
+                                    // the ACK, keeping backoff credit.
+                                    if let Some(kind) = self.freeze(now) {
+                                        self.disarm(kind, out);
+                                    }
                                     AfterAck::AccessCycle
                                 }
                             };
@@ -590,22 +510,24 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
         }
     }
 
-    /// Interrupts a Difs/Backoff cycle in preparation for an ACK
-    /// transmission, preserving backoff credit.
-    fn freeze_access(&mut self, now: SimTime) {
+    /// Interrupts a running DIFS or backoff and returns its timer kind
+    /// (the caller disarms it). An interrupted DIFS forces a contention
+    /// backoff; an interrupted backoff keeps its credit, rounded up to
+    /// whole slots as the standard decrements per slot.
+    fn freeze(&mut self, now: SimTime) -> Option<MacTimer> {
         match self.state {
             State::Difs => {
-                self.disarm(MacTimer::Difs);
                 self.cw_pending = true;
+                Some(MacTimer::Difs)
             }
             State::Backoff => {
-                self.disarm(MacTimer::Backoff);
                 let remaining = self.backoff_deadline.saturating_duration_since(now);
                 let slot = self.params.slot.as_nanos().max(1);
                 let slots = remaining.as_nanos().div_ceil(slot);
                 self.backoff_remaining = Some(SimDuration::from_nanos(slots * slot));
+                Some(MacTimer::Backoff)
             }
-            _ => {}
+            _ => None,
         }
     }
 
@@ -647,13 +569,6 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
     /// Our own transmission (started via [`MacAction::StartTx`]) has left
     /// the air. The simulator calls this when the channel's end event
     /// fires.
-    pub fn tx_ended(&mut self, now: SimTime) -> Vec<MacAction<P>> {
-        let mut out = Vec::new();
-        self.tx_ended_into(now, &mut out);
-        out
-    }
-
-    /// [`Mac::tx_ended`] into a caller-recycled buffer.
     pub fn tx_ended_into(&mut self, now: SimTime, out: &mut Vec<MacAction<P>>) {
         match self.state {
             State::TxData => {
@@ -695,19 +610,12 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
                     self.arm(MacTimer::AckDelay, self.params.sifs, out);
                 }
             }
-            s => panic!("tx_ended in state {s:?}"),
+            s => panic!("tx_ended_into in state {s:?}"),
         }
     }
 
     /// A frame arrived intact at this node (clean on the channel and the
     /// radio was active for its whole airtime).
-    pub fn frame_arrived(&mut self, frame: Frame<P>, now: SimTime) -> Vec<MacAction<P>> {
-        let mut out = Vec::new();
-        self.frame_arrived_into(frame, now, &mut out);
-        out
-    }
-
-    /// [`Mac::frame_arrived`] into a caller-recycled buffer.
     pub fn frame_arrived_into(
         &mut self,
         frame: Frame<P>,
@@ -724,7 +632,7 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
                         .map(|f| f.id == of && frame.src == unicast_dest(f))
                         .unwrap_or(false);
                     if matches {
-                        self.disarm(MacTimer::AckTimeout);
+                        self.disarm(MacTimer::AckTimeout, out);
                         let done = self.queue.pop_front().expect("checked");
                         let attempts = self.attempts;
                         self.stats.delivered += 1;
@@ -777,21 +685,15 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
         self.ack_notes.insert(dest, note);
     }
 
-    /// The node's radio went off: freeze everything. Queued frames are
+    /// The node's radio went off: freeze everything. Every timer is
+    /// disarmed (the caller cancels their expiries); queued frames are
     /// retained; owed ACKs are dropped (the peer will retransmit).
     pub fn radio_slept(&mut self, _now: SimTime) {
         debug_assert!(
             !matches!(self.state, State::TxData | State::TxAck),
             "radio must not sleep mid-transmission"
         );
-        for kind in [
-            MacTimer::Difs,
-            MacTimer::Backoff,
-            MacTimer::AckTimeout,
-            MacTimer::AckDelay,
-        ] {
-            self.disarm(kind);
-        }
+        self.timer_armed = [false; MacTimer::COUNT];
         self.pending_acks.clear();
         self.ack_notes.clear();
         self.backoff_remaining = None;
@@ -806,13 +708,6 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
 
     /// The node's radio is active again. `medium_busy` is the channel's
     /// current carrier state at this node.
-    pub fn radio_woke(&mut self, now: SimTime, medium_busy: bool) -> Vec<MacAction<P>> {
-        let mut out = Vec::new();
-        self.radio_woke_into(now, medium_busy, &mut out);
-        out
-    }
-
-    /// [`Mac::radio_woke`] into a caller-recycled buffer.
     pub fn radio_woke_into(
         &mut self,
         now: SimTime,
@@ -822,13 +717,11 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
         debug_assert_eq!(
             self.state,
             State::Suspended,
-            "radio_woke while not suspended"
+            "radio_woke_into while not suspended"
         );
         self.medium_busy = medium_busy;
-        if self.queue.is_empty() {
-            self.state = State::Idle;
-        } else {
-            self.state = State::Idle;
+        self.state = State::Idle;
+        if !self.queue.is_empty() {
             self.begin_access(now, out);
         }
     }

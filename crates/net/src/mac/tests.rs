@@ -28,11 +28,18 @@ fn t(us: u64) -> SimTime {
     SimTime::from_micros(us)
 }
 
+/// Collects the actions one `*_into` call appends.
+fn acts(f: impl FnOnce(&mut Vec<MacAction<u32>>)) -> Vec<MacAction<u32>> {
+    let mut out = Vec::new();
+    f(&mut out);
+    out
+}
+
 /// Drive one SetTimer action to expiry, returning follow-up actions.
 fn fire(mac: &mut TMac, actions: &[MacAction<u32>], now: SimTime) -> Vec<MacAction<u32>> {
     for a in actions {
         if let MacAction::SetTimer { kind, .. } = a {
-            return mac.timer_fired(*kind, now);
+            return acts(|o| mac.timer_fired_into(*kind, now, o));
         }
     }
     panic!("no timer among actions: {actions:?}");
@@ -48,7 +55,7 @@ fn has_tx(actions: &[MacAction<u32>]) -> bool {
 fn fresh_frame_idle_medium_txs_after_difs() {
     let mut mac = mk(0);
     let f = data(&mut mac, Dest::Broadcast, 9);
-    let a1 = mac.enqueue(f, t(0));
+    let a1 = acts(|o| mac.enqueue_into(f, t(0), o));
     assert!(matches!(
         a1[0],
         MacAction::SetTimer {
@@ -64,10 +71,10 @@ fn fresh_frame_idle_medium_txs_after_difs() {
 fn broadcast_completes_without_ack() {
     let mut mac = mk(0);
     let f = data(&mut mac, Dest::Broadcast, 1);
-    let a1 = mac.enqueue(f, t(0));
+    let a1 = acts(|o| mac.enqueue_into(f, t(0), o));
     let a2 = fire(&mut mac, &a1, t(50));
     assert!(has_tx(&a2));
-    let a3 = mac.tx_ended(t(466));
+    let a3 = acts(|o| mac.tx_ended_into(t(466), o));
     assert!(a3
         .iter()
         .any(|a| matches!(a, MacAction::TxDone { frame, attempts: 1 } if frame.id == f.id)));
@@ -79,11 +86,11 @@ fn unicast_waits_for_ack_then_succeeds() {
     let mut sender = mk(0);
     let mut receiver = mk(1);
     let f = data(&mut sender, Dest::Unicast(NodeId::new(1)), 7);
-    let a1 = sender.enqueue(f, t(0));
+    let a1 = acts(|o| sender.enqueue_into(f, t(0), o));
     let a2 = fire(&mut sender, &a1, t(50));
     assert!(has_tx(&a2));
     // Frame lands at receiver.
-    let a3 = receiver.frame_arrived(f, t(466));
+    let a3 = acts(|o| receiver.frame_arrived_into(f, t(466), o));
     assert!(a3
         .iter()
         .any(|a| matches!(a, MacAction::Deliver { frame } if frame.payload == 7)));
@@ -98,12 +105,12 @@ fn unicast_waits_for_ack_then_succeeds() {
         .expect("ack tx");
     assert_eq!(ack.kind, FrameKind::Ack(f.id));
     // Sender finished its data tx, is waiting for the ACK...
-    let _ = sender.tx_ended(t(466));
-    let a5 = sender.frame_arrived(ack, t(588));
+    let _ = acts(|o| sender.tx_ended_into(t(466), o));
+    let a5 = acts(|o| sender.frame_arrived_into(ack, t(588), o));
     assert!(a5
         .iter()
         .any(|a| matches!(a, MacAction::TxDone { attempts: 1, .. })));
-    let _ = receiver.tx_ended(t(588));
+    let _ = acts(|o| receiver.tx_ended_into(t(588), o));
     assert!(sender.is_quiescent());
     assert!(receiver.is_quiescent());
     assert_eq!(sender.stats().delivered, 1);
@@ -114,10 +121,10 @@ fn unicast_waits_for_ack_then_succeeds() {
 fn ack_timeout_triggers_retry_with_wider_cw() {
     let mut mac = mk(0);
     let f = data(&mut mac, Dest::Unicast(NodeId::new(1)), 7);
-    let a1 = mac.enqueue(f, t(0));
+    let a1 = acts(|o| mac.enqueue_into(f, t(0), o));
     let a2 = fire(&mut mac, &a1, t(50));
     assert!(has_tx(&a2));
-    let a3 = mac.tx_ended(t(466));
+    let a3 = acts(|o| mac.tx_ended_into(t(466), o));
     // AckTimeout armed.
     let a4 = fire(&mut mac, &a3, t(700));
     // Retry: DIFS timer armed again (medium idle).
@@ -150,7 +157,7 @@ fn ack_timeout_triggers_retry_with_wider_cw() {
 fn frame_dropped_after_retry_limit() {
     let mut mac = mk(0);
     let f = data(&mut mac, Dest::Unicast(NodeId::new(1)), 7);
-    let mut actions = mac.enqueue(f, t(0));
+    let mut actions = acts(|o| mac.enqueue_into(f, t(0), o));
     let mut now = t(0);
     let mut failed = false;
     // Walk the machine through enough retries to exhaust the limit.
@@ -160,13 +167,13 @@ fn frame_dropped_after_retry_limit() {
             .iter()
             .find(|a| matches!(a, MacAction::SetTimer { .. }))
         {
-            Some(MacAction::SetTimer { kind, .. }) => mac.timer_fired(*kind, now),
+            Some(MacAction::SetTimer { kind, .. }) => acts(|o| mac.timer_fired_into(*kind, now, o)),
             _ => {
                 if actions
                     .iter()
                     .any(|a| matches!(a, MacAction::StartTx { .. }))
                 {
-                    mac.tx_ended(now)
+                    acts(|o| mac.tx_ended_into(now, o))
                 } else {
                     break;
                 }
@@ -189,11 +196,11 @@ fn frame_dropped_after_retry_limit() {
 #[test]
 fn busy_medium_defers_then_backoff() {
     let mut mac = mk(0);
-    mac.carrier_busy(t(0));
+    let _ = mac.carrier_busy(t(0));
     let f = data(&mut mac, Dest::Broadcast, 1);
-    let a1 = mac.enqueue(f, t(1));
+    let a1 = acts(|o| mac.enqueue_into(f, t(1), o));
     assert!(a1.is_empty(), "no access while busy");
-    let a2 = mac.carrier_idle(t(1000));
+    let a2 = acts(|o| mac.carrier_idle_into(t(1000), o));
     // DIFS first...
     assert!(a2.iter().any(|a| matches!(
         a,
@@ -221,10 +228,10 @@ fn busy_medium_defers_then_backoff() {
 fn backoff_freezes_and_resumes() {
     // Force a known backoff by trying seeds until a nonzero draw.
     let mut mac = mk(3);
-    mac.carrier_busy(t(0));
+    let _ = mac.carrier_busy(t(0));
     let f = data(&mut mac, Dest::Broadcast, 1);
-    let _ = mac.enqueue(f, t(1));
-    let a2 = mac.carrier_idle(t(100));
+    let _ = acts(|o| mac.enqueue_into(f, t(1), o));
+    let a2 = acts(|o| mac.carrier_idle_into(t(100), o));
     let a3 = fire(&mut mac, &a2, t(150));
     let backoff = a3.iter().find_map(|a| match a {
         MacAction::SetTimer {
@@ -241,7 +248,7 @@ fn backoff_freezes_and_resumes() {
         return;
     };
     // Freeze partway through.
-    mac.carrier_busy(t(160));
+    let _ = mac.carrier_busy(t(160));
     let rem = mac.backoff_remaining.expect("frozen remainder");
     assert!(rem <= backoff);
     assert!(
@@ -249,7 +256,7 @@ fn backoff_freezes_and_resumes() {
         "whole slots"
     );
     // Idle again: DIFS, then the remainder (not a fresh draw).
-    let a4 = mac.carrier_idle(t(5000));
+    let a4 = acts(|o| mac.carrier_idle_into(t(5000), o));
     let a5 = fire(&mut mac, &a4, t(5050));
     let resumed = a5.iter().find_map(|a| match a {
         MacAction::SetTimer {
@@ -267,14 +274,14 @@ fn duplicate_data_is_reacked_but_delivered_once() {
     let mut rx = mk(1);
     let mut sender = mk(0);
     let f = data(&mut sender, Dest::Unicast(NodeId::new(1)), 42);
-    let a1 = rx.frame_arrived(f, t(0));
+    let a1 = acts(|o| rx.frame_arrived_into(f, t(0), o));
     assert!(a1.iter().any(|a| matches!(a, MacAction::Deliver { .. })));
     // Drive the first ACK out.
     let a2 = fire(&mut rx, &a1, t(10));
     assert!(has_tx(&a2));
-    let _ = rx.tx_ended(t(122));
+    let _ = acts(|o| rx.tx_ended_into(t(122), o));
     // Retransmission of the same frame.
-    let a3 = rx.frame_arrived(f, t(1000));
+    let a3 = acts(|o| rx.frame_arrived_into(f, t(1000), o));
     assert!(
         !a3.iter().any(|a| matches!(a, MacAction::Deliver { .. })),
         "duplicate must not be delivered"
@@ -290,7 +297,7 @@ fn overheard_unicast_not_delivered() {
     let mut mac = mk(2);
     let mut sender = mk(0);
     let f = data(&mut sender, Dest::Unicast(NodeId::new(1)), 5);
-    let a = mac.frame_arrived(f, t(0));
+    let a = acts(|o| mac.frame_arrived_into(f, t(0), o));
     assert!(a.is_empty());
 }
 
@@ -298,11 +305,11 @@ fn overheard_unicast_not_delivered() {
 fn suspend_retains_queue_and_resumes() {
     let mut mac = mk(0);
     let f = data(&mut mac, Dest::Broadcast, 1);
-    let _ = mac.enqueue(f, t(0));
+    let _ = acts(|o| mac.enqueue_into(f, t(0), o));
     mac.radio_slept(t(10));
     assert!(!mac.is_quiescent(), "frame still queued");
     assert_eq!(mac.queue_len(), 1);
-    let a = mac.radio_woke(t(1000), false);
+    let a = acts(|o| mac.radio_woke_into(t(1000), false, o));
     assert!(a.iter().any(|a| matches!(
         a,
         MacAction::SetTimer {
@@ -313,74 +320,65 @@ fn suspend_retains_queue_and_resumes() {
 }
 
 #[test]
-fn disarm_surrenders_handle_for_cancellation() {
-    use essat_sim::queue::EventQueue;
-    let mut q: EventQueue<()> = EventQueue::new();
+fn disarm_emits_cancel_and_clears_armed() {
     let mut mac = mk(0);
-    let f = data(&mut mac, Dest::Broadcast, 1);
-    let a1 = mac.enqueue(f, t(0)); // arms DIFS
-    let MacAction::SetTimer { kind, after } = a1[0] else {
-        panic!("expected timer");
+    let f = data(&mut mac, Dest::Unicast(NodeId::new(1)), 7);
+    let a1 = acts(|o| mac.enqueue_into(f, t(0), o));
+    assert!(has_tx(&fire(&mut mac, &a1, t(50))));
+    let _ = acts(|o| mac.tx_ended_into(t(466), o));
+    assert!(mac.is_armed(MacTimer::AckTimeout));
+    // The matching ACK disarms the timeout; its expiry is cancelled
+    // before any other action runs.
+    let ack = Frame {
+        src: NodeId::new(1),
+        dest: Dest::Unicast(NodeId::new(0)),
+        kind: FrameKind::Ack(f.id),
+        ..f
     };
-    // The executor schedules the expiry and reports the handle back.
-    let id = q.push(t(0) + after, ());
-    assert_eq!(mac.timer_scheduled(kind, id), None);
-    assert_eq!(mac.timer_event(kind), Some(id));
-    // Busy disarms the DIFS: the MAC surrenders the handle so the
-    // expiry event is truly cancelled, not fired stale.
-    mac.carrier_busy(t(10));
-    let surrendered = mac.pop_cancelled().expect("disarm surrenders the handle");
-    assert_eq!(surrendered, id);
-    assert!(mac.pop_cancelled().is_none());
-    assert!(q.cancel(surrendered));
-    assert!(q.is_empty());
-    // Defensive: a late expiry (protocol violated) is still a no-op.
-    assert!(mac.timer_fired(kind, t(50)).is_empty());
+    let a2 = acts(|o| mac.frame_arrived_into(ack, t(588), o));
+    let cancel = MacAction::CancelTimer {
+        kind: MacTimer::AckTimeout,
+    };
+    assert_eq!(a2[0], cancel);
+    assert!(!mac.is_armed(MacTimer::AckTimeout));
 }
 
 #[test]
-fn arm_superseded_before_scheduling_returns_own_handle() {
-    use essat_sim::queue::EventQueue;
-    let mut q: EventQueue<()> = EventQueue::new();
-    let mut mac = mk(0);
+fn carrier_busy_reports_a_frozen_timer_once() {
+    let mut mac = mk(3);
     let f = data(&mut mac, Dest::Broadcast, 1);
-    let a1 = mac.enqueue(f, t(0));
-    let MacAction::SetTimer { kind, after } = a1[0] else {
-        panic!("expected timer");
-    };
-    // The medium goes busy (disarming the DIFS) before the executor
-    // schedules the arm's expiry event: reporting the fresh handle back
-    // returns it immediately for cancellation.
-    mac.carrier_busy(t(0));
-    let id = q.push(t(0) + after, ());
-    assert_eq!(mac.timer_scheduled(kind, id), Some(id));
-    assert_eq!(mac.timer_event(kind), None);
+    let _ = acts(|o| mac.enqueue_into(f, t(0), o));
+    assert_eq!(mac.carrier_busy(t(10)), Some(MacTimer::Difs));
+    assert!(!mac.is_armed(MacTimer::Difs));
+    assert_eq!(mac.carrier_busy(t(20)), None, "already frozen");
+    // The interrupted DIFS forces a backoff; freeze that one too.
+    let a1 = acts(|o| mac.carrier_idle_into(t(100), o));
+    let _ = fire(&mut mac, &a1, t(150));
+    assert!(mac.is_armed(MacTimer::Backoff), "seed 3 draws a backoff");
+    assert_eq!(mac.carrier_busy(t(160)), Some(MacTimer::Backoff));
+    assert!(!mac.is_armed(MacTimer::Backoff));
+    assert_eq!(mac.carrier_busy(t(170)), None, "already frozen");
 }
 
 #[test]
-fn rearm_displaces_previous_handle() {
-    use essat_sim::queue::EventQueue;
-    let mut q: EventQueue<()> = EventQueue::new();
+fn radio_slept_clears_every_armed_bit() {
     let mut mac = mk(0);
-    let f = data(&mut mac, Dest::Broadcast, 1);
-    let a1 = mac.enqueue(f, t(0));
-    let MacAction::SetTimer { kind, after } = a1[0] else {
-        panic!("expected timer");
-    };
-    let first = q.push(t(0) + after, ());
-    assert_eq!(mac.timer_scheduled(kind, first), None);
-    // Busy then idle re-arms the DIFS: the disarm surrendered `first`,
-    // and the new arm's handle takes its place cleanly.
-    mac.carrier_busy(t(10));
-    assert_eq!(mac.pop_cancelled(), Some(first));
-    let a2 = mac.carrier_idle(t(100));
-    let MacAction::SetTimer { kind, after } = a2[0] else {
-        panic!("expected re-armed timer");
-    };
-    let second = q.push(t(100) + after, ());
-    assert_eq!(mac.timer_scheduled(kind, second), None);
-    assert_eq!(mac.timer_event(kind), Some(second));
-    assert!(mac.pop_cancelled().is_none());
+    let f = data(&mut mac, Dest::Unicast(NodeId::new(1)), 7);
+    let a1 = acts(|o| mac.enqueue_into(f, t(0), o));
+    assert!(has_tx(&fire(&mut mac, &a1, t(50))));
+    let _ = acts(|o| mac.tx_ended_into(t(466), o));
+    // While waiting for its ACK, the node owes one itself.
+    let g = data(&mut mk(2), Dest::Unicast(NodeId::new(0)), 8);
+    let _ = acts(|o| mac.frame_arrived_into(g, t(470), o));
+    assert!(mac.is_armed(MacTimer::AckTimeout) && mac.is_armed(MacTimer::AckDelay));
+    mac.radio_slept(t(480));
+    let kinds = [
+        MacTimer::Difs,
+        MacTimer::Backoff,
+        MacTimer::AckTimeout,
+        MacTimer::AckDelay,
+    ];
+    assert!(kinds.iter().all(|&k| !mac.is_armed(k)));
 }
 
 #[test]
@@ -388,7 +386,7 @@ fn quiescence_reflects_pending_work() {
     let mut mac = mk(0);
     assert!(mac.is_quiescent());
     let f = data(&mut mac, Dest::Broadcast, 1);
-    let _ = mac.enqueue(f, t(0));
+    let _ = acts(|o| mac.enqueue_into(f, t(0), o));
     assert!(!mac.is_quiescent());
 }
 
@@ -410,7 +408,7 @@ fn ack_note_rides_on_next_ack_and_is_delivered() {
     let f = data(&mut sender, Dest::Unicast(NodeId::new(1)), 5);
     // Receiver sees the data frame; upper layer primes a note during
     // the Deliver (before the SIFS-delayed ACK is built).
-    let a1 = rx.frame_arrived(f, t(0));
+    let a1 = acts(|o| rx.frame_arrived_into(f, t(0), o));
     assert!(a1.iter().any(|a| matches!(a, MacAction::Deliver { .. })));
     rx.prime_ack_note(NodeId::new(0), 77u32);
     let a2 = fire(&mut rx, &a1, t(10));
@@ -423,14 +421,14 @@ fn ack_note_rides_on_next_ack_and_is_delivered() {
         .expect("ack goes out");
     assert_eq!(ack.kind, FrameKind::Ack(f.id));
     assert_eq!(ack.payload, 77, "note rides on the ACK");
-    let _ = rx.tx_ended(t(122)); // the ACK leaves the air
-                                 // The original sender (waiting for this ACK) both completes its
-                                 // frame AND sees the note delivered upward.
-    let e1 = sender.enqueue(f, t(100)); // reconstruct WaitAck state
+    let _ = acts(|o| rx.tx_ended_into(t(122), o)); // the ACK leaves the air
+                                                   // The original sender (waiting for this ACK) both completes its
+                                                   // frame AND sees the note delivered upward.
+    let e1 = acts(|o| sender.enqueue_into(f, t(100), o)); // reconstruct WaitAck state
     let e2 = fire(&mut sender, &e1, t(150));
     assert!(has_tx(&e2));
-    let _ = sender.tx_ended(t(566));
-    let out = sender.frame_arrived(ack, t(700));
+    let _ = acts(|o| sender.tx_ended_into(t(566), o));
+    let out = acts(|o| sender.frame_arrived_into(ack, t(700), o));
     assert!(out.iter().any(|a| matches!(a, MacAction::TxDone { .. })));
     assert!(
         out.iter()
@@ -446,7 +444,7 @@ fn ack_note_rides_on_next_ack_and_is_delivered() {
         bytes: 52,
         payload: 1u32,
     };
-    let b1 = rx.frame_arrived(f2, t(2000));
+    let b1 = acts(|o| rx.frame_arrived_into(f2, t(2000), o));
     let b2 = fire(&mut rx, &b1, t(2010));
     let ack2 = b2
         .iter()
@@ -470,5 +468,5 @@ fn enqueue_rejects_acks() {
         bytes: ACK_BYTES,
         payload: 0u32,
     };
-    let _ = mac.enqueue(ack, t(0));
+    let _ = acts(|o| mac.enqueue_into(ack, t(0), o));
 }

@@ -49,8 +49,8 @@ pub enum Ev {
         round: u64,
     },
     /// MAC timer expiry. Disarmed timers are cancelled on the queue
-    /// (the MAC surrenders their handles), so an expiry that dispatches
-    /// is always the armed one.
+    /// through the handle the executor stores per node and timer kind,
+    /// so an expiry that dispatches is always the armed one.
     MacTimer {
         /// Owning node.
         node: NodeId,

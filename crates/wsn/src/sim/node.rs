@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use essat_core::maintenance::{FailureDetector, LossDetector};
 use essat_core::policy::PowerPolicy;
 use essat_net::ids::NodeId;
-use essat_net::mac::Mac;
+use essat_net::mac::{Mac, MacTimer};
 use essat_net::radio::Radio;
 use essat_query::round::{RoundAggregator, RoundKey};
 use essat_sim::queue::EventId;
@@ -69,6 +69,10 @@ pub(crate) struct NodeState {
     pub(crate) policy: Box<dyn PowerPolicy<Payload>>,
     pub(crate) radio: Radio,
     pub(crate) mac: Mac<Payload>,
+    /// Pending expiry event of each MAC timer kind, indexed by
+    /// [`MacTimer::idx`]: stored when the executor schedules a
+    /// `SetTimer`, taken when the timer fires or is cancelled.
+    pub(crate) mac_ev: [Option<EventId>; MacTimer::COUNT],
     pub(crate) died_at: Option<SimTime>,
     pub(crate) participating: BTreeSet<usize>,
     pub(crate) expected_children: BTreeMap<usize, Vec<NodeId>>,

@@ -11,7 +11,7 @@ use essat_core::policy::{NodeView, PolicyAction, PolicyTimer, SleepTrigger};
 use essat_net::channel::TxId;
 use essat_net::frame::{Dest, Frame, FrameKind};
 use essat_net::ids::NodeId;
-use essat_net::mac::MacAction;
+use essat_net::mac::{MacAction, MacTimer};
 use essat_net::radio::TransitionOutcome;
 use essat_obs::{PolicyActionKind, Probe};
 use essat_sim::engine::Context;
@@ -147,7 +147,7 @@ impl<P: Probe> World<P> {
         };
         // `radio_slept` disarmed every MAC timer; cancel their expiry
         // events so none ride the queue stale.
-        self.drain_mac_cancels(node, ctx);
+        self.cancel_mac_timers(node, ctx);
         self.hot.radio_active[i] = false;
         self.hot.active_since[i] = SimTime::MAX;
         self.probe.on_radio_state(now, i as u32, false);
@@ -248,13 +248,21 @@ impl<P: Probe> World<P> {
         self.mact_pool.push(acts);
     }
 
-    /// Cancels the expiry events of every timer `node`'s MAC disarmed
-    /// since the last drain. Called after any MAC entry point that can
-    /// disarm timers — this is the seam that turns the MAC's surrendered
-    /// handles into real `queue.cancel` calls.
-    pub(crate) fn drain_mac_cancels(&mut self, node: NodeId, ctx: &mut Context<'_, Ev>) {
-        while let Some(id) = self.nodes[node.index()].mac.pop_cancelled() {
+    /// Cancels the pending expiry of `node`'s MAC timer `kind`, if any.
+    fn cancel_mac_timer(&mut self, node: NodeId, kind: MacTimer, ctx: &mut Context<'_, Ev>) {
+        if let Some(id) = self.nodes[node.index()].mac_ev[kind.idx()].take() {
             ctx.cancel(id);
+        }
+    }
+
+    /// Cancels the pending expiry of every MAC timer of `node`: its
+    /// radio slept (which disarms them all), it died, or its MAC is
+    /// about to be replaced.
+    pub(crate) fn cancel_mac_timers(&mut self, node: NodeId, ctx: &mut Context<'_, Ev>) {
+        for ev in &mut self.nodes[node.index()].mac_ev {
+            if let Some(id) = ev.take() {
+                ctx.cancel(id);
+            }
         }
     }
 
@@ -264,17 +272,20 @@ impl<P: Probe> World<P> {
         actions: &mut Vec<MacAction<Payload>>,
         ctx: &mut Context<'_, Ev>,
     ) {
-        // The MAC call that produced `actions` may also have disarmed
-        // timers; cancel those expiry events before executing anything.
-        self.drain_mac_cancels(node, ctx);
         for action in actions.drain(..) {
             match action {
                 MacAction::SetTimer { kind, after } => {
-                    let id = ctx.schedule_after(after, Ev::MacTimer { node, kind });
-                    if let Some(stale) = self.nodes[node.index()].mac.timer_scheduled(kind, id) {
-                        ctx.cancel(stale);
+                    // A re-arm replaces the pending expiry. A delivery
+                    // executed earlier in this batch may have slept the
+                    // radio, disarming the timer again: then schedule
+                    // nothing.
+                    self.cancel_mac_timer(node, kind, ctx);
+                    if self.nodes[node.index()].mac.is_armed(kind) {
+                        let id = ctx.schedule_after(after, Ev::MacTimer { node, kind });
+                        self.nodes[node.index()].mac_ev[kind.idx()] = Some(id);
                     }
                 }
+                MacAction::CancelTimer { kind } => self.cancel_mac_timer(node, kind, ctx),
                 MacAction::StartTx { frame, airtime } => {
                     self.probe.on_tx_start(
                         ctx.now(),
@@ -288,9 +299,10 @@ impl<P: Probe> World<P> {
                         let h = hn.index();
                         if !self.hot.dead[h] && self.hot.radio_active[h] {
                             // carrier_busy never emits actions, but it
-                            // can disarm Difs/Backoff timers.
-                            self.nodes[h].mac.carrier_busy(ctx.now());
-                            self.drain_mac_cancels(hn, ctx);
+                            // can freeze a Difs/Backoff timer.
+                            if let Some(kind) = self.nodes[h].mac.carrier_busy(ctx.now()) {
+                                self.cancel_mac_timer(hn, kind, ctx);
+                            }
                         }
                     }
                     self.channel.recycle_nodes(start.now_busy);

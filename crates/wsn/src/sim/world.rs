@@ -6,7 +6,7 @@ use essat_core::policy::{PolicyAction, SleepTrigger};
 use essat_net::channel::{Channel, TxEndBuf};
 use essat_net::frame::Frame;
 use essat_net::ids::NodeId;
-use essat_net::mac::Mac;
+use essat_net::mac::{Mac, MacTimer};
 use essat_net::radio::Radio;
 use essat_net::topology::Topology;
 use essat_obs::profile::RunTimings;
@@ -270,6 +270,7 @@ impl<P: Probe> World<P> {
                 policy: factory(&cfg, id, &env),
                 radio: Radio::new(cfg.radio),
                 mac: Mac::new(id, cfg.mac, master.derive2(4, id.as_u32() as u64)),
+                mac_ev: [None; MacTimer::COUNT],
                 died_at: None,
                 participating: BTreeSet::new(),
                 expected_children: BTreeMap::new(),
@@ -991,17 +992,20 @@ impl<P: Probe> Model for World<P> {
             }
             Ev::MacTimer { node, kind } => {
                 // Disarmed timers were cancelled on the queue, so an
-                // expiry that dispatches is the armed one — no staleness
-                // check. The dead guard stays: death cancels the MAC's
-                // timers, but a timer armed *while dead* (a dead node's
-                // one-shot policy timer may still enqueue) must no-op.
+                // expiry that dispatches is the stored, armed one; it is
+                // consumed here. The dead guard stays: death cancels the
+                // MAC's timers, but a timer armed *while dead* (a dead
+                // node's one-shot policy timer may still enqueue) must
+                // no-op.
+                let stored = self.nodes[node.index()].mac_ev[kind.idx()].take();
+                #[cfg(feature = "sanitize")]
+                assert!(
+                    stored == Some(ctx.event_id()) && self.nodes[node.index()].mac.is_armed(kind),
+                    "sanitizer: stale MAC timer dispatched at node {node}"
+                );
+                #[cfg(not(feature = "sanitize"))]
+                let _ = stored;
                 if !self.hot.dead[node.index()] {
-                    #[cfg(feature = "sanitize")]
-                    assert_eq!(
-                        self.nodes[node.index()].mac.timer_event(kind),
-                        Some(ctx.event_id()),
-                        "sanitizer: stale MAC timer dispatched at node {node}"
-                    );
                     let mut acts = self.take_macts();
                     self.nodes[node.index()]
                         .mac
