@@ -139,11 +139,8 @@ fn timer_wheel_cancel_churn(c: &mut Criterion) {
 }
 
 /// Executes one MAC action batch against a real event queue the way the
-/// simulator's executor does, with one stored expiry handle per timer
-/// kind: `SetTimer` cancels the kind's stored expiry and, while the MAC
-/// still has the timer armed, pushes and stores a new one;
-/// `CancelTimer` cancels the stored expiry; `StartTx` completes
-/// instantaneously.
+/// simulator's executor does, storing one expiry handle per timer kind;
+/// `StartTx` completes instantaneously.
 fn run_mac_actions(
     mac: &mut Mac<u64>,
     q: &mut EventQueue<MacTimer>,

@@ -7,8 +7,7 @@
 //! (`repair_active = enabled && faults_possible`) keeps the layer
 //! inactive — no link-quality matrix, no timers, no redispatch checks —
 //! so the two arms must time identically. CI compares the two records
-//! and fails on more than 2% overhead (NullProbe-gate style; see
-//! `.github/workflows/ci.yml`).
+//! and fails on more than 2% overhead (see `.github/workflows/ci.yml`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

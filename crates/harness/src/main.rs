@@ -44,6 +44,7 @@
 //! tracked run over run.
 
 use std::collections::BTreeSet;
+use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use essat_harness::executor::{SweepCell, SweepExecutor};
@@ -500,11 +501,7 @@ fn digest_lines(
         for ci in 0..len {
             let protocol = cells[start + ci].cfg.protocol;
             for r in &grid[start + ci] {
-                out.push_str(&format!(
-                    "{key} {ci} {protocol} {} {}\n",
-                    r.seed,
-                    r.digest()
-                ));
+                let _ = writeln!(out, "{key} {ci} {protocol} {} {}", r.seed, r.digest());
             }
         }
     }

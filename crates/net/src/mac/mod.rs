@@ -369,11 +369,8 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
         if self.medium_busy {
             // Found busy: defer, and contend with a backoff afterwards.
             self.cw_pending = true;
-            self.state = State::WaitIdle;
-        } else {
-            self.state = State::Difs;
-            self.arm(MacTimer::Difs, self.params.difs, out);
         }
+        self.resume_access(out);
     }
 
     /// Re-enters the access cycle without counting a new attempt

@@ -12,9 +12,10 @@
 //! The default probe is [`NullProbe`]. The `World` is generic over its
 //! probe (`World<P: Probe = NullProbe>`), so the null case
 //! monomorphizes to empty inlined calls behind an
-//! [`enabled`](Probe::enabled) check that constant-folds to `false` —
-//! the disabled hot path carries no observable cost (pinned by the
-//! `probe_null_ab` bench and the CI A/B gate).
+//! [`enabled`](Probe::enabled) check that is a constant `false`:
+//! `NullProbe` is free by construction. Every run goes through the
+//! probe-generic path, so no probe-free path remains to time it
+//! against.
 //!
 //! Two concrete probes ship here:
 //!

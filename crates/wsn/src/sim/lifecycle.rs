@@ -2,7 +2,6 @@
 //! the §4.3 routing-tree repair.
 
 use essat_core::policy::SleepTrigger;
-use essat_core::shaper::TreeInfo;
 use essat_net::ids::NodeId;
 use essat_net::mac::Mac;
 use essat_obs::Probe;
@@ -38,11 +37,9 @@ impl<P: Probe> World<P> {
             // survives — a revival before it fires still honours it,
             // and the dispatch dead-guard drops it otherwise.
             self.cancel_mac_timers(node, ctx);
-            let mut chain = std::mem::take(&mut self.chain_ev[i]);
-            for id in chain.drain(..) {
+            for id in self.chain_ev[i].drain(..) {
                 ctx.cancel(id);
             }
-            self.chain_ev[i] = chain;
             // The dying node's pending repair timer must not fire, and
             // a dead node stops accumulating orphan time.
             if let Some(id) = self.repair.timer_ev[i].take() {
@@ -172,11 +169,9 @@ impl<P: Probe> World<P> {
         // cancelled so the fresh chain is the only one ticking.
         {
             let i = node.index();
-            let mut chain = std::mem::take(&mut self.chain_ev[i]);
-            for id in chain.drain(..) {
+            for id in self.chain_ev[i].drain(..) {
                 ctx.cancel(id);
             }
-            self.chain_ev[i] = chain;
             let mut acts = self.take_acts();
             self.nodes[node.index()].policy.on_revive(now, &mut acts);
             self.exec_policy_actions(node, &mut acts, ctx);
@@ -366,7 +361,7 @@ impl<P: Probe> World<P> {
         // With self-healing on, orphans pick re-attachment parents by
         // link quality (dead candidates vetoed); the flat legacy rule
         // otherwise.
-        let moved = if self.repair_active() {
+        let moved = if self.repair.active {
             self.with_quality(|tree, topo, q| tree.fail_node_by(topo, failed, q))
         } else {
             self.tree.fail_node(&self.topo, failed)
@@ -431,7 +426,7 @@ impl<P: Probe> World<P> {
         // instant was never observably partitioned (no zero-length
         // episode), and only genuinely stranded orphans — their rescue
         // timers armed above — open one.
-        if self.repair_active() {
+        if self.repair.active {
             self.adoption_sweep(ctx);
         }
         self.check_partition_opened(now);
@@ -487,8 +482,9 @@ impl<P: Probe> World<P> {
     pub(crate) fn refresh_node_schedule(&mut self, node: NodeId, now: SimTime) {
         let is_root = node == self.root;
         let kids_now: Vec<NodeId> = self.tree.children(node).to_vec();
-        let (own_rank, max_rank, own_level, max_level, kid_ranks) = self.tree_view(node);
         // Returned to the pool at the end of the function.
+        let tv = self.tree_view(node);
+        let info = tv.info();
         let qids: Vec<usize> = self.nodes[node.index()]
             .participating
             .iter()
@@ -498,16 +494,9 @@ impl<P: Probe> World<P> {
             let q = self.query(qi);
             let n = &mut self.nodes[node.index()];
             let old_kids = n.expected_children.insert(qi, kids_now.clone());
-            let info = TreeInfo {
-                own_rank,
-                max_rank,
-                own_level,
-                max_level,
-                children: &kid_ranks,
-            };
             n.policy
                 .on_topology_change(&q, &info, is_root, now, &kids_now, old_kids.as_deref());
         }
-        self.put_kids(kid_ranks);
+        self.put_kids(tv);
     }
 }

@@ -24,7 +24,7 @@
 //!   a partitioned collection tree actually recover.
 //!
 //! The layer activates only when the run can fault at all
-//! ([`World::faults_possible`]): with `repair.enabled = false` — or on
+//! ([`faults_possible`]): with `repair.enabled = false` — or on
 //! an idealised fault-free configuration, where MAC retry exhaustion
 //! can only come from plain contention — the legacy synchronous §4.3
 //! path runs unchanged, byte-for-byte. The former is the A/B the
@@ -38,13 +38,14 @@ use essat_net::topology::Topology;
 use essat_obs::Probe;
 use essat_query::round::RoundKey;
 use essat_query::tree::RoutingTree;
+use essat_scenario::compile::CompiledScenario;
 use essat_sim::engine::Context;
 use essat_sim::queue::EventId;
 use essat_sim::time::{SimDuration, SimTime};
 
 use super::events::Ev;
 use super::world::World;
-use crate::config::RepairConfig;
+use crate::config::ExperimentConfig;
 use crate::payload::Payload;
 
 /// One directed-link EWMA fold: the estimate after a unicast MAC cycle
@@ -68,13 +69,37 @@ pub fn link_ewma_step(mut slot: f64, alpha: f64, attempts: u32, delivered: bool)
     slot
 }
 
-/// Self-healing state carried by the [`World`]: per-node repair timers
-/// (structure-of-arrays, like the `Hot` block), the flat directed
-/// link-quality matrix, and the run's repair counters.
+/// Whether a run of `cfg` over the compiled `scenario` can inject any
+/// fault at all: a scenario that actually perturbs the run, scripted
+/// failures, or loss injection. The self-healing layer only activates
+/// when it can — an idealised fault-free run keeps the legacy event
+/// stream byte-identical (the golden-digest guarantee), and the
+/// sanitizer asserts no repair timer ever arms there. A scenario that
+/// compiles to nothing (e.g. `clock_drift(0)`) doesn't count, so its
+/// control arm stays bit-identical to having no scenario at all. MAC
+/// retry exhaustion from plain contention is legacy §4.3 territory
+/// either way.
+pub(crate) fn faults_possible(cfg: &ExperimentConfig, scenario: Option<&CompiledScenario>) -> bool {
+    scenario.is_some_and(|s| s.can_fault())
+        || !cfg.node_failures.is_empty()
+        || cfg.drop_probability > 0.0
+}
+
+/// Self-healing state carried by the [`World`]: the resolved activation
+/// gate, per-node repair timers (structure-of-arrays, like the `Hot`
+/// block), the flat directed link-quality matrix, and the run's repair
+/// counters.
 #[derive(Debug, Default)]
 pub(crate) struct RepairState {
+    /// The run can fault at all ([`faults_possible`]); the sanitizer
+    /// checks the layer stays inert otherwise.
+    #[cfg_attr(not(feature = "sanitize"), allow(dead_code))]
+    pub(crate) faults_possible: bool,
+    /// The resolved gate: repair enabled in config *and* the run can
+    /// fault (see the module docs for why both are required).
+    pub(crate) active: bool,
     /// Directed link-quality EWMA, `[src * n + dst]`. Empty when
-    /// repair is disabled (the quality closure then reads flat 1.0).
+    /// repair is inactive.
     pub(crate) link_q: Vec<f64>,
     /// Handle of each node's pending repair timer. Disarms cancel the
     /// event on the queue through this handle; a dispatched expiry is
@@ -102,14 +127,21 @@ pub(crate) struct RepairState {
 }
 
 impl RepairState {
-    /// `active` is the *resolved* gate: repair enabled in config **and**
-    /// the run can fault at all ([`World::faults_possible`]). On an
+    /// Resolves the gate for `n` nodes once, at construction. On an
     /// idealised fault-free run the layer allocates nothing and the
     /// legacy event stream is preserved byte-for-byte.
-    pub(crate) fn new(n: usize, active: bool, cfg: &RepairConfig) -> RepairState {
+    pub(crate) fn new(
+        n: usize,
+        cfg: &ExperimentConfig,
+        scenario: Option<&CompiledScenario>,
+    ) -> RepairState {
+        let faults_possible = faults_possible(cfg, scenario);
+        let active = cfg.repair.enabled && faults_possible;
         RepairState {
+            faults_possible,
+            active,
             link_q: if active {
-                vec![cfg.ewma_seed; n * n]
+                vec![cfg.repair.ewma_seed; n * n]
             } else {
                 Vec::new()
             },
@@ -127,12 +159,6 @@ impl RepairState {
 }
 
 impl<P: Probe> World<P> {
-    /// The resolved self-healing gate: enabled in config *and* the run
-    /// can fault (see the module docs for why both are required).
-    pub(crate) fn repair_active(&self) -> bool {
-        self.cfg.repair.enabled && self.faults_possible()
-    }
-
     // ------------------------------------------------------------------
     // Link-quality estimation
     // ------------------------------------------------------------------
@@ -147,8 +173,8 @@ impl<P: Probe> World<P> {
         attempts: u32,
         delivered: bool,
     ) {
-        if self.repair.link_q.is_empty() {
-            return; // repair disabled
+        if !self.repair.active {
+            return;
         }
         let a = self.cfg.repair.ewma_alpha;
         let n = self.topo.node_count();
@@ -157,9 +183,10 @@ impl<P: Probe> World<P> {
     }
 
     /// Runs `f` with the tree, the topology, and the directed
-    /// link-quality closure the tree's repair operations consume.
-    /// Dead candidates read `-inf` — the tree skips non-finite
-    /// qualities, so a repair never attaches anyone under a corpse.
+    /// link-quality closure the tree's repair operations consume. Only
+    /// the active layer calls this, so the estimates exist. Dead
+    /// candidates read `-inf` — the tree skips non-finite qualities, so
+    /// a repair never attaches anyone under a corpse.
     pub(crate) fn with_quality<R>(
         &mut self,
         f: impl FnOnce(&mut RoutingTree, &Topology, &dyn Fn(NodeId, NodeId) -> f64) -> R,
@@ -169,10 +196,7 @@ impl<P: Probe> World<P> {
         let dead = &self.hot.dead;
         let quality = |s: NodeId, d: NodeId| -> f64 {
             if dead[d.index()] {
-                return f64::NEG_INFINITY;
-            }
-            if lq.is_empty() {
-                1.0
+                f64::NEG_INFINITY
             } else {
                 lq[s.index() * n + d.index()]
             }
@@ -195,7 +219,7 @@ impl<P: Probe> World<P> {
         peer: NodeId,
         ctx: &mut Context<'_, Ev>,
     ) {
-        if self.repair_active() {
+        if self.repair.active {
             self.arm_repair(node, peer, ctx);
         } else {
             self.repair_tree(peer, ctx);
@@ -205,7 +229,7 @@ impl<P: Probe> World<P> {
     /// Arms `node`'s repair timer against `target` (at most one in
     /// flight per node; re-trips while armed are absorbed).
     pub(crate) fn arm_repair(&mut self, node: NodeId, target: NodeId, ctx: &mut Context<'_, Ev>) {
-        if !self.repair_active() {
+        if !self.repair.active {
             return;
         }
         let i = node.index();
@@ -455,7 +479,7 @@ impl<P: Probe> World<P> {
         ctx: &mut Context<'_, Ev>,
     ) -> bool {
         let r = self.cfg.repair;
-        if !self.repair_active() || r.max_redispatch == 0 {
+        if !self.repair.active || r.max_redispatch == 0 {
             return false;
         }
         let Some(parent) = self.tree.parent(node) else {

@@ -8,7 +8,6 @@
 
 use essat_core::maintenance::LossObservation;
 use essat_core::policy::SleepTrigger;
-use essat_core::shaper::TreeInfo;
 use essat_net::frame::{Dest, Frame, FrameKind, PAPER_REPORT_BYTES};
 use essat_net::ids::NodeId;
 use essat_obs::Probe;
@@ -59,20 +58,13 @@ impl<P: Probe> World<P> {
             return None; // nothing to sample, nothing to relay
         }
         let is_root = node == self.root;
-        let (own_rank, max_rank, own_level, max_level, kid_ranks) = self.tree_view(node);
+        let tv = self.tree_view(node);
         let n = &mut self.nodes[node.index()];
         n.participating.insert(qi);
         n.registered.insert(qi);
         n.expected_children.insert(qi, kids);
-        let info = TreeInfo {
-            own_rank,
-            max_rank,
-            own_level,
-            max_level,
-            children: &kid_ranks,
-        };
-        n.policy.on_register(&q, &info, is_root);
-        self.put_kids(kid_ranks);
+        n.policy.on_register(&q, &tv.info(), is_root);
+        self.put_kids(tv);
         // First round this node can still run.
         let k0 = World::next_round_at(&q, now);
         let at = q.round_start(k0);
@@ -140,18 +132,11 @@ impl<P: Probe> World<P> {
     /// The collection deadline under the node's power policy.
     pub(crate) fn collection_deadline(&mut self, node: NodeId, qi: usize, k: u64) -> SimTime {
         let q = self.query(qi);
-        let (own_rank, max_rank, own_level, max_level, kids) = self.tree_view(node);
-        let info = TreeInfo {
-            own_rank,
-            max_rank,
-            own_level,
-            max_level,
-            children: &kids,
-        };
+        let tv = self.tree_view(node);
         let deadline = self.nodes[node.index()]
             .policy
-            .collection_deadline(&q, k, &info);
-        self.put_kids(kids);
+            .collection_deadline(&q, k, &tv.info());
+        self.put_kids(tv);
         deadline
     }
 
@@ -229,7 +214,7 @@ impl<P: Probe> World<P> {
             .get(&qi)
             .cloned()
             .unwrap_or_default();
-        let (own_rank, max_rank, own_level, max_level, kids) = self.tree_view(node);
+        let tv = self.tree_view(node);
         let _ = ctx;
         let n = &mut self.nodes[node.index()];
         // Mark the round finished so a straggler report cannot reopen it.
@@ -237,20 +222,14 @@ impl<P: Probe> World<P> {
             .entry(qi)
             .and_modify(|d| *d = (*d).max(k))
             .or_insert(k);
-        let info = TreeInfo {
-            own_rank,
-            max_rank,
-            own_level,
-            max_level,
-            children: &kids,
-        };
-        n.policy.on_round_skipped(&q, k, &expected, is_root, &info);
+        n.policy
+            .on_round_skipped(&q, k, &expected, is_root, &tv.info());
         if !self.hot.dead[node.index()] && !self.hot.radio_active[node.index()] {
             // The radio is mid-turn-on for the expectation we just
             // moved; have the wake-up completion re-run the checkpoint.
             n.recheck_on_wake = true;
         }
-        self.put_kids(kids);
+        self.put_kids(tv);
     }
 
     /// Checks readiness and plans the release when ready.
@@ -344,17 +323,10 @@ impl<P: Probe> World<P> {
         let mut send_now = false;
         let mut send_at = now;
         {
-            let (own_rank, max_rank, own_level, max_level, kids) = self.tree_view(node);
-            let info = TreeInfo {
-                own_rank,
-                max_rank,
-                own_level,
-                max_level,
-                children: &kids,
-            };
+            let tv = self.tree_view(node);
             let n = &mut self.nodes[node.index()];
             let Some(r) = n.rounds.get_mut(&key) else {
-                self.put_kids(kids);
+                self.put_kids(tv);
                 return;
             };
             r.release_planned = true;
@@ -362,14 +334,14 @@ impl<P: Probe> World<P> {
             if let Some(id) = r.timeout_ev.take() {
                 ctx.cancel(id);
             }
-            let rel = n.policy.plan_release(&q, k, now, &info);
+            let rel = n.policy.plan_release(&q, k, now, &tv.info());
             r.piggyback = rel.piggyback;
             if rel.send_at <= now {
                 send_now = true;
             } else {
                 send_at = rel.send_at;
             }
-            self.put_kids(kids);
+            self.put_kids(tv);
         }
         if send_now {
             self.do_send(node, qi, k, ctx);
@@ -477,25 +449,16 @@ impl<P: Probe> World<P> {
             }
         };
         self.missed_reports += missing.len() as u64;
-        let (own_rank, max_rank, own_level, max_level, kids) = self.tree_view(node);
+        let tv = self.tree_view(node);
         let mut failed_children = Vec::new();
-        {
-            let info = TreeInfo {
-                own_rank,
-                max_rank,
-                own_level,
-                max_level,
-                children: &kids,
-            };
-            let n = &mut self.nodes[node.index()];
-            for &c in &missing {
-                n.policy.on_child_timeout(&q, c, k, &info);
-                if n.child_fail.miss(c) {
-                    failed_children.push(c);
-                }
+        let n = &mut self.nodes[node.index()];
+        for &c in &missing {
+            n.policy.on_child_timeout(&q, c, k, &tv.info());
+            if n.child_fail.miss(c) {
+                failed_children.push(c);
             }
         }
-        self.put_kids(kids);
+        self.put_kids(tv);
         for c in failed_children {
             if self.tree.is_member(c) && self.tree.parent(c) == Some(node) {
                 self.on_peer_suspect(node, c, ctx);
@@ -577,7 +540,7 @@ impl<P: Probe> World<P> {
             return; // stranger (stale sender after re-parenting)
         }
 
-        let (own_rank, max_rank, own_level, max_level, kids) = self.tree_view(node);
+        let tv = self.tree_view(node);
         let now = ctx.now();
         let mut resynced = false;
         {
@@ -602,17 +565,10 @@ impl<P: Probe> World<P> {
                     self.phase_requests += 1;
                 }
             }
-            let info = TreeInfo {
-                own_rank,
-                max_rank,
-                own_level,
-                max_level,
-                children: &kids,
-            };
             n.policy
-                .on_report_received(&q, child, k, now, piggyback, &info);
+                .on_report_received(&q, child, k, now, piggyback, &tv.info());
         }
-        self.put_kids(kids);
+        self.put_kids(tv);
         // The child spoke: withdraw any pending repair against it.
         self.disarm_repair(node, child, ctx);
         if resynced {
@@ -701,27 +657,20 @@ impl<P: Probe> World<P> {
                 }
                 let qi = query.index();
                 let q = self.query(qi);
-                let (own_rank, max_rank, own_level, max_level, kids) = self.tree_view(node);
+                let tv = self.tree_view(node);
                 let parent = self.tree.parent(node);
                 let now = ctx.now();
                 let n = &mut self.nodes[node.index()];
                 if let Some(p) = parent {
                     n.parent_fail.heard_from(p);
                 }
-                let info = TreeInfo {
-                    own_rank,
-                    max_rank,
-                    own_level,
-                    max_level,
-                    children: &kids,
-                };
-                n.policy.on_report_sent(&q, round, now, &info);
+                n.policy.on_report_sent(&q, round, now, &tv.info());
                 if let Some(mut r) = n.rounds.remove(&RoundKey { query, round }) {
                     if let Some(id) = r.timeout_ev.take() {
                         ctx.cancel(id);
                     }
                 }
-                self.put_kids(kids);
+                self.put_kids(tv);
                 // The suspect answered: withdraw any pending repair.
                 if let Dest::Unicast(dest) = frame.dest {
                     self.disarm_repair(node, dest, ctx);
@@ -768,25 +717,16 @@ impl<P: Probe> World<P> {
             // round deadline still affords one. The round stays live.
             if !self.try_redispatch(node, qi, round, frame, ctx) {
                 let q = self.query(qi);
-                let (own_rank, max_rank, own_level, max_level, kids) = self.tree_view(node);
+                let tv = self.tree_view(node);
                 let now = ctx.now();
-                {
-                    let info = TreeInfo {
-                        own_rank,
-                        max_rank,
-                        own_level,
-                        max_level,
-                        children: &kids,
-                    };
-                    let n = &mut self.nodes[node.index()];
-                    n.policy.on_report_failed(&q, round, now, &info);
-                    if let Some(mut r) = n.rounds.remove(&RoundKey { query, round }) {
-                        if let Some(id) = r.timeout_ev.take() {
-                            ctx.cancel(id);
-                        }
+                let n = &mut self.nodes[node.index()];
+                n.policy.on_report_failed(&q, round, now, &tv.info());
+                if let Some(mut r) = n.rounds.remove(&RoundKey { query, round }) {
+                    if let Some(id) = r.timeout_ev.take() {
+                        ctx.cancel(id);
                     }
                 }
-                self.put_kids(kids);
+                self.put_kids(tv);
             }
             if let Some(p) = parent_failed {
                 if self.tree.is_member(p) && p != self.root {

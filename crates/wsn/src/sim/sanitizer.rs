@@ -113,7 +113,7 @@ impl<P: Probe> World<P> {
     /// machine-checked form of the zero-cost claim behind the golden
     /// digests staying byte-identical with repair enabled.
     fn sanitize_repair(&self, now: SimTime) {
-        if self.faults_possible() {
+        if self.repair.faults_possible {
             return;
         }
         for (i, ev) in self.repair.timer_ev.iter().enumerate() {

@@ -3,6 +3,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use essat_core::policy::{PolicyAction, SleepTrigger};
+use essat_core::shaper::TreeInfo;
 use essat_net::channel::{Channel, TxEndBuf};
 use essat_net::frame::Frame;
 use essat_net::ids::NodeId;
@@ -80,6 +81,31 @@ impl Hot {
             active_since: vec![SimTime::ZERO; n],
             wake_ev: vec![None; n],
             battery_dead: vec![false; n],
+        }
+    }
+}
+
+/// A node's place in the routing tree ([`World::tree_view`]): the
+/// owned form of the [`TreeInfo`] the policy calls borrow.
+#[derive(Debug)]
+pub(crate) struct TreeView {
+    own_rank: u32,
+    max_rank: u32,
+    own_level: u32,
+    max_level: u32,
+    /// Children with their ranks, drawn from [`World::kid_pool`].
+    kids: Vec<(NodeId, u32)>,
+}
+
+impl TreeView {
+    /// The borrowed snapshot the policy calls take.
+    pub(crate) fn info(&self) -> TreeInfo<'_> {
+        TreeInfo {
+            own_rank: self.own_rank,
+            max_rank: self.max_rank,
+            own_level: self.own_level,
+            max_level: self.max_level,
+            children: &self.kids,
         }
     }
 }
@@ -313,11 +339,7 @@ impl<P: Probe> World<P> {
         }
 
         let topo_nodes = topo.node_count();
-        let repair_active = cfg.repair.enabled
-            && (scenario.as_ref().is_some_and(|s| s.can_fault())
-                || !cfg.node_failures.is_empty()
-                || cfg.drop_probability > 0.0);
-        let repair = super::repair::RepairState::new(topo_nodes, repair_active, &cfg.repair);
+        let repair = super::repair::RepairState::new(topo_nodes, &cfg, scenario.as_ref());
         let mut world = World {
             cfg,
             master,
@@ -604,13 +626,12 @@ impl<P: Probe> World<P> {
         self.cfg.clock_guard.at(t)
     }
 
-    /// `(own_rank, max_rank, own_level, max_level, children-with-ranks)`
-    /// for `node`, from the current tree.
+    /// `node`'s place in the current tree.
     ///
-    /// The children vector comes from [`World::kid_pool`]; hand it back
-    /// with [`World::put_kids`] when done so steady-state event handling
-    /// does not allocate.
-    pub(crate) fn tree_view(&mut self, node: NodeId) -> (u32, u32, u32, u32, Vec<(NodeId, u32)>) {
+    /// The children vector comes from [`World::kid_pool`]; hand the view
+    /// back with [`World::put_kids`] when done so steady-state event
+    /// handling does not allocate.
+    pub(crate) fn tree_view(&mut self, node: NodeId) -> TreeView {
         let mut kids = self.kid_pool.pop().unwrap_or_default();
         kids.extend(
             self.tree
@@ -618,35 +639,20 @@ impl<P: Probe> World<P> {
                 .iter()
                 .map(|&c| (c, self.tree.rank(c))),
         );
-        (
-            self.tree.rank(node),
-            self.tree.max_rank(),
-            self.tree.level(node).unwrap_or(0),
-            self.tree.max_level(),
+        TreeView {
+            own_rank: self.tree.rank(node),
+            max_rank: self.tree.max_rank(),
+            own_level: self.tree.level(node).unwrap_or(0),
+            max_level: self.tree.max_level(),
             kids,
-        )
+        }
     }
 
     /// Returns a [`World::tree_view`] children buffer to the pool.
-    pub(crate) fn put_kids(&mut self, mut kids: Vec<(NodeId, u32)>) {
+    pub(crate) fn put_kids(&mut self, view: TreeView) {
+        let mut kids = view.kids;
         kids.clear();
         self.kid_pool.push(kids);
-    }
-
-    /// Whether this configuration can inject any fault at all (a
-    /// scenario that actually perturbs the run, scripted failures, or
-    /// loss injection). The self-healing layer only activates when it
-    /// can — an idealised fault-free run keeps the legacy event stream
-    /// byte-identical (the golden-digest guarantee), and the sanitizer
-    /// asserts no repair timer ever arms there. A scenario that compiles
-    /// to nothing (e.g. `clock_drift(0)`) doesn't count, so its control
-    /// arm stays bit-identical to having no scenario at all. MAC retry
-    /// exhaustion from plain contention is legacy §4.3 territory either
-    /// way.
-    pub(crate) fn faults_possible(&self) -> bool {
-        self.scenario.as_ref().is_some_and(|s| s.can_fault())
-            || !self.cfg.node_failures.is_empty()
-            || self.cfg.drop_probability > 0.0
     }
 
     pub(crate) fn is_source(&self, node: NodeId, qi: usize) -> bool {
