@@ -333,6 +333,8 @@ fn disarm_emits_cancel_and_clears_armed() {
         src: NodeId::new(1),
         dest: Dest::Unicast(NodeId::new(0)),
         kind: FrameKind::Ack(f.id),
+        bytes: ACK_BYTES,
+        payload: 0,
         ..f
     };
     let a2 = acts(|o| mac.frame_arrived_into(ack, t(588), o));
