@@ -4,7 +4,7 @@
 //! Arm A runs a fault-free simulation with repair disabled in config;
 //! arm B runs the *same* configuration with the default (enabled)
 //! repair. On a fault-free run the resolved gate
-//! (`repair_active = enabled && faults_possible`) keeps the layer
+//! (`RepairState::active = enabled && faults_possible`) keeps the layer
 //! inactive — no link-quality matrix, no timers, no redispatch checks —
 //! so the two arms must time identically. CI compares the two records
 //! and fails on more than 2% overhead (see `.github/workflows/ci.yml`).
