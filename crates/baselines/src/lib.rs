@@ -32,5 +32,5 @@ pub mod prelude {
     pub use crate::psm::{PsmBeaconState, PsmSchedule, ATIM_BYTES};
     pub use crate::span::{SpanBackbone, SpanElection};
     pub use crate::sync::SyncSchedule;
-    pub use crate::tag::{Tag, TagConfig};
+    pub use crate::tag::Tag;
 }

@@ -20,6 +20,7 @@
 //! slot width  l = D / max_level
 //! s(k)        = φ + k·P + l · (max_level − level)     (level ≥ 1)
 //! r(k, c)     = s_c(k) = φ + k·P + l · (max_level − level − 1)
+//! deadline(k) = s(k) + l
 //! ```
 
 use std::collections::BTreeMap;
@@ -29,34 +30,17 @@ use essat_net::ids::NodeId;
 use essat_query::model::{Query, QueryId};
 use essat_sim::time::{SimDuration, SimTime};
 
-/// Configuration for [`Tag`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TagConfig {
-    /// Extra grace beyond the node's send slot before a round is sealed
-    /// partially.
-    pub timeout_margin: SimDuration,
-}
-
 /// The TAG/TinyDB level-slot shaper.
 #[derive(Debug, Clone, Default)]
 pub struct Tag {
-    config: TagConfig,
     next_send_round: BTreeMap<QueryId, u64>,
     next_recv_round: BTreeMap<(QueryId, NodeId), u64>,
 }
 
 impl Tag {
-    /// Creates a TAG shaper with the default configuration.
+    /// Creates a TAG shaper.
     pub fn new() -> Self {
         Tag::default()
-    }
-
-    /// Creates a TAG shaper with an explicit configuration.
-    pub fn with_config(config: TagConfig) -> Self {
-        Tag {
-            config,
-            ..Tag::default()
-        }
     }
 
     /// Slot width `l = D / max_level` (clamped for single-node trees).
@@ -131,7 +115,7 @@ impl TrafficShaper for Tag {
     }
 
     fn collection_deadline(&self, q: &Query, k: u64, tree: &TreeInfo<'_>) -> SimTime {
-        Self::send_slot(q, k, tree) + self.config.timeout_margin + Self::slot_width(q, tree)
+        Self::send_slot(q, k, tree) + Self::slot_width(q, tree)
     }
 
     fn child_timed_out(

@@ -48,7 +48,6 @@ fn ablation_sts_reception_granularity(c: &mut Criterion) {
         let mut cfg = quick(Protocol::StsSs, 12);
         cfg.sts = essat_core::sts::StsConfig {
             per_rank_reception: true,
-            ..Default::default()
         };
         cfg
     };

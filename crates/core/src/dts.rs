@@ -14,6 +14,8 @@
 //! * If the report is **late** (`ready t > s(k)`), it is sent
 //!   immediately — a **phase shift** — and `s(k+1) = t + P` is
 //!   piggybacked on the data packet so the parent can re-arm.
+//! * A parent seals round `k` at `max_c r(k, c) + t_TO`, with the fixed
+//!   margin [`TIMEOUT_MARGIN`].
 //!
 //! Phase shifts only ever *delay* schedules, which is what makes loss
 //! recovery safe: a parent that missed a phase update wakes early (a
@@ -33,28 +35,16 @@ use essat_sim::time::{SimDuration, SimTime};
 
 use crate::shaper::{Expectations, Release, ShaperKind, TrafficShaper, TreeInfo};
 
-/// Configuration for [`Dts`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DtsConfig {
-    /// The §4.3 timeout margin `t_TO`: round `k` times out at
-    /// `max_c r(k, c) + t_TO`.
-    pub timeout_margin: SimDuration,
-}
-
-impl Default for DtsConfig {
-    fn default() -> Self {
-        DtsConfig {
-            // Must cover a one-hop collection under contention: sources
-            // share the round boundary `φ + k·P`, so a parent's children
-            // (and its neighbours' children) all contend at once and the
-            // slowest report can take tens of milliseconds. A margin that
-            // is too tight seals rounds partially *and* lets the parent
-            // fall asleep before late reports arrive, which the sender
-            // then misreads as a parent failure.
-            timeout_margin: SimDuration::from_millis(50),
-        }
-    }
-}
+/// The §4.3 timeout margin `t_TO`: round `k` times out at
+/// `max_c r(k, c) + t_TO`.
+///
+/// Must cover a one-hop collection under contention: sources share the
+/// round boundary `φ + k·P`, so a parent's children (and its
+/// neighbours' children) all contend at once and the slowest report
+/// can take tens of milliseconds. A margin that is too tight seals
+/// rounds partially *and* lets the parent fall asleep before late
+/// reports arrive, which the sender then misreads as a parent failure.
+pub const TIMEOUT_MARGIN: SimDuration = SimDuration::from_millis(50);
 
 #[derive(Debug, Clone, Copy)]
 struct SendSched {
@@ -78,7 +68,6 @@ struct RecvSched {
 /// The DTS shaper.
 #[derive(Debug, Clone, Default)]
 pub struct Dts {
-    config: DtsConfig,
     sends: BTreeMap<QueryId, SendSched>,
     recvs: BTreeMap<(QueryId, NodeId), RecvSched>,
     /// Phase updates piggybacked so far (for the paper's overhead
@@ -89,20 +78,9 @@ pub struct Dts {
 }
 
 impl Dts {
-    /// Creates a DTS shaper with the default configuration.
+    /// Creates a DTS shaper.
     pub fn new() -> Self {
-        Dts::with_config(DtsConfig::default())
-    }
-
-    /// Creates a DTS shaper with an explicit configuration.
-    pub fn with_config(config: DtsConfig) -> Self {
-        Dts {
-            config,
-            sends: BTreeMap::new(),
-            recvs: BTreeMap::new(),
-            piggybacks_sent: 0,
-            reports_sent: 0,
-        }
+        Dts::default()
     }
 
     /// Phase updates piggybacked on data reports so far.
@@ -272,7 +250,7 @@ impl TrafficShaper for Dts {
             .filter(|&&(qq, _)| qq == q.id)
             .filter_map(|&(_, c)| self.projected_recv(q, c, k))
             .max();
-        latest.unwrap_or_else(|| q.round_start(k)) + self.config.timeout_margin
+        latest.unwrap_or_else(|| q.round_start(k)) + TIMEOUT_MARGIN
     }
 
     fn child_timed_out(
@@ -467,9 +445,7 @@ mod tests {
 
     #[test]
     fn collection_deadline_uses_latest_pending_child() {
-        let mut dts = Dts::with_config(DtsConfig {
-            timeout_margin: SimDuration::from_millis(5),
-        });
+        let mut dts = Dts::new();
         let children = [(n(1), 0), (n(2), 0)];
         let tree = TreeInfo {
             own_rank: 1,
@@ -481,10 +457,10 @@ mod tests {
         dts.register(&q(), &tree, false);
         // Child 2 phase-shifted its round-0 report to 1.04 s.
         dts.recvs.get_mut(&(q().id, n(2))).unwrap().r_next = ms(1040);
-        assert_eq!(dts.collection_deadline(&q(), 0, &tree), ms(1045));
+        assert_eq!(dts.collection_deadline(&q(), 0, &tree), ms(1090));
         // Once child 2's round 0 arrived, only child 1 pends for round 0.
         dts.after_receive(&q(), n(2), 0, ms(1041), None, &tree);
-        assert_eq!(dts.collection_deadline(&q(), 0, &tree), ms(1005));
+        assert_eq!(dts.collection_deadline(&q(), 0, &tree), ms(1050));
     }
 
     #[test]
@@ -492,7 +468,7 @@ mod tests {
         let dts = Dts::new();
         assert_eq!(
             dts.collection_deadline(&q(), 3, &leaf_tree()),
-            q().round_start(3) + DtsConfig::default().timeout_margin
+            q().round_start(3) + TIMEOUT_MARGIN
         );
     }
 

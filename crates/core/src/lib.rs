@@ -42,7 +42,7 @@ pub mod sts;
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::dts::{Dts, DtsConfig};
+    pub use crate::dts::Dts;
     pub use crate::maintenance::{FailureDetector, LossDetector, LossObservation, ResyncPolicy};
     pub use crate::nts::Nts;
     pub use crate::policy::{

@@ -12,7 +12,8 @@
 //! ```
 //!
 //! Early reports are buffered until `s(k)`; late ones are sent
-//! immediately. The paper's analysis (eq. 2–3) predicts the trade-off the
+//! immediately. A parent seals round `k` one slot after its own send
+//! slot, at `s(k) + l`. The paper's analysis (eq. 2–3) predicts the trade-off the
 //! harness reproduces as Figure 2: query latency `L_q = M·max(l, T_agg)`,
 //! while the idle listening `T_recv` shrinks as `l` grows toward `T_agg`
 //! and is flat beyond it — so the best deadline sits at the knee
@@ -32,11 +33,8 @@ use essat_sim::time::{SimDuration, SimTime};
 use crate::shaper::{Expectations, Release, ShaperKind, TrafficShaper, TreeInfo};
 
 /// Configuration for [`Sts`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StsConfig {
-    /// The §4.3 timeout margin `t_TO`: the collection deadline for round
-    /// `k` is `s(k) + l − t_TO` (clamped to at least `s(k)`).
-    pub timeout_margin: SimDuration,
     /// Reception-expectation granularity. The paper states both forms:
     /// the closed form "r(k) = φ + k·P + l·(d−1)" (one slot for *all*
     /// children, at the node's rank minus one) and the invariant
@@ -45,15 +43,6 @@ pub struct StsConfig {
     /// wakes for each child exactly at that child's slot — and is the
     /// default; the per-rank form is kept for the ablation bench.
     pub per_rank_reception: bool,
-}
-
-impl Default for StsConfig {
-    fn default() -> Self {
-        StsConfig {
-            timeout_margin: SimDuration::ZERO,
-            per_rank_reception: false,
-        }
-    }
 }
 
 /// The STS shaper.
@@ -157,9 +146,8 @@ impl TrafficShaper for Sts {
     }
 
     fn collection_deadline(&self, q: &Query, k: u64, tree: &TreeInfo<'_>) -> SimTime {
-        let s_k = Self::send_slot(q, k, tree);
-        let grace = Self::local_deadline(q, tree).saturating_sub(self.config.timeout_margin);
-        s_k + grace
+        // s(k) + l: round k seals one slot after the node's send slot.
+        Self::send_slot(q, k, tree) + Self::local_deadline(q, tree)
     }
 
     fn child_timed_out(
@@ -306,19 +294,8 @@ mod tests {
         let children = [(n(1), 1)];
         let tree = tree_info(&children);
         let sts = Sts::new();
-        // s(0) = 1.1 s, l = 50 ms, margin 0 -> 1.15 s.
+        // s(0) = 1.1 s, l = 50 ms -> 1.15 s.
         assert_eq!(sts.collection_deadline(&q(), 0, &tree), ms(1150));
-        let tight = Sts::with_config(StsConfig {
-            timeout_margin: SimDuration::from_millis(20),
-            ..StsConfig::default()
-        });
-        assert_eq!(tight.collection_deadline(&q(), 0, &tree), ms(1130));
-        // Margin larger than l clamps at s(k).
-        let clamped = Sts::with_config(StsConfig {
-            timeout_margin: SimDuration::from_secs(1),
-            ..StsConfig::default()
-        });
-        assert_eq!(clamped.collection_deadline(&q(), 0, &tree), ms(1100));
     }
 
     #[test]
@@ -386,7 +363,6 @@ mod tests {
         let tree = tree_info(&children);
         let mut per_rank = Sts::with_config(StsConfig {
             per_rank_reception: true,
-            ..StsConfig::default()
         });
         let e = per_rank.register(&q(), &tree, false);
         // Both children expected at l·(d−1) = φ + 50 ms — the paper's

@@ -1,15 +1,24 @@
 //! Experiment configuration, mirroring the paper's §5 setup.
+//!
+//! [`ExperimentConfig`] holds only what some run varies. The parts of
+//! §5 no run varies are constants in the module that reads them: the
+//! 125 m range and 300 m tree radius (`essat_net::topology`), the
+//! 802.11 MAC at 1 Mbps (`MacParams::paper`), the setup slot
+//! ([`SETUP_SLOT`]), AVG aggregation, DTS's timeout margin
+//! (`essat_core::dts::TIMEOUT_MARGIN`) and the self-healing tuning
+//! (`sim/repair.rs`).
 
-use essat_core::dts::DtsConfig;
 use essat_core::sts::StsConfig;
-use essat_net::mac::MacParams;
 use essat_net::radio::RadioParams;
-use essat_net::topology::{PAPER_NODE_COUNT, PAPER_RANGE_M, PAPER_TREE_RADIUS_M};
-use essat_query::aggregate::AggregateOp;
+use essat_net::topology::{PAPER_NODE_COUNT, PAPER_RANGE_M};
 use essat_scenario::spec::Scenario;
 use essat_sim::time::{SimDuration, SimTime};
 
 pub use crate::protocol::Protocol;
+
+/// Setup slot length: all radios stay on until then, and metrics start
+/// after it (§4.1).
+pub const SETUP_SLOT: SimDuration = SimDuration::from_millis(500);
 
 /// Specification of the periodic query workload.
 ///
@@ -25,8 +34,6 @@ pub struct WorkloadSpec {
     pub queries_per_class: u32,
     /// Start times are drawn uniformly from `[0, phase_window]`.
     pub phase_window: SimDuration,
-    /// Aggregation operator used by every query.
-    pub op: AggregateOp,
     /// Deadline override: `None` keeps the paper's `D = P`.
     pub deadline: Option<SimDuration>,
 }
@@ -39,7 +46,6 @@ impl WorkloadSpec {
             base_rate_hz,
             queries_per_class: 1,
             phase_window: SimDuration::from_secs(10),
-            op: AggregateOp::Avg,
             deadline: None,
         }
     }
@@ -109,62 +115,34 @@ impl GuardTime {
     }
 }
 
-/// The self-healing layer's knobs: link-quality estimation, parent-
+/// The self-healing layer's switch: link-quality estimation, parent-
 /// failure detection backoff, and the deadline-aware retransmission
-/// budget.
+/// budget, tuned by constants in `sim/repair.rs`.
 ///
-/// All defaults are chosen so a fault-free run is *bit-identical* with
+/// The layer is chosen so a fault-free run is *bit-identical* with
 /// repair enabled or disabled: link-quality EWMA updates are pure
 /// arithmetic on state nothing reads until a failure is detected, the
 /// repair timer only arms after consecutive delivery failures, and the
 /// retransmission budget only engages once a MAC retry budget has
 /// already been exhausted.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RepairConfig {
     /// Master switch. Disabling reverts to the pre-self-healing
     /// behaviour (synchronous §4.3 repair at detection, no collection-
     /// layer retransmissions); kept for the zero-cost A/B bench guard.
     pub enabled: bool,
-    /// EWMA smoothing factor for per-directed-link quality:
-    /// `q ← (1 − α)·q + α·outcome` per MAC ACK outcome.
-    pub ewma_alpha: f64,
-    /// Initial (seeded) quality for every directed link. Optimistic by
-    /// default: an untried link is assumed good until evidence arrives.
-    pub ewma_seed: f64,
-    /// First repair-timer delay after parent-failure detection; each
-    /// unsuccessful repair attempt doubles it (exponential backoff).
-    pub backoff_base: SimDuration,
-    /// Backoff ceiling.
-    pub backoff_cap: SimDuration,
-    /// Deadline slack `s` in the retransmission budget: a failed report
-    /// is re-dispatched only while `now + retry_cost ≤ deadline − s`.
-    pub budget_slack: SimDuration,
-    /// Upper bound on collection-layer re-dispatches per round (the
-    /// budget usually runs out first; this is the hard stop).
-    pub max_redispatch: u32,
 }
 
 impl Default for RepairConfig {
     fn default() -> Self {
-        RepairConfig {
-            enabled: true,
-            ewma_alpha: 0.3,
-            ewma_seed: 1.0,
-            backoff_base: SimDuration::from_millis(250),
-            backoff_cap: SimDuration::from_secs(8),
-            budget_slack: SimDuration::from_millis(5),
-            max_redispatch: 2,
-        }
+        RepairConfig { enabled: true }
     }
 }
 
 impl RepairConfig {
     /// Repair disabled entirely (the A/B bench baseline arm).
     pub fn disabled() -> Self {
-        RepairConfig {
-            enabled: false,
-            ..RepairConfig::default()
-        }
+        RepairConfig { enabled: false }
     }
 }
 
@@ -187,13 +165,9 @@ pub struct ExperimentConfig {
     pub nodes: u32,
     /// Deployment area side length in metres (square area).
     pub area_side: f64,
-    /// Communication range in metres.
-    pub range: f64,
     /// Interference (carrier-sense) range in metres; `None` keeps it
     /// equal to the communication range (one-range model).
     pub interference_range: Option<f64>,
-    /// Only nodes within this distance of the root join the tree.
-    pub tree_radius: f64,
     /// The protocol under test.
     pub protocol: Protocol,
     /// The query workload.
@@ -202,10 +176,6 @@ pub struct ExperimentConfig {
     pub duration: SimDuration,
     /// Radio model.
     pub radio: RadioParams,
-    /// MAC parameters.
-    pub mac: MacParams,
-    /// Setup slot length (all radios on until then; metrics start after).
-    pub setup_slot: SimDuration,
     /// Query dissemination mode.
     pub setup_mode: SetupMode,
     /// Random per-(frame, receiver) loss probability (§4.3 experiments).
@@ -216,13 +186,11 @@ pub struct ExperimentConfig {
     /// phases — a spec compiled at run start or a recorded trace
     /// replayed verbatim. `None` keeps the paper's static environment.
     pub scenario: Option<Scenario>,
-    /// STS tuning (timeout margin, reception granularity ablation).
+    /// STS tuning (reception granularity ablation).
     pub sts: StsConfig,
-    /// DTS tuning (collection timeout margin).
-    pub dts: DtsConfig,
     /// Adaptive guard time against clock desync (zero by default).
     pub clock_guard: GuardTime,
-    /// Self-healing layer (link-quality EWMA, repair backoff,
+    /// Self-healing layer switch (link-quality EWMA, repair backoff,
     /// retransmission budget). Enabled by default; fault-free runs are
     /// bit-identical either way.
     pub repair: RepairConfig,
@@ -237,21 +205,16 @@ impl ExperimentConfig {
         ExperimentConfig {
             nodes: PAPER_NODE_COUNT,
             area_side: 500.0,
-            range: PAPER_RANGE_M,
             interference_range: None,
-            tree_radius: PAPER_TREE_RADIUS_M,
             protocol,
             workload,
             duration: SimDuration::from_secs(200),
             radio: RadioParams::mica2(),
-            mac: MacParams::paper(),
-            setup_slot: SimDuration::from_millis(500),
             setup_mode: SetupMode::Idealized,
             drop_probability: 0.0,
             node_failures: Vec::new(),
             scenario: None,
             sts: StsConfig::default(),
-            dts: DtsConfig::default(),
             clock_guard: GuardTime::ZERO,
             repair: RepairConfig::default(),
             seed,
@@ -264,8 +227,6 @@ impl ExperimentConfig {
         ExperimentConfig {
             nodes: 40,
             area_side: 350.0,
-            range: PAPER_RANGE_M,
-            tree_radius: PAPER_TREE_RADIUS_M,
             duration: SimDuration::from_secs(50),
             ..ExperimentConfig::paper(protocol, workload, seed)
         }
@@ -315,9 +276,9 @@ impl ExperimentConfig {
     /// Panics on nonsensical parameters.
     pub fn validate(&self) {
         assert!(self.nodes > 0, "need at least one node");
-        assert!(self.area_side > 0.0 && self.range > 0.0);
+        assert!(self.area_side > 0.0);
         if let Some(ir) = self.interference_range {
-            assert!(ir >= self.range, "interference range below comm range");
+            assert!(ir >= PAPER_RANGE_M, "interference range below comm range");
         }
         assert!(!self.duration.is_zero(), "duration must be positive");
         assert!(self.workload.base_rate_hz > 0.0);
@@ -331,22 +292,6 @@ impl ExperimentConfig {
                 "scripted failure of node {node} at {at} is past the run end {end}"
             );
         }
-        assert!(
-            self.repair.ewma_alpha > 0.0 && self.repair.ewma_alpha <= 1.0,
-            "EWMA alpha must be in (0, 1]"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.repair.ewma_seed),
-            "EWMA seed quality must be in [0, 1]"
-        );
-        assert!(
-            !self.repair.backoff_base.is_zero(),
-            "repair backoff base must be positive"
-        );
-        assert!(
-            self.repair.backoff_cap >= self.repair.backoff_base,
-            "repair backoff cap below its base"
-        );
         if let Some(Scenario::Spec(spec)) = &self.scenario {
             spec.validate();
         }
@@ -362,7 +307,6 @@ mod tests {
         let cfg = ExperimentConfig::paper(Protocol::DtsSs, WorkloadSpec::paper(5.0), 1);
         cfg.validate();
         assert_eq!(cfg.nodes, 80);
-        assert_eq!(cfg.range, 125.0);
         assert_eq!(cfg.duration, SimDuration::from_secs(200));
         assert_eq!(cfg.workload.query_count(), 3);
     }
@@ -469,19 +413,6 @@ mod tests {
         let off = cfg.clone().with_repair(RepairConfig::disabled());
         off.validate();
         assert!(!off.repair.enabled);
-        assert_eq!(off.repair.ewma_alpha, cfg.repair.ewma_alpha);
-    }
-
-    #[test]
-    #[should_panic(expected = "EWMA alpha")]
-    fn repair_alpha_out_of_range_rejected() {
-        let bad = RepairConfig {
-            ewma_alpha: 1.5,
-            ..Default::default()
-        };
-        ExperimentConfig::quick(Protocol::DtsSs, WorkloadSpec::paper(1.0), 3)
-            .with_repair(bad)
-            .validate();
     }
 
     #[test]

@@ -119,7 +119,7 @@ impl Protocol {
         match cfg.protocol {
             Protocol::NtsSs => essat("NTS-SS", Box::new(Nts::new())),
             Protocol::StsSs => essat("STS-SS", Box::new(Sts::with_config(cfg.sts))),
-            Protocol::DtsSs => essat("DTS-SS", Box::new(Dts::with_config(cfg.dts))),
+            Protocol::DtsSs => essat("DTS-SS", Box::new(Dts::new())),
             Protocol::TagSs => essat("TAG-SS", Box::new(Tag::new())),
             Protocol::Sync => Box::new(SyncPolicy::new(SyncSchedule::paper(), env.run_end)),
             Protocol::Psm => Box::new(PsmPolicy::new(PsmSchedule::paper(), env.run_end)),

@@ -3,7 +3,7 @@
 
 use essat_core::policy::SleepTrigger;
 use essat_net::ids::NodeId;
-use essat_net::mac::Mac;
+use essat_net::mac::{Mac, MacParams};
 use essat_obs::Probe;
 use essat_query::model::QueryId;
 use essat_sim::engine::Context;
@@ -123,7 +123,7 @@ impl<P: Probe> World<P> {
             n.died_at = None;
             n.revivals += 1;
             n.radio.resurrect(now);
-            let old = std::mem::replace(&mut n.mac, Mac::new(node, self.cfg.mac, mac_rng));
+            let old = std::mem::replace(&mut n.mac, Mac::new(node, MacParams::paper(), mac_rng));
             let ms = old.stats();
             self.mac_lost.enqueued += ms.enqueued;
             self.mac_lost.data_tx += ms.data_tx;

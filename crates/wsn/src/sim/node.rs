@@ -41,7 +41,7 @@ pub(crate) struct RoundState {
     pub(crate) piggyback: Option<SimTime>,
     pub(crate) release_planned: bool,
     /// Deadline-budgeted re-dispatches already spent on this round's
-    /// report (capped by [`crate::config::RepairConfig::max_redispatch`]).
+    /// report (capped by `MAX_REDISPATCH` in `sim/repair.rs`).
     pub(crate) redispatches: u32,
 }
 

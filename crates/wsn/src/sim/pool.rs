@@ -33,7 +33,7 @@ use essat_net::frame::Frame;
 use essat_net::geometry::Area;
 use essat_net::ids::NodeId;
 use essat_net::mac::MacAction;
-use essat_net::topology::Topology;
+use essat_net::topology::{Topology, PAPER_RANGE_M, PAPER_TREE_RADIUS_M};
 use essat_query::tree::RoutingTree;
 use essat_sim::queue::EventQueue;
 use essat_sim::rng::SimRng;
@@ -70,7 +70,8 @@ impl WorldScratch {
 }
 
 /// The immutable products of world construction that depend only on
-/// `(nodes, area, range, interference range, tree radius, seed)`:
+/// `(nodes, area, interference range, seed)` (range and tree radius are
+/// the paper's constants):
 /// shared across every protocol and repetition at the same sweep point.
 #[derive(Debug)]
 pub(crate) struct Prebuilt {
@@ -89,12 +90,12 @@ impl Prebuilt {
         let master = SimRng::seed_from_u64(cfg.seed);
         let mut topo_rng = master.derive(1);
         let area = Area::new(cfg.area_side, cfg.area_side);
-        let mut topo = Topology::random(cfg.nodes, area, cfg.range, &mut topo_rng);
+        let mut topo = Topology::random(cfg.nodes, area, PAPER_RANGE_M, &mut topo_rng);
         if let Some(ir) = cfg.interference_range {
             topo = topo.with_interference_range(ir);
         }
         let root = topo.closest_to_center();
-        let tree = RoutingTree::build(&topo, root, Some(cfg.tree_radius));
+        let tree = RoutingTree::build(&topo, root, Some(PAPER_TREE_RADIUS_M));
         let adj = Arc::new(ChannelAdjacency::build(&topo));
         Prebuilt {
             topo: Arc::new(topo),
@@ -106,15 +107,15 @@ impl Prebuilt {
 }
 
 /// Everything [`Prebuilt::build`] reads from the config, as a hashable
-/// key (floats by bit pattern — configs are constructed, not computed,
-/// so bitwise equality is the right notion of "same sweep point").
+/// key. Range and tree radius are the paper's constants, so they are
+/// not part of it. Floats are keyed by bit pattern: configs are
+/// constructed, not computed, so bitwise equality is the right notion
+/// of "same sweep point".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct BuildKey {
     nodes: u32,
     area_side: u64,
-    range: u64,
     interference_range: Option<u64>,
-    tree_radius: u64,
     seed: u64,
 }
 
@@ -123,9 +124,7 @@ impl BuildKey {
         BuildKey {
             nodes: cfg.nodes,
             area_side: cfg.area_side.to_bits(),
-            range: cfg.range.to_bits(),
             interference_range: cfg.interference_range.map(f64::to_bits),
-            tree_radius: cfg.tree_radius.to_bits(),
             seed: cfg.seed,
         }
     }

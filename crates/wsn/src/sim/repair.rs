@@ -16,12 +16,15 @@
 //!   suspect again *cancels the event on the queue* (the PR 9
 //!   cancel-on-disarm discipline), and a dispatched expiry re-verifies
 //!   the detection before touching the tree. A failed repair re-arms
-//!   with doubled delay up to [`crate::config::RepairConfig`]'s cap.
+//!   with doubled delay up to [`BACKOFF_CAP`].
 //! * **Quality-driven re-parenting** — a node that lost its parent
 //!   moves itself (subtree and all) under the best live neighbour by
 //!   (depth, link quality, lowest id); after any repair an adoption
 //!   sweep re-admits orphaned subtrees to fixpoint, which is what lets
 //!   a partitioned collection tree actually recover.
+//!
+//! The tuning below is fixed; [`crate::config::RepairConfig`] holds
+//! only the on/off switch.
 //!
 //! The layer activates only when the run can fault at all
 //! ([`faults_possible`]): with `repair.enabled = false` — or on
@@ -34,6 +37,7 @@
 use essat_core::policy::PolicyTimer;
 use essat_net::frame::{Dest, Frame};
 use essat_net::ids::NodeId;
+use essat_net::mac::MacParams;
 use essat_net::topology::Topology;
 use essat_obs::Probe;
 use essat_query::round::RoundKey;
@@ -47,6 +51,24 @@ use super::events::Ev;
 use super::world::World;
 use crate::config::ExperimentConfig;
 use crate::payload::Payload;
+
+/// EWMA smoothing factor for per-directed-link quality:
+/// `q ← (1 − α)·q + α·outcome` per MAC ACK outcome.
+const EWMA_ALPHA: f64 = 0.3;
+/// Initial (seeded) quality for every directed link. Optimistic: an
+/// untried link is assumed good until evidence arrives.
+const EWMA_SEED: f64 = 1.0;
+/// First repair-timer delay after parent-failure detection; each
+/// unsuccessful repair attempt doubles it (exponential backoff).
+const BACKOFF_BASE: SimDuration = SimDuration::from_millis(250);
+/// Backoff ceiling.
+const BACKOFF_CAP: SimDuration = SimDuration::from_secs(8);
+/// Deadline slack `s` in the retransmission budget: a failed report is
+/// re-dispatched only while `now + retry_cost ≤ deadline − s`.
+const BUDGET_SLACK: SimDuration = SimDuration::from_millis(5);
+/// Upper bound on collection-layer re-dispatches per round (the budget
+/// usually runs out first; this is the hard stop).
+const MAX_REDISPATCH: u32 = 2;
 
 /// One directed-link EWMA fold: the estimate after a unicast MAC cycle
 /// that took `attempts` tries and ended in `delivered`. A success after
@@ -141,7 +163,7 @@ impl RepairState {
             faults_possible,
             active,
             link_q: if active {
-                vec![cfg.repair.ewma_seed; n * n]
+                vec![EWMA_SEED; n * n]
             } else {
                 Vec::new()
             },
@@ -176,10 +198,9 @@ impl<P: Probe> World<P> {
         if !self.repair.active {
             return;
         }
-        let a = self.cfg.repair.ewma_alpha;
         let n = self.topo.node_count();
         let slot = &mut self.repair.link_q[src.index() * n + dst.index()];
-        *slot = link_ewma_step(*slot, a, attempts, delivered);
+        *slot = link_ewma_step(*slot, EWMA_ALPHA, attempts, delivered);
     }
 
     /// Runs `f` with the tree, the topology, and the directed
@@ -272,13 +293,12 @@ impl<P: Probe> World<P> {
         self.repair.target[i] = Some(target);
     }
 
-    /// `backoff_base * 2^level`, capped — the schedule DESIGN.md's
-    /// self-healing section documents.
+    /// `BACKOFF_BASE * 2^level`, capped at `BACKOFF_CAP` — the
+    /// schedule DESIGN.md's self-healing section documents.
     fn repair_backoff_delay(&self, i: usize) -> SimDuration {
-        let r = &self.cfg.repair;
-        let d = r.backoff_base * (1u64 << self.repair.backoff[i].min(16));
-        if d > r.backoff_cap {
-            r.backoff_cap
+        let d = BACKOFF_BASE * (1u64 << self.repair.backoff[i].min(16));
+        if d > BACKOFF_CAP {
+            BACKOFF_CAP
         } else {
             d
         }
@@ -478,8 +498,7 @@ impl<P: Probe> World<P> {
         mut frame: Frame<Payload>,
         ctx: &mut Context<'_, Ev>,
     ) -> bool {
-        let r = self.cfg.repair;
-        if !self.repair.active || r.max_redispatch == 0 {
+        if !self.repair.active {
             return false;
         }
         let Some(parent) = self.tree.parent(node) else {
@@ -487,11 +506,11 @@ impl<P: Probe> World<P> {
         };
         let q = self.query(qi);
         let now = ctx.now();
-        let mac = self.cfg.mac;
+        let mac = MacParams::paper();
         let retry_cost =
             (frame.airtime(mac.bitrate_bps) + mac.ack_timeout()) * mac.retry_limit as u64;
         let deadline = q.round_start(k) + q.deadline;
-        if now + retry_cost > deadline.saturating_sub(r.budget_slack) {
+        if now + retry_cost > deadline.saturating_sub(BUDGET_SLACK) {
             return false; // hopeless: the deadline cannot be met
         }
         let key = RoundKey {
@@ -501,7 +520,7 @@ impl<P: Probe> World<P> {
         let Some(rs) = self.nodes[node.index()].rounds.get_mut(&key) else {
             return false;
         };
-        if rs.redispatches >= r.max_redispatch {
+        if rs.redispatches >= MAX_REDISPATCH {
             return false;
         }
         rs.redispatches += 1;

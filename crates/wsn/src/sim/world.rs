@@ -7,12 +7,12 @@ use essat_core::shaper::TreeInfo;
 use essat_net::channel::{Channel, TxEndBuf};
 use essat_net::frame::Frame;
 use essat_net::ids::NodeId;
-use essat_net::mac::{Mac, MacTimer};
+use essat_net::mac::{Mac, MacParams, MacTimer};
 use essat_net::radio::Radio;
 use essat_net::topology::Topology;
 use essat_obs::profile::RunTimings;
 use essat_obs::{NullProbe, Probe, SampleView};
-use essat_query::aggregate::AggState;
+use essat_query::aggregate::{AggState, AggregateOp};
 use essat_query::model::{Query, QueryId};
 use essat_query::tree::RoutingTree;
 use essat_scenario::compile::CompiledScenario;
@@ -26,7 +26,7 @@ use essat_sim::time::SimTime;
 use super::events::Ev;
 use super::node::{NodeState, RadioSnapshot, CHILD_FAIL_THRESHOLD, PARENT_FAIL_THRESHOLD};
 use super::pool::{BuildCache, Prebuilt, WorldScratch};
-use crate::config::{ExperimentConfig, SetupMode};
+use crate::config::{ExperimentConfig, SetupMode, SETUP_SLOT};
 use crate::metrics::{LifetimeStats, MacTotals, NodeMetrics, QueryMetrics, RunResult};
 use crate::payload::Payload;
 use crate::protocol::{PolicyEnv, PolicyFactory, Protocol};
@@ -273,7 +273,7 @@ impl<P: Probe> World<P> {
                 let phase = SimTime::from_secs_f64(
                     phase_rng.range_f64(0.0, cfg.workload.phase_window.as_secs_f64()),
                 );
-                let mut q = Query::periodic(id, period, phase, cfg.workload.op);
+                let mut q = Query::periodic(id, period, phase, AggregateOp::Avg);
                 if let Some(d) = cfg.workload.deadline {
                     q = q.with_deadline(d);
                 }
@@ -284,7 +284,7 @@ impl<P: Probe> World<P> {
         let source_count = queries.iter().map(|_| member_count).collect();
 
         let run_end = SimTime::ZERO + cfg.duration;
-        let measure_from = SimTime::ZERO + cfg.setup_slot;
+        let measure_from = SimTime::ZERO + SETUP_SLOT;
 
         // The policy factory sees the finished tree (SPAN derives its
         // backbone from it) and builds one policy per node.
@@ -295,7 +295,11 @@ impl<P: Probe> World<P> {
             .map(|id| NodeState {
                 policy: factory(&cfg, id, &env),
                 radio: Radio::new(cfg.radio),
-                mac: Mac::new(id, cfg.mac, master.derive2(4, id.as_u32() as u64)),
+                mac: Mac::new(
+                    id,
+                    MacParams::paper(),
+                    master.derive2(4, id.as_u32() as u64),
+                ),
                 mac_ev: [None; MacTimer::COUNT],
                 died_at: None,
                 participating: BTreeSet::new(),
@@ -333,8 +337,8 @@ impl<P: Probe> World<P> {
         let mut forced_windows = Vec::new();
         if cfg.setup_mode == SetupMode::Flooded {
             for q in &queries {
-                let start = q.phase.saturating_sub(cfg.setup_slot);
-                forced_windows.push((start, start + cfg.setup_slot));
+                let start = q.phase.saturating_sub(SETUP_SLOT);
+                forced_windows.push((start, start + SETUP_SLOT));
             }
         }
 
@@ -411,7 +415,7 @@ impl<P: Probe> World<P> {
             }
             SetupMode::Flooded => {
                 for (qi, q) in world.queries.iter().enumerate() {
-                    let issue = q.phase.saturating_sub(world.cfg.setup_slot);
+                    let issue = q.phase.saturating_sub(SETUP_SLOT);
                     initial.push((issue, Ev::FloodIssue { query: qi }));
                     for node in world.tree.members() {
                         initial.push((issue, Ev::ForceWake { node: *node }));

@@ -11,7 +11,7 @@
 //! ```
 
 use essat::net::ids::NodeId;
-use essat::net::topology::Topology;
+use essat::net::topology::{Topology, PAPER_RANGE_M, PAPER_TREE_RADIUS_M};
 use essat::query::tree::RoutingTree;
 use essat::sim::rng::SimRng;
 use essat::sim::time::{SimDuration, SimTime};
@@ -28,11 +28,11 @@ fn main() {
     let topo = Topology::random(
         base.nodes,
         essat::net::geometry::Area::new(base.area_side, base.area_side),
-        base.range,
+        PAPER_RANGE_M,
         &mut topo_rng,
     );
     let root = topo.closest_to_center();
-    let tree = RoutingTree::build(&topo, root, Some(base.tree_radius));
+    let tree = RoutingTree::build(&topo, root, Some(PAPER_TREE_RADIUS_M));
     let victim = tree
         .members()
         .iter()

@@ -1,6 +1,7 @@
 //! §4.3 robustness: transient loss, node failure, and recovery — the
 //! paper's protocol-maintenance behaviours, asserted end to end.
 
+use essat::net::topology::PAPER_RANGE_M;
 use essat::scenario::presets;
 use essat::scenario::spec::Scenario;
 use essat::sim::time::{SimDuration, SimTime};
@@ -173,7 +174,7 @@ fn interference_range_still_functions() {
     let one = runner::run_one(&cfg(Protocol::DtsSs, 61));
     let two = {
         let mut c = cfg(Protocol::DtsSs, 61);
-        c.interference_range = Some(c.range * 1.8);
+        c.interference_range = Some(PAPER_RANGE_M * 1.8);
         runner::run_one(&c)
     };
     assert_ne!(
