@@ -43,7 +43,7 @@ pub mod sts;
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::dts::Dts;
-    pub use crate::maintenance::{FailureDetector, LossDetector, LossObservation, ResyncPolicy};
+    pub use crate::maintenance::{FailureDetector, LossDetector, LossObservation};
     pub use crate::nts::Nts;
     pub use crate::policy::{
         EssatPolicy, NodeView, PolicyAction, PolicyTimer, PowerPolicy, SleepTrigger,

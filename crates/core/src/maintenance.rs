@@ -4,8 +4,10 @@
 //! * [`LossDetector`] — watches the round numbers (sequence numbers) of
 //!   received reports per `(query, child)` and reports gaps. For DTS, a
 //!   gap combined with a missing piggyback means the parent's phase may
-//!   be stale, triggering a *phase-update request* to the child
-//!   ([`ResyncPolicy`]).
+//!   be stale ("Otherwise, the receiver requests a phase update from
+//!   the sender"). The `essat-wsn` report handler then marks the child's
+//!   phase stale and asks for a *phase update* on the ACK of each report
+//!   from that child until a piggybacked phase clears the mark.
 //! * [`FailureDetector`] — counts **consecutive** misses. A parent whose
 //!   child repeatedly fails to deliver declares the child failed and
 //!   drops its expectations; a child that repeatedly fails to transmit
@@ -88,27 +90,6 @@ impl LossDetector {
     /// Forgets a query.
     pub fn remove_query(&mut self, q: QueryId) {
         self.last_round.retain(|&(qq, _), _| qq != q);
-    }
-}
-
-/// Decides when a gap warrants an explicit phase-update request (§4.3,
-/// DTS only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResyncPolicy {
-    /// Whether the active shaper resynchronises via phase updates (DTS).
-    pub shaper_uses_phases: bool,
-}
-
-impl ResyncPolicy {
-    /// True if the parent should request a phase update from the child:
-    /// the shaper depends on phases, reports were lost, and the report
-    /// that finally arrived did **not** carry a fresh phase.
-    ///
-    /// ("If the data report received after the transient packet drop(s)
-    /// contains a phase update, this phase is used as the new phase …
-    /// Otherwise, the receiver requests a phase update from the sender.")
-    pub fn should_request_phase(self, obs: LossObservation, had_piggyback: bool) -> bool {
-        self.shaper_uses_phases && matches!(obs, LossObservation::Gap { .. }) && !had_piggyback
     }
 }
 
@@ -232,24 +213,6 @@ mod tests {
         d.observe(q(1), n(2), 3);
         d.remove_query(q(1));
         assert_eq!(d.observe(q(1), n(2), 0), LossObservation::First);
-    }
-
-    #[test]
-    fn resync_policy_matrix() {
-        let dts = ResyncPolicy {
-            shaper_uses_phases: true,
-        };
-        let nts = ResyncPolicy {
-            shaper_uses_phases: false,
-        };
-        let gap = LossObservation::Gap { missed: 1 };
-        assert!(dts.should_request_phase(gap, false), "gap w/o phase -> ask");
-        assert!(
-            !dts.should_request_phase(gap, true),
-            "piggybacked phase already resyncs"
-        );
-        assert!(!dts.should_request_phase(LossObservation::InOrder, false));
-        assert!(!nts.should_request_phase(gap, false), "NTS never asks");
     }
 
     #[test]
