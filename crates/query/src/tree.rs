@@ -293,44 +293,16 @@ impl RoutingTree {
 
         let mut reattached = Vec::new();
         for orphan in orphans {
-            // Candidate parents: surviving member neighbours outside the
-            // orphan's own subtree.
-            let mut best: Option<(u32, f64, NodeId)> = None;
-            for &cand in topology.neighbors(orphan) {
-                if cand == failed || !self.member[cand.index()] {
-                    continue;
-                }
-                if self.is_descendant_via(cand, orphan, failed) {
-                    continue;
-                }
-                if let Some(lvl) = self.level[cand.index()] {
-                    let q = quality(orphan, cand);
-                    // A non-finite quality is a veto (the simulator
-                    // encodes "candidate is dead" as -inf): skip, don't
-                    // merely deprioritise — level dominates the order.
-                    if !q.is_finite() {
-                        continue;
-                    }
-                    let better = match best {
-                        None => true,
-                        Some((bl, bq, bid)) => {
-                            lvl < bl || (lvl == bl && (q > bq || (q == bq && cand < bid)))
-                        }
-                    };
-                    if better {
-                        best = Some((lvl, q, cand));
-                    }
-                }
-            }
-            match best {
-                Some((_, _, new_parent)) => {
+            // Candidate parents: surviving members (the failed node no
+            // longer is one) outside the orphan's own subtree.
+            let skip = |cand| self.is_descendant_via(cand, orphan, failed);
+            match self.best_parent(topology, orphan, quality, skip) {
+                Some(new_parent) => {
                     self.parent[orphan.index()] = Some(new_parent);
                     reattached.push(orphan);
                 }
-                None => {
-                    // Orphan subtree drops out of the tree.
-                    self.drop_subtree(orphan);
-                }
+                // Orphan subtree drops out of the tree.
+                None => self.drop_subtree(orphan),
             }
         }
 
@@ -343,6 +315,7 @@ impl RoutingTree {
     /// recovery). The node attaches as a leaf under its best member
     /// neighbour — lowest level, ties by lowest id, the same rule
     /// [`RoutingTree::build`] uses — and levels/ranks are recomputed.
+    /// This is [`RoutingTree::adopt_orphan`] under a flat quality.
     ///
     /// Returns the new parent, or `None` if no member neighbour is in
     /// range (the node stays outside the tree; a later recovery of a
@@ -354,27 +327,7 @@ impl RoutingTree {
     /// Panics if `node` is the root (the base station never leaves the
     /// tree).
     pub fn rejoin_node(&mut self, topology: &Topology, node: NodeId) -> Option<NodeId> {
-        assert!(node != self.root, "the root never leaves the tree");
-        if self.member[node.index()] {
-            return self.parent[node.index()];
-        }
-        let mut best: Option<(u32, NodeId)> = None;
-        for &cand in topology.neighbors(node) {
-            if !self.member[cand.index()] {
-                continue;
-            }
-            if let Some(lvl) = self.level[cand.index()] {
-                let key = (lvl, cand);
-                if best.map(|b| key < b).unwrap_or(true) {
-                    best = Some(key);
-                }
-            }
-        }
-        let (_, new_parent) = best?;
-        self.parent[node.index()] = Some(new_parent);
-        self.recompute_levels();
-        self.rebuild_derived();
-        Some(new_parent)
+        self.adopt_orphan(topology, node, &|_, _| 1.0)
     }
 
     /// Moves a live member — together with its entire subtree — under a
@@ -402,34 +355,10 @@ impl RoutingTree {
         assert!(node != self.root, "the root never re-parents");
         assert!(self.member[node.index()], "{node} is not a tree member");
         let old_parent = self.parent[node.index()];
-        let mut best: Option<(u32, f64, NodeId)> = None;
-        for &cand in topology.neighbors(node) {
-            if !self.member[cand.index()] || Some(cand) == old_parent {
-                continue;
-            }
-            // Acyclicity: never attach under one's own descendant.
-            if self.is_descendant(cand, node) {
-                continue;
-            }
-            let Some(lvl) = self.level[cand.index()] else {
-                continue;
-            };
-            let q = quality(node, cand);
-            // Non-finite quality is a veto (see `fail_node_by`).
-            if !q.is_finite() {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                Some((bl, bq, bid)) => {
-                    lvl < bl || (lvl == bl && (q > bq || (q == bq && cand < bid)))
-                }
-            };
-            if better {
-                best = Some((lvl, q, cand));
-            }
-        }
-        let (_, _, new_parent) = best?;
+        // Acyclicity: never attach under one's own descendant.
+        let new_parent = self.best_parent(topology, node, quality, |cand| {
+            Some(cand) == old_parent || self.is_descendant(cand, node)
+        })?;
         self.parent[node.index()] = Some(new_parent);
         self.recompute_levels();
         self.rebuild_derived();
@@ -439,10 +368,10 @@ impl RoutingTree {
     /// Re-admits an orphaned (non-member, still alive) node under its
     /// best member neighbour — lowest level, then highest
     /// `quality(orphan, candidate)`, then lowest id. The link-quality
-    /// tie-break is what distinguishes this from
-    /// [`RoutingTree::rejoin_node`]: a recovering network prefers the
-    /// parent it can actually talk to. Idempotent: adopting a current
-    /// member returns its existing parent and changes nothing.
+    /// tie-break lets a recovering network prefer the parent it can
+    /// actually talk to; [`RoutingTree::rejoin_node`] is the flat-quality
+    /// case. Idempotent: adopting a current member returns its existing
+    /// parent and changes nothing.
     ///
     /// Returns the new parent, or `None` when no member neighbour is in
     /// range (a later adoption of a bridging node may let it back in —
@@ -461,16 +390,35 @@ impl RoutingTree {
         if self.member[orphan.index()] {
             return self.parent[orphan.index()];
         }
+        let new_parent = self.best_parent(topology, orphan, quality, |_| false)?;
+        self.parent[orphan.index()] = Some(new_parent);
+        self.recompute_levels();
+        self.rebuild_derived();
+        Some(new_parent)
+    }
+
+    /// The parent rule every repair shares: among `node`'s member
+    /// neighbours that `skip` does not exclude, the lowest level, then
+    /// the highest `quality(node, candidate)`, then the lowest id. A
+    /// non-finite quality is a veto (the simulator encodes "candidate is
+    /// dead" as -inf): the candidate is skipped, not merely
+    /// deprioritised, because level dominates the order.
+    fn best_parent(
+        &self,
+        topology: &Topology,
+        node: NodeId,
+        quality: &dyn Fn(NodeId, NodeId) -> f64,
+        skip: impl Fn(NodeId) -> bool,
+    ) -> Option<NodeId> {
         let mut best: Option<(u32, f64, NodeId)> = None;
-        for &cand in topology.neighbors(orphan) {
-            if !self.member[cand.index()] {
+        for &cand in topology.neighbors(node) {
+            if !self.member[cand.index()] || skip(cand) {
                 continue;
             }
             let Some(lvl) = self.level[cand.index()] else {
                 continue;
             };
-            let q = quality(orphan, cand);
-            // Non-finite quality is a veto (see `fail_node_by`).
+            let q = quality(node, cand);
             if !q.is_finite() {
                 continue;
             }
@@ -484,11 +432,7 @@ impl RoutingTree {
                 best = Some((lvl, q, cand));
             }
         }
-        let (_, _, new_parent) = best?;
-        self.parent[orphan.index()] = Some(new_parent);
-        self.recompute_levels();
-        self.rebuild_derived();
-        Some(new_parent)
+        best.map(|(_, _, p)| p)
     }
 
     /// `is_descendant` that tolerates the broken parent pointers present
