@@ -17,7 +17,8 @@
 //!
 //! The executor also aggregates the run statistics —
 //! wall-clock, events processed, events/second, peak event-queue depth —
-//! that the `essat-figures` binary writes to `BENCH_harness.json`.
+//! that the `essat-figures` binary writes to its `--bench-json` record
+//! (the committed one is `BENCH_harness.json`).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

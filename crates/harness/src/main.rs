@@ -21,8 +21,8 @@
 //! --csv DIR    also write each figure as CSV into DIR, plus
 //!              digests.txt: one `RunResult::digest()` per job
 //! --threads N  worker threads (default: all cores)
-//! --bench-json PATH  where to write the run's performance record
-//!              (default: BENCH_harness.json in the working directory)
+//! --bench-json PATH  write the run's performance record to PATH
+//!              (none is written without it)
 //! --trace PATH       run the first planned cell once more with the
 //!              timeline tracer attached and write the per-node trace:
 //!              Chrome/Perfetto JSON, or compact JSONL if PATH ends in
@@ -38,10 +38,11 @@
 //!
 //! All requested figures share one [`SweepExecutor`]: the whole
 //! `(figure, sweep point, protocol, repetition)` grid drains across all
-//! cores with no per-point barrier, and the executor's aggregate
-//! statistics (wall-clock, events/second, peak event-queue depth) are
-//! written to `BENCH_harness.json` so the performance trajectory is
-//! tracked run over run.
+//! cores with no per-point barrier. The executor's aggregate
+//! statistics (wall-clock, events/second, peak event-queue depth) go to
+//! stderr, and with `--bench-json` into a JSON record; the committed
+//! `BENCH_harness.json` is one, which tracks the performance trajectory
+//! run over run.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -65,7 +66,7 @@ fn main() {
     let mut seed = 2024u64;
     let mut csv_dir: Option<PathBuf> = None;
     let mut threads: Option<usize> = None;
-    let mut bench_json = PathBuf::from("BENCH_harness.json");
+    let mut bench_json: Option<PathBuf> = None;
     let mut failures_json = PathBuf::from("FAILURES_harness.json");
     let mut trace_path: Option<PathBuf> = None;
     let mut sample_period: Option<f64> = None;
@@ -118,10 +119,10 @@ fn main() {
                 ));
             }
             "--bench-json" => {
-                bench_json = PathBuf::from(
+                bench_json = Some(PathBuf::from(
                     it.next()
                         .unwrap_or_else(|| usage("--bench-json needs a path")),
-                );
+                ));
             }
             "--failures-json" => {
                 failures_json = PathBuf::from(
@@ -454,27 +455,29 @@ fn main() {
         }
     }
 
-    // Performance record: one JSON document per invocation, stamped
-    // with the workload descriptor so the CI bench gate refuses to
-    // compare throughput across different job sets.
-    let planned: Vec<&str> = spans.iter().map(|&(k, _, _)| k).collect();
-    let scale_key = match scale {
-        Scale::Quick => "quick",
-        Scale::Paper => "paper",
-    };
-    let workload = essat_harness::executor::Workload::new(&planned, scale_key, seed, &cells);
     let stats = exec.stats();
-    let json = stats.to_json_with(exec.threads(), Some(&workload));
-    match std::fs::write(&bench_json, &json) {
-        Ok(()) => eprintln!(
-            "# {}: {} runs, {:.1}s wall, {:.0} events/s, peak queue {}",
-            bench_json.display(),
-            stats.jobs,
-            stats.wall.as_secs_f64(),
-            stats.events_per_sec(),
-            stats.peak_queue_depth
-        ),
-        Err(e) => eprintln!("# could not write {}: {e}", bench_json.display()),
+    eprintln!(
+        "# {} runs, {:.1}s wall, {:.0} events/s, peak queue {}",
+        stats.jobs,
+        stats.wall.as_secs_f64(),
+        stats.events_per_sec(),
+        stats.peak_queue_depth
+    );
+    // Performance record, only when asked for: one JSON document per
+    // invocation, stamped with the workload descriptor so the CI bench
+    // gate refuses to compare throughput across different job sets.
+    if let Some(path) = &bench_json {
+        let planned: Vec<&str> = spans.iter().map(|&(k, _, _)| k).collect();
+        let scale_key = match scale {
+            Scale::Quick => "quick",
+            Scale::Paper => "paper",
+        };
+        let workload = essat_harness::executor::Workload::new(&planned, scale_key, seed, &cells);
+        let json = stats.to_json_with(exec.threads(), Some(&workload));
+        match std::fs::write(path, &json) {
+            Ok(()) => eprintln!("# wrote {}", path.display()),
+            Err(e) => eprintln!("# could not write {}: {e}", path.display()),
+        }
     }
     if let Some(path) = &profile_path {
         match std::fs::write(path, exec.profile_perfetto()) {
