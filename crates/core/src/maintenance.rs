@@ -7,7 +7,9 @@
 //!   be stale ("Otherwise, the receiver requests a phase update from
 //!   the sender"). The `essat-wsn` report handler then marks the child's
 //!   phase stale and asks for a *phase update* on the ACK of each report
-//!   from that child until a piggybacked phase clears the mark.
+//!   from that child until a piggybacked phase clears the mark. A round
+//!   a traffic phase silences is not a loss: [`LossDetector::skip`]
+//!   moves the child past it.
 //! * [`FailureDetector`] — counts **consecutive** misses. A parent whose
 //!   child repeatedly fails to deliver declares the child failed and
 //!   drops its expectations; a child that repeatedly fails to transmit
@@ -79,6 +81,18 @@ impl LossDetector {
                 }
             }
             Some(_) => LossObservation::Stale,
+        }
+    }
+
+    /// Advances `child` past quiet round `k`, a round a traffic phase
+    /// silenced on schedule: nobody sent it, so its absence is no loss.
+    /// Only a child whose last round is `k − 1` moves; a gap that is
+    /// already open stays open.
+    pub fn skip(&mut self, q: QueryId, child: NodeId, k: u64) {
+        if let Some(last) = self.last_round.get_mut(&(q, child)) {
+            if *last + 1 == k {
+                *last = k;
+            }
         }
     }
 
@@ -202,6 +216,21 @@ mod tests {
         assert_eq!(d.observe(q(0), n(1), 1), LossObservation::InOrder);
         assert_eq!(d.observe(q(1), n(1), 8), LossObservation::InOrder);
         assert_eq!(d.observe(q(0), n(2), 4), LossObservation::InOrder);
+    }
+
+    #[test]
+    fn skipped_rounds_are_not_gaps() {
+        let mut d = LossDetector::new();
+        d.observe(q(0), n(1), 0);
+        d.skip(q(0), n(1), 1);
+        d.skip(q(0), n(1), 2);
+        assert_eq!(d.observe(q(0), n(1), 3), LossObservation::InOrder);
+        // A gap opened before the quiet round stays open.
+        d.skip(q(0), n(1), 5);
+        assert_eq!(d.observe(q(0), n(1), 6), LossObservation::Gap { missed: 2 });
+        // An unseen child stays unseen.
+        d.skip(q(0), n(2), 0);
+        assert_eq!(d.observe(q(0), n(2), 1), LossObservation::First);
     }
 
     #[test]

@@ -217,6 +217,10 @@ impl<P: Probe> World<P> {
         let tv = self.tree_view(node);
         let _ = ctx;
         let n = &mut self.nodes[node.index()];
+        // No child sends a quiet round, so its absence is not a loss.
+        for &child in &expected {
+            n.loss.skip(q.id, child, k);
+        }
         // Mark the round finished so a straggler report cannot reopen it.
         n.done
             .entry(qi)

@@ -49,9 +49,10 @@ fn transient_loss_degrades_gracefully() {
 /// Light loss is fully absorbed by MAC retries (7 attempts make the
 /// end-to-end frame loss ~(1−(1−p)²)⁷ ≈ 0), so report-level *gaps* only
 /// appear under heavy loss — hence the 40% injection. Resynchronisation
-/// is sender-driven here (a failed exchange forces a phase update onto
-/// the next report), which pre-empts most receiver-side requests; the
-/// observable is therefore extra piggybacked phases, not request
+/// is sender-driven: a failed send forces a phase update onto the next
+/// report (`EssatPolicy::on_report_failed`), so every gap arrives with a
+/// piggyback and the parent requests nothing (0 requests at this seed).
+/// The observable is therefore extra piggybacked phases, not request
 /// packets.
 #[test]
 fn dts_resynchronises_under_loss() {
@@ -76,6 +77,18 @@ fn dts_resynchronises_under_loss() {
     let nts = runner::run_one(&cfg(Protocol::NtsSs, 43).with_drop_probability(0.40));
     assert_eq!(nts.phase_piggybacks, 0, "NTS never piggybacks");
     assert_eq!(nts.phase_requests, 0, "NTS never requests resync");
+}
+
+/// Quiet traffic-phase rounds are silence by schedule, not loss: under
+/// the `diurnal` preset DTS follows the phase schedule with no phase
+/// requests and no resynchronisations.
+#[test]
+fn quiet_rounds_are_not_losses() {
+    let base = cfg(Protocol::DtsSs, 2024);
+    let spec = presets::diurnal(base.duration);
+    let r = runner::run_one(&base.with_scenario(Scenario::Spec(spec)));
+    assert_eq!(r.phase_requests, 0, "a quiet round read as a loss");
+    assert_eq!(r.resync_events, 0, "a quiet round read as a loss");
 }
 
 /// A failed relay is detected and routed around; reporting continues.
