@@ -4,7 +4,7 @@
 //! figure's sweep at reduced (`quick`) scale, so `cargo bench` finishes
 //! in minutes while still exercising exactly the code paths the figure
 //! uses. The full-sweep, paper-scale regeneration is the
-//! `essat-figures` binary (see EXPERIMENTS.md).
+//! `essat-figures` binary.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

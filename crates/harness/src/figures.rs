@@ -1,41 +1,45 @@
-//! One builder per figure of the paper's evaluation (§5).
+//! The paper's evaluation (§5) as one table.
 //!
-//! | builder | paper figure | series |
-//! |---------|--------------|--------|
-//! | [`fig2_deadline`] | Fig. 2 | STS-SS duty cycle & query latency vs deadline |
-//! | [`rate_sweep`] | Figs. 3 & 6 | duty / latency vs base rate, all protocols |
-//! | [`query_sweep`] | Figs. 4 & 7 | duty / latency vs queries per class |
-//! | [`fig5_rank_profile`] | Fig. 5 | duty cycle vs routing-tree rank |
-//! | [`fig8_sleep_hist`] | Fig. 8 | sleep-interval histogram at `t_BE = 0` |
-//! | [`fig9_tbe`] | Fig. 9 | DTS-SS duty vs rate for `t_BE` ∈ {0, 2.5, 10, 40} ms |
-//! | [`headline`] | abstract / §5 | DTS-SS vs SPAN / PSM / SYNC reduction ranges |
-//! | [`lifetime`] | beyond the paper | network lifetime (first death / partition) under `energy_drain` |
-//! | [`robustness`] | beyond the paper | delivery & latency across the scenario presets |
-//! | [`drift`] | beyond the paper | delivery & missed-round rate vs clock skew/drift |
-//! | [`self_healing`] | beyond the paper | repair on/off under churn & bursty links, all protocols |
+//! [`FIGURES`] lists, in output order, every figure `essat-figures` can
+//! print: its name, the sweep [`Plan`]s it reads and how it renders.
+//! Which plans an invocation runs, what it prints, the CLI's figure
+//! names and the `digests.txt` keys are all derived from it.
 //!
-//! Figures 3+6 and 4+7 share their underlying simulations (duty cycle
-//! and latency come from the same runs), which halves the sweep cost.
+//! | figure | paper | plans | series |
+//! |--------|-------|-------|--------|
+//! | `fig2` | Fig. 2 | [`Plan::Fig2`] | STS-SS duty cycle & query latency vs deadline |
+//! | `fig3`, `fig6` | Figs. 3 & 6 | [`Plan::Rate`] | duty / latency vs base rate, all protocols |
+//! | `fig4`, `fig7` | Figs. 4 & 7 | [`Plan::Query`] | duty / latency vs queries per class |
+//! | `fig5` | Fig. 5 | [`Plan::Fig5`] | duty cycle vs routing-tree rank |
+//! | `fig8` | Fig. 8 | [`Plan::Fig8`] | sleep-interval histogram at `t_BE = 0` |
+//! | `fig9` | Fig. 9 | [`Plan::Fig9`] | DTS-SS duty vs rate for `t_BE` ∈ {0, 2.5, 10, 40} ms |
+//! | `lifetime` | beyond the paper | [`Plan::Lifetime`] | network lifetime (first death / partition) under `energy_drain` |
+//! | `robustness` | beyond the paper | [`Plan::Robustness`] | delivery across the scenario presets |
+//! | `drift` | beyond the paper | [`Plan::Drift`] | delivery & missed-round rate vs clock skew/drift |
+//! | `self_healing` | beyond the paper | [`Plan::SelfHealing`] | repair on/off under churn & bursty links, all protocols |
+//! | `overhead` | §4.2.3 | [`Plan::Rate`] | DTS phase-update bits per data report |
+//! | `headline` | abstract / §5 | [`Plan::Rate`], [`Plan::Query`] | DTS-SS vs SPAN / PSM / SYNC reduction ranges |
 //!
-//! Every figure is split into a **plan** half (`*_cells`, enumerating
-//! its sweep grid as [`SweepCell`]s) and an **assemble** half (`*_from`,
-//! a deterministic walk of the per-cell results in cell order). The
-//! one-shot builders (`rate_sweep` etc.) wire the two through a single
-//! [`SweepExecutor::run`] call for callers that want one figure; the
-//! `essat-figures` binary instead concatenates the plans of *all*
-//! requested figures and executes them as **one** flat job list, so the
-//! whole invocation drains across every core with no per-figure or
-//! per-point barrier.
+//! A [`Plan`] enumerates one sweep grid as [`SweepCell`]s
+//! ([`Plan::cells`]); the `*_from` assemblers turn its per-cell results
+//! into figures by a deterministic walk in cell order. Figures reading
+//! the same plan share its runs: duty cycle and latency (Figures 3+6,
+//! 4+7) come from the same simulations. The `essat-figures` binary
+//! plans the union of the wanted figures' plans and executes it as
+//! **one** flat job list, so the whole invocation drains across every
+//! core with no per-figure or per-point barrier.
+
+use std::fmt::Display;
 
 use essat_net::radio::RadioParams;
 use essat_scenario::presets;
 use essat_scenario::spec::Scenario;
 use essat_sim::stats::{Confidence, OnlineStats};
 use essat_sim::time::SimDuration;
-use essat_wsn::config::{Protocol, RepairConfig, WorkloadSpec};
+use essat_wsn::config::{ExperimentConfig, Protocol, RepairConfig, WorkloadSpec};
 use essat_wsn::metrics::RunResult;
 
-use crate::executor::{SweepCell, SweepExecutor};
+use crate::executor::SweepCell;
 use crate::scale::Scale;
 use crate::table::{FigureData, Series};
 
@@ -59,198 +63,473 @@ pub const LATENCY_PROTOCOLS: [Protocol; 6] = [
     Protocol::Sync,
 ];
 
+/// Protocols compared in the scenario figures (the paper's full set).
+pub const SCENARIO_PROTOCOLS: [Protocol; 6] = LATENCY_PROTOCOLS;
+
+/// Presets plotted by the `robustness` figure, in x-axis order.
+pub const ROBUSTNESS_PRESETS: [&str; 4] = ["steady", "bursty_links", "diurnal", "churn"];
+
+/// Presets stressed by the `self_healing` figure, in series order.
+pub const SELF_HEALING_PRESETS: [&str; 2] = ["churn", "bursty_links"];
+
+/// The two arms compared by the `self_healing` figure, in cell order.
+pub const SELF_HEALING_ARMS: [&str; 2] = ["repair", "legacy"];
+
+/// One sweep grid, read by one or more [`FIGURES`].
+///
+/// Variants are in job order: an invocation runs its plans in this
+/// order, which fixes the line order of `digests.txt`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Plan {
+    /// Every (base rate, [`LATENCY_PROTOCOLS`]) cell, one query per
+    /// class.
+    Rate,
+    /// Every (queries per class, [`LATENCY_PROTOCOLS`]) cell at 0.2 Hz.
+    Query,
+    /// One STS-SS cell per query deadline at 5 Hz.
+    Fig2,
+    /// One single-run cell per ESSAT protocol at 5 Hz: the paper's
+    /// "typical run".
+    Fig5,
+    /// One instant-radio cell per ESSAT protocol at 5 Hz.
+    Fig8,
+    /// Every (break-even time, base rate) DTS-SS cell.
+    Fig9,
+    /// One `energy_drain` cell per [`SCENARIO_PROTOCOLS`] protocol.
+    Lifetime,
+    /// Every ([`ROBUSTNESS_PRESETS`], [`SCENARIO_PROTOCOLS`]) cell.
+    ///
+    /// Pinned to the legacy maintenance path (repair disabled): this
+    /// figure characterises the raw protocols under stress, and
+    /// deadline-budgeted redispatch would compensate the injected faults
+    /// (bursty-link cells can even beat steady ones) and blur exactly
+    /// the degradation it plots. `SelfHealing` measures the repair
+    /// layer on-vs-off.
+    Robustness,
+    /// Every (clock skew ppm, protocol) cell: the `clock_drift` preset
+    /// with the adaptive guard time scaled to the skew. The zero-ppm
+    /// point runs fault-free (no scenario, no guard) as control.
+    Drift,
+    /// Every ([`SELF_HEALING_PRESETS`], protocol, [`SELF_HEALING_ARMS`])
+    /// cell.
+    SelfHealing,
+}
+
+impl Plan {
+    /// Every plan, in job order.
+    pub const ALL: [Plan; 10] = [
+        Plan::Rate,
+        Plan::Query,
+        Plan::Fig2,
+        Plan::Fig5,
+        Plan::Fig8,
+        Plan::Fig9,
+        Plan::Lifetime,
+        Plan::Robustness,
+        Plan::Drift,
+        Plan::SelfHealing,
+    ];
+
+    /// The plan's key in `digests.txt` and in the bench record's
+    /// workload descriptor.
+    pub fn key(self) -> &'static str {
+        match self {
+            Plan::Rate => "rate",
+            Plan::Query => "query",
+            Plan::Fig2 => "fig2",
+            Plan::Fig5 => "fig5",
+            Plan::Fig8 => "fig8",
+            Plan::Fig9 => "fig9",
+            Plan::Lifetime => "lifetime",
+            Plan::Robustness => "robustness",
+            Plan::Drift => "drift",
+            Plan::SelfHealing => "self_healing",
+        }
+    }
+
+    /// The plan's job list at `scale`, in the order its assembler walks.
+    pub fn cells(self, scale: Scale, seed: u64) -> Vec<SweepCell> {
+        let base = |protocol, workload| scale.config(protocol, workload, seed);
+        let paper = WorkloadSpec::paper;
+        let preset = |cfg: ExperimentConfig, name| {
+            let spec = presets::by_name(name, cfg.duration).expect("known preset");
+            cfg.with_scenario(Scenario::Spec(spec))
+        };
+        let configs: Vec<ExperimentConfig> = match self {
+            Plan::Rate => scale
+                .rate_sweep()
+                .into_iter()
+                .flat_map(|rate| LATENCY_PROTOCOLS.map(|p| base(p, paper(rate))))
+                .collect(),
+            Plan::Query => scale
+                .queries_sweep()
+                .into_iter()
+                .flat_map(|qpc| {
+                    LATENCY_PROTOCOLS.map(|p| base(p, paper(0.2).with_queries_per_class(qpc)))
+                })
+                .collect(),
+            Plan::Fig2 => scale
+                .deadline_sweep()
+                .into_iter()
+                .map(|d| {
+                    let deadline = SimDuration::from_secs_f64(d);
+                    base(Protocol::StsSs, paper(5.0).with_deadline(deadline))
+                })
+                .collect(),
+            Plan::Fig5 => Protocol::essat_set().map(|p| base(p, paper(5.0))).into(),
+            Plan::Fig8 => Protocol::essat_set()
+                .map(|p| base(p, paper(5.0)).with_radio(RadioParams::instant()))
+                .into(),
+            Plan::Fig9 => scale
+                .tbe_sweep_ms()
+                .into_iter()
+                .flat_map(|tbe_ms| {
+                    let radio = if tbe_ms == 0.0 {
+                        RadioParams::instant()
+                    } else {
+                        RadioParams::with_break_even(SimDuration::from_secs_f64(tbe_ms / 1000.0))
+                    };
+                    scale
+                        .rate_sweep()
+                        .into_iter()
+                        .map(move |rate| base(Protocol::DtsSs, paper(rate)).with_radio(radio))
+                })
+                .collect(),
+            Plan::Lifetime => SCENARIO_PROTOCOLS
+                .map(|p| {
+                    let cfg = base(p, paper(1.0));
+                    let spec = presets::energy_drain(cfg.duration);
+                    cfg.with_scenario(Scenario::Spec(spec))
+                })
+                .into(),
+            Plan::Robustness => ROBUSTNESS_PRESETS
+                .into_iter()
+                .flat_map(|name| {
+                    SCENARIO_PROTOCOLS.map(|p| {
+                        preset(
+                            base(p, paper(1.0)).with_repair(RepairConfig::disabled()),
+                            name,
+                        )
+                    })
+                })
+                .collect(),
+            Plan::Drift => scale
+                .drift_sweep_ppm()
+                .into_iter()
+                .flat_map(|ppm| {
+                    Protocol::all().map(|p| {
+                        let cfg = base(p, paper(1.0));
+                        if ppm == 0 {
+                            return cfg;
+                        }
+                        cfg.with_scenario(Scenario::Spec(presets::clock_drift(ppm)))
+                            .with_clock_guard(SimDuration::from_millis(1), ppm)
+                    })
+                })
+                .collect(),
+            Plan::SelfHealing => SELF_HEALING_PRESETS
+                .into_iter()
+                .flat_map(|name| {
+                    Protocol::all().into_iter().flat_map(move |p| {
+                        SELF_HEALING_ARMS.map(|arm| {
+                            let cfg = base(p, paper(1.0));
+                            let cfg = match arm {
+                                "legacy" => cfg.with_repair(RepairConfig::disabled()),
+                                _ => cfg,
+                            };
+                            preset(cfg, name)
+                        })
+                    })
+                })
+                .collect(),
+        };
+        let runs = match self {
+            Plan::Fig5 => 1,
+            _ => scale.runs(),
+        };
+        configs
+            .into_iter()
+            .map(|cfg| SweepCell::new(cfg, runs))
+            .collect()
+    }
+}
+
+/// The per-cell results of one plan, in [`Plan::cells`] order.
+pub type Grid = [Vec<RunResult>];
+
+/// One printable figure: a row of [`FIGURES`].
+#[derive(Debug, Clone, Copy)]
+pub struct Figure {
+    /// The name the CLI selects it by.
+    pub name: &'static str,
+    /// The plans it reads.
+    pub plans: &'static [Plan],
+    /// Renders the figure; `grids[i]` holds the results of `plans[i]`.
+    pub render: fn(grids: &[&Grid], scale: Scale) -> Rendered,
+}
+
+/// A rendered figure: its tables, then free text.
+#[derive(Debug, Clone)]
+pub struct Rendered {
+    /// Tables, printed (and written as CSV) in order.
+    pub tables: Vec<FigureData>,
+    /// Text printed after the tables: legends, the Figure 8 fractions,
+    /// the overhead series and the headline.
+    pub notes: String,
+}
+
+fn tables(tables: Vec<FigureData>) -> Rendered {
+    Rendered {
+        tables,
+        notes: String::new(),
+    }
+}
+
+/// A heading, one line per item and a blank line.
+fn note(heading: &str, lines: impl IntoIterator<Item = String>) -> String {
+    let mut out = format!("{heading}\n");
+    for line in lines {
+        out.push_str(&line);
+        out.push('\n');
+    }
+    out.push('\n');
+    out
+}
+
+/// A legend for an index x axis: `  <index>: <item>` per item.
+fn legend<T: Display>(heading: &str, items: impl IntoIterator<Item = T>) -> String {
+    let lines = items
+        .into_iter()
+        .enumerate()
+        .map(|(i, item)| format!("  {i}: {item}"));
+    note(heading, lines)
+}
+
+/// Every figure `essat-figures` can print, in output order.
+pub const FIGURES: [Figure; 14] = [
+    Figure {
+        name: "fig2",
+        plans: &[Plan::Fig2],
+        render: |g, scale| tables(vec![fig2_deadline_from(g[0], scale)]),
+    },
+    Figure {
+        name: "fig3",
+        plans: &[Plan::Rate],
+        render: |g, scale| tables(vec![sweep_from(Plan::Rate, g[0], scale).duty]),
+    },
+    Figure {
+        name: "fig4",
+        plans: &[Plan::Query],
+        render: |g, scale| tables(vec![sweep_from(Plan::Query, g[0], scale).duty]),
+    },
+    Figure {
+        name: "fig5",
+        plans: &[Plan::Fig5],
+        render: |g, _| tables(vec![fig5_rank_profile_from(g[0])]),
+    },
+    Figure {
+        name: "fig6",
+        plans: &[Plan::Rate],
+        render: |g, scale| tables(vec![sweep_from(Plan::Rate, g[0], scale).latency]),
+    },
+    Figure {
+        name: "fig7",
+        plans: &[Plan::Query],
+        render: |g, scale| tables(vec![sweep_from(Plan::Query, g[0], scale).latency]),
+    },
+    Figure {
+        name: "fig8",
+        plans: &[Plan::Fig8],
+        render: |g, _| {
+            let data = fig8_sleep_hist_from(g[0]);
+            let fractions = data
+                .below_2_5ms_pct
+                .iter()
+                .map(|(label, pct)| format!("  {label:>8}: {pct:5.2}%"));
+            Rendered {
+                notes: note(
+                    "fraction of sleep intervals < 2.5 ms (paper: NTS 0.40%, STS 0.85%, DTS 6.33%):",
+                    fractions,
+                ),
+                tables: vec![data.histogram],
+            }
+        },
+    },
+    Figure {
+        name: "fig9",
+        plans: &[Plan::Fig9],
+        render: |g, scale| tables(vec![fig9_tbe_from(g[0], scale)]),
+    },
+    Figure {
+        name: "lifetime",
+        plans: &[Plan::Lifetime],
+        render: |g, _| Rendered {
+            tables: vec![lifetime_from(g[0])],
+            notes: legend(
+                "protocol_index legend (energy_drain preset):",
+                SCENARIO_PROTOCOLS,
+            ),
+        },
+    },
+    Figure {
+        name: "robustness",
+        plans: &[Plan::Robustness],
+        render: |g, _| Rendered {
+            tables: vec![robustness_from(g[0])],
+            notes: legend("preset_index legend:", ROBUSTNESS_PRESETS),
+        },
+    },
+    Figure {
+        name: "drift",
+        plans: &[Plan::Drift],
+        render: |g, scale| {
+            let data = drift_from(g[0], scale);
+            tables(vec![data.delivery, data.missed])
+        },
+    },
+    Figure {
+        name: "self_healing",
+        plans: &[Plan::SelfHealing],
+        render: |g, _| {
+            let data = self_healing_from(g[0]);
+            Rendered {
+                tables: vec![
+                    data.delivery,
+                    data.in_partition,
+                    data.time_to_partition,
+                    data.activity,
+                ],
+                notes: legend(
+                    "protocol_index legend (churn + bursty_links presets, repair on vs off):",
+                    Protocol::all(),
+                ),
+            }
+        },
+    },
+    Figure {
+        name: "overhead",
+        plans: &[Plan::Rate],
+        render: |g, scale| {
+            let series = sweep_from(Plan::Rate, g[0], scale).dts_overhead_bits;
+            let lines = series
+                .points
+                .iter()
+                .map(|p| format!("  base rate {:3.1} Hz: {:6.4} bits/report", p.x, p.y));
+            Rendered {
+                tables: Vec::new(),
+                notes: note(
+                    "== overhead — DTS phase-update overhead (paper: < 1 bit per data report)",
+                    lines,
+                ),
+            }
+        },
+    },
+    Figure {
+        name: "headline",
+        plans: &[Plan::Rate, Plan::Query],
+        render: |g, scale| {
+            let rate = sweep_from(Plan::Rate, g[0], scale);
+            let query = sweep_from(Plan::Query, g[1], scale);
+            Rendered {
+                tables: Vec::new(),
+                notes: format!("{}\n", headline(&rate, &query).render()),
+            }
+        },
+    },
+];
+
 fn stat_over_runs(results: &[RunResult], f: impl Fn(&RunResult) -> f64) -> (f64, f64) {
     let s: OnlineStats = results.iter().map(f).collect();
     (s.mean(), s.ci_halfwidth(Confidence::P90))
 }
 
-/// Figures 3 and 6 from one shared sweep, plus the DTS phase-update
-/// overhead series the paper reports in §4.2.3.
+/// Appends `(x, mean, ci)` to the series of `fig` labelled `label`.
+fn push(fig: &mut FigureData, label: &str, x: f64, (y, ci): (f64, f64)) {
+    fig.series
+        .iter_mut()
+        .find(|s| s.label == label)
+        .expect("series exists")
+        .push(x, y, ci);
+}
+
+/// Duty cycle and latency per protocol from one shared sweep: Figures
+/// 3 and 6 from [`Plan::Rate`], or 4 and 7 from [`Plan::Query`].
 #[derive(Debug, Clone)]
-pub struct RateSweepData {
-    /// Figure 3: average duty cycle (%) vs base rate (Hz).
+pub struct SweepData {
+    /// Figure 3 or 4: average duty cycle (%) per sweep point.
     pub duty: FigureData,
-    /// Figure 6: average query latency (s) vs base rate (Hz).
+    /// Figure 6 or 7: average query latency (s) per sweep point.
     pub latency: FigureData,
-    /// DTS phase-update overhead (bits per data report) vs base rate.
+    /// DTS phase-update overhead (bits per data report) per sweep
+    /// point, which the paper reports in §4.2.3 for the base-rate sweep.
     pub dts_overhead_bits: Series,
 }
 
-/// The base-rate sweep's job plan: every (rate, protocol) cell.
-pub fn rate_sweep_cells(scale: Scale, seed: u64) -> Vec<SweepCell> {
-    let mut cells = Vec::new();
-    for rate in scale.rate_sweep() {
-        for protocol in LATENCY_PROTOCOLS {
-            let cfg = scale.config(protocol, WorkloadSpec::paper(rate), seed);
-            cells.push(SweepCell::new(cfg, scale.runs()));
-        }
-    }
-    cells
-}
-
-/// Runs the base-rate sweep (one query per class, rates 1–5 Hz).
-pub fn rate_sweep(exec: &mut SweepExecutor, scale: Scale, seed: u64) -> RateSweepData {
-    let grid = exec.run(&rate_sweep_cells(scale, seed));
-    rate_sweep_from(&grid, scale)
-}
-
-/// Assembles Figures 3 & 6 from the results of [`rate_sweep_cells`]
-/// (same order).
-pub fn rate_sweep_from(grid: &[Vec<RunResult>], scale: Scale) -> RateSweepData {
-    let mut duty = FigureData::new(
-        "fig3",
-        "Average duty cycle for three query classes when varying base rate",
-        "rate_hz",
-        "duty cycle (%)",
-    );
-    let mut latency = FigureData::new(
-        "fig6",
-        "Query latency for three query classes when varying base rate",
-        "rate_hz",
-        "latency (s)",
-    );
+/// Assembles [`SweepData`] from the results of [`Plan::Rate`] or
+/// [`Plan::Query`] (same order).
+///
+/// # Panics
+///
+/// For any other plan.
+pub fn sweep_from(plan: Plan, grid: &Grid, scale: Scale) -> SweepData {
+    let (xs, x_label, (duty_id, duty_title), (latency_id, latency_title)) = match plan {
+        Plan::Rate => (
+            scale.rate_sweep(),
+            "rate_hz",
+            ("fig3", "Average duty cycle for three query classes when varying base rate"),
+            ("fig6", "Query latency for three query classes when varying base rate"),
+        ),
+        Plan::Query => (
+            scale.queries_sweep().into_iter().map(f64::from).collect(),
+            "queries_per_class",
+            (
+                "fig4",
+                "Average duty cycle for three query classes when varying number of queries per class",
+            ),
+            (
+                "fig7",
+                "Query latency for three query classes when varying the number of queries per class",
+            ),
+        ),
+        other => panic!("{other:?} is not a protocol sweep"),
+    };
+    let mut duty = FigureData::new(duty_id, duty_title, x_label, "duty cycle (%)");
+    let mut latency = FigureData::new(latency_id, latency_title, x_label, "latency (s)");
+    duty.series = DUTY_PROTOCOLS.map(|p| Series::new(p.label())).into();
+    latency.series = LATENCY_PROTOCOLS.map(|p| Series::new(p.label())).into();
     let mut overhead = Series::new("DTS-SS");
-    for p in DUTY_PROTOCOLS {
-        duty.series.push(Series::new(p.label()));
-    }
-    for p in LATENCY_PROTOCOLS {
-        latency.series.push(Series::new(p.label()));
-    }
-    let rates = scale.rate_sweep();
     let mut cell = grid.iter();
-    for &rate in &rates {
+    for &x in &xs {
         for protocol in LATENCY_PROTOCOLS {
-            let results = cell.next().expect("one cell per (rate, protocol)");
+            let results = cell.next().expect("one cell per (sweep point, protocol)");
             if results.is_empty() {
                 continue;
             }
-            let (lat, lat_ci) = stat_over_runs(results, RunResult::avg_latency_s);
-            latency
-                .series
-                .iter_mut()
-                .find(|s| s.label == protocol.label())
-                .expect("series exists")
-                .push(rate, lat, lat_ci);
+            let label = protocol.label();
+            let lat = stat_over_runs(results, RunResult::avg_latency_s);
+            push(&mut latency, label, x, lat);
             if protocol != Protocol::Sync {
-                let (d, d_ci) = stat_over_runs(results, RunResult::avg_duty_cycle_pct);
-                duty.series
-                    .iter_mut()
-                    .find(|s| s.label == protocol.label())
-                    .expect("series exists")
-                    .push(rate, d, d_ci);
+                let d = stat_over_runs(results, RunResult::avg_duty_cycle_pct);
+                push(&mut duty, label, x, d);
             }
             if protocol == Protocol::DtsSs {
                 let (o, o_ci) = stat_over_runs(results, RunResult::phase_overhead_bits_per_report);
-                overhead.push(rate, o, o_ci);
+                overhead.push(x, o, o_ci);
             }
         }
     }
-    RateSweepData {
+    SweepData {
         duty,
         latency,
         dts_overhead_bits: overhead,
     }
 }
 
-/// Figures 4 and 7 from one shared sweep.
-#[derive(Debug, Clone)]
-pub struct QuerySweepData {
-    /// Figure 4: average duty cycle (%) vs queries per class.
-    pub duty: FigureData,
-    /// Figure 7: average query latency (s) vs queries per class.
-    pub latency: FigureData,
-}
-
-/// The query-count sweep's job plan: every (qpc, protocol) cell.
-pub fn query_sweep_cells(scale: Scale, seed: u64) -> Vec<SweepCell> {
-    let mut cells = Vec::new();
-    for qpc in scale.queries_sweep() {
-        let workload = WorkloadSpec::paper(0.2).with_queries_per_class(qpc);
-        for protocol in LATENCY_PROTOCOLS {
-            let cfg = scale.config(protocol, workload.clone(), seed);
-            cells.push(SweepCell::new(cfg, scale.runs()));
-        }
-    }
-    cells
-}
-
-/// Runs the query-count sweep (base rate fixed at 0.2 Hz).
-pub fn query_sweep(exec: &mut SweepExecutor, scale: Scale, seed: u64) -> QuerySweepData {
-    let grid = exec.run(&query_sweep_cells(scale, seed));
-    query_sweep_from(&grid, scale)
-}
-
-/// Assembles Figures 4 & 7 from the results of [`query_sweep_cells`]
-/// (same order).
-pub fn query_sweep_from(grid: &[Vec<RunResult>], scale: Scale) -> QuerySweepData {
-    let mut duty = FigureData::new(
-        "fig4",
-        "Average duty cycle for three query classes when varying number of queries per class",
-        "queries_per_class",
-        "duty cycle (%)",
-    );
-    let mut latency = FigureData::new(
-        "fig7",
-        "Query latency for three query classes when varying the number of queries per class",
-        "queries_per_class",
-        "latency (s)",
-    );
-    for p in DUTY_PROTOCOLS {
-        duty.series.push(Series::new(p.label()));
-    }
-    for p in LATENCY_PROTOCOLS {
-        latency.series.push(Series::new(p.label()));
-    }
-    let qpcs = scale.queries_sweep();
-    let mut cell = grid.iter();
-    for &qpc in &qpcs {
-        for protocol in LATENCY_PROTOCOLS {
-            let results = cell.next().expect("one cell per (qpc, protocol)");
-            if results.is_empty() {
-                continue;
-            }
-            let (lat, lat_ci) = stat_over_runs(results, RunResult::avg_latency_s);
-            latency
-                .series
-                .iter_mut()
-                .find(|s| s.label == protocol.label())
-                .expect("series exists")
-                .push(qpc as f64, lat, lat_ci);
-            if protocol != Protocol::Sync {
-                let (d, d_ci) = stat_over_runs(results, RunResult::avg_duty_cycle_pct);
-                duty.series
-                    .iter_mut()
-                    .find(|s| s.label == protocol.label())
-                    .expect("series exists")
-                    .push(qpc as f64, d, d_ci);
-            }
-        }
-    }
-    QuerySweepData { duty, latency }
-}
-
 /// Figure 2: the STS-SS deadline sweep — duty cycle and query latency as
 /// the query deadline `D` (and with it the local deadline `l = D/M`)
-/// grows. The paper's knee sits where `l` crosses `T_agg`.
-pub fn fig2_deadline(exec: &mut SweepExecutor, scale: Scale, seed: u64) -> FigureData {
-    let grid = exec.run(&fig2_deadline_cells(scale, seed));
-    fig2_deadline_from(&grid, scale)
-}
-
-/// Figure 2's job plan: one STS-SS cell per deadline.
-pub fn fig2_deadline_cells(scale: Scale, seed: u64) -> Vec<SweepCell> {
-    scale
-        .deadline_sweep()
-        .iter()
-        .map(|&d| {
-            let workload = WorkloadSpec::paper(5.0).with_deadline(SimDuration::from_secs_f64(d));
-            SweepCell::new(scale.config(Protocol::StsSs, workload, seed), scale.runs())
-        })
-        .collect()
-}
-
-/// Assembles Figure 2 from the results of [`fig2_deadline_cells`].
-pub fn fig2_deadline_from(grid: &[Vec<RunResult>], scale: Scale) -> FigureData {
+/// grows. The paper's knee sits where `l` crosses `T_agg`. Assembled
+/// from the results of [`Plan::Fig2`].
+pub fn fig2_deadline_from(grid: &Grid, scale: Scale) -> FigureData {
     let mut fig = FigureData::new(
         "fig2",
         "Impact of query deadline on duty cycle and query latency of STS-SS",
@@ -259,8 +538,7 @@ pub fn fig2_deadline_from(grid: &[Vec<RunResult>], scale: Scale) -> FigureData {
     );
     let mut duty = Series::new("Duty Cycle (%)");
     let mut lat = Series::new("Query latency (s)");
-    let deadlines = scale.deadline_sweep();
-    for (&d, results) in deadlines.iter().zip(grid) {
+    for (&d, results) in scale.deadline_sweep().iter().zip(grid) {
         if results.is_empty() {
             continue;
         }
@@ -277,29 +555,15 @@ pub fn fig2_deadline_from(grid: &[Vec<RunResult>], scale: Scale) -> FigureData {
 /// Figure 5: distribution of duty cycles across routing-tree ranks for
 /// the three ESSAT protocols (a single "typical run" at 5 Hz, as in the
 /// paper). NTS-SS grows linearly with rank; STS-SS and DTS-SS stay flat.
-pub fn fig5_rank_profile(exec: &mut SweepExecutor, scale: Scale, seed: u64) -> FigureData {
-    let grid = exec.run(&fig5_rank_profile_cells(scale, seed));
-    fig5_rank_profile_from(&grid)
-}
-
-/// Figure 5's job plan: one single-run cell per ESSAT protocol.
-pub fn fig5_rank_profile_cells(scale: Scale, seed: u64) -> Vec<SweepCell> {
-    Protocol::essat_set()
-        .iter()
-        .map(|&p| SweepCell::new(scale.config(p, WorkloadSpec::paper(5.0), seed), 1))
-        .collect()
-}
-
-/// Assembles Figure 5 from the results of [`fig5_rank_profile_cells`].
-pub fn fig5_rank_profile_from(grid: &[Vec<RunResult>]) -> FigureData {
+/// Assembled from the results of [`Plan::Fig5`].
+pub fn fig5_rank_profile_from(grid: &Grid) -> FigureData {
     let mut fig = FigureData::new(
         "fig5",
         "Distribution of duty cycles at different ranks",
         "rank",
         "duty cycle (%)",
     );
-    let protocols = Protocol::essat_set();
-    for (protocol, results) in protocols.iter().zip(grid) {
+    for (protocol, results) in Protocol::essat_set().iter().zip(grid) {
         let Some(result) = results.first() else {
             continue;
         };
@@ -327,27 +591,9 @@ pub struct Fig8Data {
 }
 
 /// Figure 8: histogram of sleep-interval lengths with `t_BE = 0`
-/// (instant radio transitions), three queries at 5 Hz.
-pub fn fig8_sleep_hist(exec: &mut SweepExecutor, scale: Scale, seed: u64) -> Fig8Data {
-    let grid = exec.run(&fig8_sleep_hist_cells(scale, seed));
-    fig8_sleep_hist_from(&grid)
-}
-
-/// Figure 8's job plan: one instant-radio cell per ESSAT protocol.
-pub fn fig8_sleep_hist_cells(scale: Scale, seed: u64) -> Vec<SweepCell> {
-    Protocol::essat_set()
-        .iter()
-        .map(|&p| {
-            let cfg = scale
-                .config(p, WorkloadSpec::paper(5.0), seed)
-                .with_radio(RadioParams::instant());
-            SweepCell::new(cfg, scale.runs())
-        })
-        .collect()
-}
-
-/// Assembles Figure 8 from the results of [`fig8_sleep_hist_cells`].
-pub fn fig8_sleep_hist_from(grid: &[Vec<RunResult>]) -> Fig8Data {
+/// (instant radio transitions), three queries at 5 Hz. Assembled from
+/// the results of [`Plan::Fig8`].
+pub fn fig8_sleep_hist_from(grid: &Grid) -> Fig8Data {
     let mut fig = FigureData::new(
         "fig8",
         "Histogram of sleep intervals (t_BE = 0); bins of 25 ms",
@@ -355,8 +601,7 @@ pub fn fig8_sleep_hist_from(grid: &[Vec<RunResult>]) -> Fig8Data {
         "count",
     );
     let mut below = Vec::new();
-    let protocols = Protocol::essat_set();
-    for (protocol, results) in protocols.iter().zip(grid) {
+    for (protocol, results) in Protocol::essat_set().iter().zip(grid) {
         if results.is_empty() {
             continue;
         }
@@ -393,45 +638,20 @@ pub fn fig8_sleep_hist_from(grid: &[Vec<RunResult>]) -> Fig8Data {
 
 /// Figure 9: DTS-SS duty cycle vs base rate for break-even times of
 /// 0 / 2.5 / 10 / 40 ms (MICA2 average, MICA2 worst case, ZebraNet).
+/// Assembled from the results of [`Plan::Fig9`].
 ///
 /// Note: the paper's caption says "STS-SS" but the body text and legend
 /// describe DTS-SS; we follow the text.
-pub fn fig9_tbe(exec: &mut SweepExecutor, scale: Scale, seed: u64) -> FigureData {
-    let grid = exec.run(&fig9_tbe_cells(scale, seed));
-    fig9_tbe_from(&grid, scale)
-}
-
-/// Figure 9's job plan: every (break-even time, rate) cell.
-pub fn fig9_tbe_cells(scale: Scale, seed: u64) -> Vec<SweepCell> {
-    let mut cells = Vec::new();
-    for tbe_ms in scale.tbe_sweep_ms() {
-        let radio = if tbe_ms == 0.0 {
-            RadioParams::instant()
-        } else {
-            RadioParams::with_break_even(SimDuration::from_secs_f64(tbe_ms / 1000.0))
-        };
-        for rate in scale.rate_sweep() {
-            let cfg = scale
-                .config(Protocol::DtsSs, WorkloadSpec::paper(rate), seed)
-                .with_radio(radio);
-            cells.push(SweepCell::new(cfg, scale.runs()));
-        }
-    }
-    cells
-}
-
-/// Assembles Figure 9 from the results of [`fig9_tbe_cells`].
-pub fn fig9_tbe_from(grid: &[Vec<RunResult>], scale: Scale) -> FigureData {
+pub fn fig9_tbe_from(grid: &Grid, scale: Scale) -> FigureData {
     let mut fig = FigureData::new(
         "fig9",
         "Impact of break-even time on DTS-SS duty cycle",
         "rate_hz",
         "duty cycle (%)",
     );
-    let tbes = scale.tbe_sweep_ms();
     let rates = scale.rate_sweep();
     let mut cell = grid.iter();
-    for &tbe_ms in &tbes {
+    for tbe_ms in scale.tbe_sweep_ms() {
         let mut series = Series::new(format!("TBE={tbe_ms}ms"));
         for &rate in &rates {
             let results = cell.next().expect("one cell per (tbe, rate)");
@@ -446,36 +666,12 @@ pub fn fig9_tbe_from(grid: &[Vec<RunResult>], scale: Scale) -> FigureData {
     fig
 }
 
-/// Protocols compared in the scenario figures (the paper's full set).
-pub const SCENARIO_PROTOCOLS: [Protocol; 6] = LATENCY_PROTOCOLS;
-
-/// Presets plotted by the `robustness` figure, in x-axis order.
-pub const ROBUSTNESS_PRESETS: [&str; 4] = ["steady", "bursty_links", "diurnal", "churn"];
-
 /// Network-lifetime figure: for every protocol under the
 /// `energy_drain` preset, the time to the first node death and the time
 /// to root partition (right-censored at the run end when the network
-/// survives). The x axis indexes [`SCENARIO_PROTOCOLS`].
-pub fn lifetime(exec: &mut SweepExecutor, scale: Scale, seed: u64) -> FigureData {
-    let grid = exec.run(&lifetime_cells(scale, seed));
-    lifetime_from(&grid)
-}
-
-/// The lifetime figure's job plan: one `energy_drain` cell per protocol.
-pub fn lifetime_cells(scale: Scale, seed: u64) -> Vec<SweepCell> {
-    SCENARIO_PROTOCOLS
-        .iter()
-        .map(|&p| {
-            let mut cfg = scale.config(p, WorkloadSpec::paper(1.0), seed);
-            cfg.scenario = Some(Scenario::Spec(presets::energy_drain(cfg.duration)));
-            SweepCell::new(cfg, scale.runs())
-        })
-        .collect()
-}
-
-/// Assembles the lifetime figure from the results of
-/// [`lifetime_cells`] (same order).
-pub fn lifetime_from(grid: &[Vec<RunResult>]) -> FigureData {
+/// survives). The x axis indexes [`SCENARIO_PROTOCOLS`]. Assembled from
+/// the results of [`Plan::Lifetime`].
+pub fn lifetime_from(grid: &Grid) -> FigureData {
     let mut fig = FigureData::new(
         "lifetime",
         "Network lifetime under the energy_drain scenario (censored at run end)",
@@ -506,69 +702,29 @@ pub fn lifetime_from(grid: &[Vec<RunResult>]) -> FigureData {
 
 /// Robustness figure: delivery ratio per protocol across the scenario
 /// presets (`steady`, `bursty_links`, `diurnal`, `churn`). The x axis
-/// indexes [`ROBUSTNESS_PRESETS`].
-pub fn robustness(exec: &mut SweepExecutor, scale: Scale, seed: u64) -> FigureData {
-    let grid = exec.run(&robustness_cells(scale, seed));
-    robustness_from(&grid)
-}
-
-/// The robustness figure's job plan: every (preset, protocol) cell.
-/// Pinned to the legacy maintenance path (repair disabled): this figure
-/// characterises the raw protocols under stress — deadline-budgeted
-/// redispatch would compensate the injected faults (bursty-link cells
-/// can even beat steady ones) and blur exactly the degradation it
-/// plots. The `self_healing` figure is where the repair layer's effect
-/// is measured, on-vs-off.
-pub fn robustness_cells(scale: Scale, seed: u64) -> Vec<SweepCell> {
-    let mut cells = Vec::new();
-    for preset in ROBUSTNESS_PRESETS {
-        for protocol in SCENARIO_PROTOCOLS {
-            let mut cfg = scale
-                .config(protocol, WorkloadSpec::paper(1.0), seed)
-                .with_repair(RepairConfig::disabled());
-            let spec = presets::by_name(preset, cfg.duration).expect("known preset");
-            cfg.scenario = Some(Scenario::Spec(spec));
-            cells.push(SweepCell::new(cfg, scale.runs()));
-        }
-    }
-    cells
-}
-
-/// Assembles the robustness figure from the results of
-/// [`robustness_cells`] (same order).
-pub fn robustness_from(grid: &[Vec<RunResult>]) -> FigureData {
+/// indexes [`ROBUSTNESS_PRESETS`]. Assembled from the results of
+/// [`Plan::Robustness`].
+pub fn robustness_from(grid: &Grid) -> FigureData {
     let mut fig = FigureData::new(
         "robustness",
         "Delivery ratio (%) across scenario presets (steady / bursty_links / diurnal / churn)",
         "preset_index",
         "delivery ratio (%)",
     );
-    for p in SCENARIO_PROTOCOLS {
-        fig.series.push(Series::new(p.label()));
-    }
+    fig.series = SCENARIO_PROTOCOLS.map(|p| Series::new(p.label())).into();
     let mut cell = grid.iter();
-    for (xi, _) in ROBUSTNESS_PRESETS.iter().enumerate() {
+    for xi in 0..ROBUSTNESS_PRESETS.len() {
         for protocol in SCENARIO_PROTOCOLS {
             let results = cell.next().expect("one cell per (preset, protocol)");
             if results.is_empty() {
                 continue;
             }
-            let (d, ci) = stat_over_runs(results, |r| 100.0 * r.delivery_ratio());
-            fig.series
-                .iter_mut()
-                .find(|s| s.label == protocol.label())
-                .expect("series exists")
-                .push(xi as f64, d, ci);
+            let d = stat_over_runs(results, |r| 100.0 * r.delivery_ratio());
+            push(&mut fig, protocol.label(), xi as f64, d);
         }
     }
     fig
 }
-
-/// Presets stressed by the `self_healing` figure, in series order.
-pub const SELF_HEALING_PRESETS: [&str; 2] = ["churn", "bursty_links"];
-
-/// The two arms compared by the `self_healing` figure, in cell order.
-pub const SELF_HEALING_ARMS: [&str; 2] = ["repair", "legacy"];
 
 /// Self-healing figure output: the repair layer on-vs-off under faults.
 #[derive(Debug, Clone)]
@@ -590,35 +746,9 @@ pub struct SelfHealingData {
 
 /// Self-healing figure: every protocol under the `churn` and
 /// `bursty_links` presets, with the repair layer enabled vs the legacy
-/// maintenance path. The x axis indexes [`Protocol::all`].
-pub fn self_healing(exec: &mut SweepExecutor, scale: Scale, seed: u64) -> SelfHealingData {
-    let grid = exec.run(&self_healing_cells(scale, seed));
-    self_healing_from(&grid)
-}
-
-/// The self-healing figure's job plan: every (preset, protocol, arm)
-/// cell, arms ordered per [`SELF_HEALING_ARMS`].
-pub fn self_healing_cells(scale: Scale, seed: u64) -> Vec<SweepCell> {
-    let mut cells = Vec::new();
-    for preset in SELF_HEALING_PRESETS {
-        for protocol in Protocol::all() {
-            for arm in SELF_HEALING_ARMS {
-                let mut cfg = scale.config(protocol, WorkloadSpec::paper(1.0), seed);
-                if arm == "legacy" {
-                    cfg = cfg.with_repair(RepairConfig::disabled());
-                }
-                let spec = presets::by_name(preset, cfg.duration).expect("known preset");
-                cfg.scenario = Some(Scenario::Spec(spec));
-                cells.push(SweepCell::new(cfg, scale.runs()));
-            }
-        }
-    }
-    cells
-}
-
-/// Assembles the self-healing figure from the results of
-/// [`self_healing_cells`] (same order).
-pub fn self_healing_from(grid: &[Vec<RunResult>]) -> SelfHealingData {
+/// maintenance path. The x axis indexes [`Protocol::all`]. Assembled
+/// from the results of [`Plan::SelfHealing`].
+pub fn self_healing_from(grid: &Grid) -> SelfHealingData {
     let mut delivery = FigureData::new(
         "self_healing_delivery",
         "Delivery ratio (%) with the repair layer on (repair) vs off (legacy)",
@@ -650,19 +780,16 @@ pub fn self_healing_from(grid: &[Vec<RunResult>]) -> SelfHealingData {
             in_partition.series.push(Series::new(&label));
             time_to_partition.series.push(Series::new(&label));
         }
-        activity
-            .series
-            .push(Series::new(format!("{preset} repairs")));
-        activity
-            .series
-            .push(Series::new(format!("{preset} orphan node-s")));
-        activity
-            .series
-            .push(Series::new(format!("{preset} repair latency (s)")));
+        for metric in ["repairs", "orphan node-s", "repair latency (s)"] {
+            activity
+                .series
+                .push(Series::new(format!("{preset} {metric}")));
+        }
     }
     let mut cell = grid.iter();
-    for (pi, _preset) in SELF_HEALING_PRESETS.iter().enumerate() {
-        for (xi, _) in Protocol::all().iter().enumerate() {
+    for pi in 0..SELF_HEALING_PRESETS.len() {
+        for xi in 0..Protocol::all().len() {
+            let x = xi as f64;
             for (ai, arm) in SELF_HEALING_ARMS.iter().enumerate() {
                 let results = cell.next().expect("one cell per (preset, protocol, arm)");
                 if results.is_empty() {
@@ -670,21 +797,21 @@ pub fn self_healing_from(grid: &[Vec<RunResult>]) -> SelfHealingData {
                 }
                 let si = pi * SELF_HEALING_ARMS.len() + ai;
                 let (d, d_ci) = stat_over_runs(results, |r| 100.0 * r.delivery_ratio());
-                delivery.series[si].push(xi as f64, d, d_ci);
+                delivery.series[si].push(x, d, d_ci);
                 let (t, t_ci) = stat_over_runs(results, RunResult::time_in_partition_s);
-                in_partition.series[si].push(xi as f64, t, t_ci);
+                in_partition.series[si].push(x, t, t_ci);
                 let (p, p_ci) = stat_over_runs(results, |r| {
                     r.lifetime.time_to_partition(r.measured_until).as_secs_f64()
                 });
-                time_to_partition.series[si].push(xi as f64, p, p_ci);
+                time_to_partition.series[si].push(x, p, p_ci);
                 if *arm == "repair" {
                     let base = pi * 3;
                     let (n, n_ci) = stat_over_runs(results, |r| r.repairs as f64);
-                    activity.series[base].push(xi as f64, n, n_ci);
+                    activity.series[base].push(x, n, n_ci);
                     let (o, o_ci) = stat_over_runs(results, RunResult::orphan_node_seconds);
-                    activity.series[base + 1].push(xi as f64, o, o_ci);
+                    activity.series[base + 1].push(x, o, o_ci);
                     let (l, l_ci) = stat_over_runs(results, RunResult::mean_reparent_latency_s);
-                    activity.series[base + 2].push(xi as f64, l, l_ci);
+                    activity.series[base + 2].push(x, l, l_ci);
                 }
             }
         }
@@ -707,33 +834,10 @@ pub struct DriftData {
 }
 
 /// Drift figure: every protocol under the `clock_drift` preset across
-/// skew magnitudes, with the adaptive guard time scaled to match. The
-/// zero-ppm point runs fault-free (no scenario, no guard) as control.
-pub fn drift(exec: &mut SweepExecutor, scale: Scale, seed: u64) -> DriftData {
-    let grid = exec.run(&drift_cells(scale, seed));
-    drift_from(&grid, scale)
-}
-
-/// The drift figure's job plan: every (skew ppm, protocol) cell.
-pub fn drift_cells(scale: Scale, seed: u64) -> Vec<SweepCell> {
-    let mut cells = Vec::new();
-    for ppm in scale.drift_sweep_ppm() {
-        for protocol in Protocol::all() {
-            let mut cfg = scale.config(protocol, WorkloadSpec::paper(1.0), seed);
-            if ppm > 0 {
-                cfg.scenario = Some(Scenario::Spec(presets::clock_drift(ppm)));
-                cfg = cfg.with_clock_guard(SimDuration::from_millis(1), ppm);
-            }
-            cells.push(SweepCell::new(cfg, scale.runs()));
-        }
-    }
-    cells
-}
-
-/// Assembles the drift figure from the results of [`drift_cells`]
-/// (same order). Cells whose every repetition failed are skipped, so a
-/// partial sweep still yields a figure.
-pub fn drift_from(grid: &[Vec<RunResult>], scale: Scale) -> DriftData {
+/// skew magnitudes, assembled from the results of [`Plan::Drift`].
+/// Cells whose every repetition failed are skipped, so a partial sweep
+/// still yields a figure.
+pub fn drift_from(grid: &Grid, scale: Scale) -> DriftData {
     let mut delivery = FigureData::new(
         "drift_delivery",
         "Delivery ratio under clock skew + drift (guard time scaled to skew)",
@@ -746,32 +850,20 @@ pub fn drift_from(grid: &[Vec<RunResult>], scale: Scale) -> DriftData {
         "skew_ppm",
         "missed-round rate (%)",
     );
-    for p in Protocol::all() {
-        delivery.series.push(Series::new(p.label()));
-        missed.series.push(Series::new(p.label()));
-    }
-    let ppms = scale.drift_sweep_ppm();
+    delivery.series = Protocol::all().map(|p| Series::new(p.label())).into();
+    missed.series = delivery.series.clone();
     let mut cell = grid.iter();
-    for &ppm in &ppms {
+    for ppm in scale.drift_sweep_ppm() {
+        let x = ppm as f64;
         for protocol in Protocol::all() {
             let results = cell.next().expect("one cell per (ppm, protocol)");
             if results.is_empty() {
                 continue;
             }
-            let (d, d_ci) = stat_over_runs(results, |r| 100.0 * r.delivery_ratio());
-            delivery
-                .series
-                .iter_mut()
-                .find(|s| s.label == protocol.label())
-                .expect("series exists")
-                .push(ppm as f64, d, d_ci);
-            let (m, m_ci) = stat_over_runs(results, |r| 100.0 * r.missed_round_rate());
-            missed
-                .series
-                .iter_mut()
-                .find(|s| s.label == protocol.label())
-                .expect("series exists")
-                .push(ppm as f64, m, m_ci);
+            let d = stat_over_runs(results, |r| 100.0 * r.delivery_ratio());
+            push(&mut delivery, protocol.label(), x, d);
+            let m = stat_over_runs(results, |r| 100.0 * r.missed_round_rate());
+            push(&mut missed, protocol.label(), x, m);
         }
     }
     DriftData { delivery, missed }
@@ -808,11 +900,12 @@ impl Headline {
     }
 }
 
-/// Computes the headline reduction ranges from the two sweeps.
-pub fn headline(rate: &RateSweepData, query: &QuerySweepData) -> Headline {
+/// Computes the headline reduction ranges from the base-rate and
+/// query-count sweeps.
+pub fn headline(rate: &SweepData, query: &SweepData) -> Headline {
     let reduction = |a: f64, b: f64| (1.0 - a / b) * 100.0;
     let mut duty_span: Vec<f64> = Vec::new();
-    for (duty_fig, _) in [(&rate.duty, 0), (&query.duty, 0)] {
+    for duty_fig in [&rate.duty, &query.duty] {
         let dts = duty_fig.series("DTS-SS").expect("DTS series");
         let span = duty_fig.series("SPAN").expect("SPAN series");
         for p in &dts.points {
@@ -860,32 +953,52 @@ mod tests {
         }
     }
 
+    /// Names and plans are unique, every plan a figure reads is planned,
+    /// and every plan is read by some figure.
+    #[test]
+    fn figure_table_is_consistent() {
+        for (i, fig) in FIGURES.iter().enumerate() {
+            assert!(
+                FIGURES[..i].iter().all(|f| f.name != fig.name),
+                "{} twice",
+                fig.name
+            );
+            for plan in fig.plans {
+                assert!(
+                    Plan::ALL.contains(plan),
+                    "{}: {plan:?} never planned",
+                    fig.name
+                );
+            }
+        }
+        for (i, plan) in Plan::ALL.iter().enumerate() {
+            assert!(!Plan::ALL[..i].contains(plan), "{plan:?} twice");
+            assert!(
+                FIGURES.iter().any(|f| f.plans.contains(plan)),
+                "{plan:?} unread"
+            );
+        }
+    }
+
     #[test]
     fn headline_ranges_from_synthetic_data() {
-        let mk_duty = |id: &str| {
-            let mut f = FigureData::new(id, "t", "x", "y");
-            f.series
+        let mk = |duty_id: &str, lat_id: &str| {
+            let mut duty = FigureData::new(duty_id, "t", "x", "y");
+            duty.series
                 .push(fig_with("DTS-SS", &[(1.0, 10.0), (2.0, 20.0)]));
-            f.series.push(fig_with("SPAN", &[(1.0, 40.0), (2.0, 40.0)]));
-            f
+            duty.series
+                .push(fig_with("SPAN", &[(1.0, 40.0), (2.0, 40.0)]));
+            let mut latency = FigureData::new(lat_id, "t", "x", "y");
+            latency.series.push(fig_with("DTS-SS", &[(1.0, 0.1)]));
+            latency.series.push(fig_with("PSM", &[(1.0, 1.0)]));
+            latency.series.push(fig_with("SYNC", &[(1.0, 0.5)]));
+            SweepData {
+                duty,
+                latency,
+                dts_overhead_bits: Series::new("DTS-SS"),
+            }
         };
-        let mk_lat = |id: &str| {
-            let mut f = FigureData::new(id, "t", "x", "y");
-            f.series.push(fig_with("DTS-SS", &[(1.0, 0.1)]));
-            f.series.push(fig_with("PSM", &[(1.0, 1.0)]));
-            f.series.push(fig_with("SYNC", &[(1.0, 0.5)]));
-            f
-        };
-        let rate = RateSweepData {
-            duty: mk_duty("fig3"),
-            latency: mk_lat("fig6"),
-            dts_overhead_bits: Series::new("DTS-SS"),
-        };
-        let query = QuerySweepData {
-            duty: mk_duty("fig4"),
-            latency: mk_lat("fig7"),
-        };
-        let h = headline(&rate, &query);
+        let h = headline(&mk("fig3", "fig6"), &mk("fig4", "fig7"));
         assert!((h.duty_vs_span_pct.0 - 50.0).abs() < 1e-9);
         assert!((h.duty_vs_span_pct.1 - 75.0).abs() < 1e-9);
         assert!((h.latency_vs_psm_pct.0 - 90.0).abs() < 1e-9);

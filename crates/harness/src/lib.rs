@@ -1,18 +1,17 @@
 //! # essat-harness — regenerating the paper's figures
 //!
-//! Ready-made experiments for every figure of the ESSAT paper's
-//! evaluation (§5), plus the headline comparison table from the
-//! abstract. Each builder returns structured [`table::FigureData`]
-//! (series of `(x, mean, 90% CI)`), renderable as an aligned text table
-//! or CSV; the `essat-figures` binary drives them from the command line:
+//! Every figure of the ESSAT paper's evaluation (§5), plus the headline
+//! comparison from the abstract and five figures beyond the paper, is a
+//! row of [`figures::FIGURES`]: a name, the sweep [`figures::Plan`]s it
+//! reads, and how it renders into [`table::FigureData`] (series of
+//! `(x, mean, 90% CI)`, printable as an aligned text table or CSV) and
+//! notes. [`executor::SweepExecutor`] runs the plans; the
+//! `essat-figures` binary drives the whole table from the command line:
 //!
 //! ```text
-//! essat-figures all            # full paper scale (minutes of CPU)
-//! essat-figures fig3 --quick   # reduced scale, seconds
+//! essat-figures all                 # full paper scale (minutes of CPU)
+//! essat-figures fig3 --scale quick  # reduced scale, seconds
 //! ```
-//!
-//! See `EXPERIMENTS.md` at the repository root for the paper-vs-measured
-//! record produced by these builders.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,9 +28,9 @@ pub mod prelude {
         SyncPolicyFactory, WorkerStats,
     };
     pub use crate::figures::{
-        drift, fig2_deadline, fig5_rank_profile, fig8_sleep_hist, fig9_tbe, headline, lifetime,
-        query_sweep, rate_sweep, robustness, DriftData, Fig8Data, Headline, QuerySweepData,
-        RateSweepData, DUTY_PROTOCOLS, LATENCY_PROTOCOLS, ROBUSTNESS_PRESETS, SCENARIO_PROTOCOLS,
+        headline, DriftData, Fig8Data, Figure, Headline, Plan, Rendered, SelfHealingData,
+        SweepData, DUTY_PROTOCOLS, FIGURES, LATENCY_PROTOCOLS, ROBUSTNESS_PRESETS,
+        SCENARIO_PROTOCOLS,
     };
     pub use crate::scale::Scale;
     pub use crate::table::{FigureData, Point, Series};

@@ -4,19 +4,14 @@
 //! ```text
 //! essat-figures [FIGURES|all] [--scale quick|paper] [--seed N]
 //!               [--csv DIR] [--threads N] [--bench-json PATH]
-//!               [--figure NAME] [--list-figures] [--trace PATH]
-//!               [--sample PERIOD] [--profile PATH]
-//!               [--failures-json PATH]
+//!               [--list-figures] [--trace PATH] [--sample PERIOD]
+//!               [--profile PATH] [--failures-json PATH]
 //!
-//! FIGURES      any of: fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9
-//!              headline overhead lifetime robustness drift
-//!              self_healing (default: all)
-//! --figure NAME      select a figure by name (same as the bare name;
-//!              unknown names list the valid set)
+//! FIGURES      any names --list-figures prints (default: all); an
+//!              unknown name lists the valid set
 //! --list-figures     print the valid figure names and exit
 //! --scale S    quick (40 nodes, 50 s, 2 runs) or paper (80 nodes,
-//!              200 s, 5 runs; the default). --quick is shorthand for
-//!              --scale quick.
+//!              200 s, 5 runs; the default)
 //! --seed N     master seed (default 2024)
 //! --csv DIR    also write each figure as CSV into DIR, plus
 //!              digests.txt: one `RunResult::digest()` per job
@@ -36,22 +31,22 @@
 //!              only when jobs failed (default: FAILURES_harness.json)
 //! ```
 //!
-//! All requested figures share one [`SweepExecutor`]: the whole
-//! `(figure, sweep point, protocol, repetition)` grid drains across all
-//! cores with no per-point barrier. The executor's aggregate
+//! The figures, their plans and their rendering come from one table,
+//! [`FIGURES`]. All requested figures share one [`SweepExecutor`]: the
+//! union of their plans drains across all cores as one job list with
+//! no per-figure or per-point barrier. The executor's aggregate
 //! statistics (wall-clock, events/second, peak event-queue depth) go to
 //! stderr, and with `--bench-json` into a JSON record; the committed
 //! `BENCH_harness.json` is one, which tracks the performance trajectory
 //! run over run.
 
-use std::collections::BTreeSet;
 use std::fmt::Write as _;
+use std::ops::Range;
 use std::path::PathBuf;
 
 use essat_harness::executor::{SweepCell, SweepExecutor};
-use essat_harness::figures::{self, QuerySweepData, RateSweepData};
+use essat_harness::figures::{Grid, Plan, FIGURES};
 use essat_harness::scale::Scale;
-use essat_harness::table::FigureData;
 use essat_obs::sample::TimeSeriesSampler;
 use essat_obs::trace::TimelineTracer;
 use essat_obs::Fanout;
@@ -61,7 +56,7 @@ use essat_wsn::runner::run_probed;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut wanted: BTreeSet<String> = BTreeSet::new();
+    let mut wanted = [false; FIGURES.len()];
     let mut scale = Scale::Paper;
     let mut seed = 2024u64;
     let mut csv_dir: Option<PathBuf> = None;
@@ -72,26 +67,9 @@ fn main() {
     let mut sample_period: Option<f64> = None;
     let mut profile_path: Option<PathBuf> = None;
 
-    let all_figures = [
-        "fig2",
-        "fig3",
-        "fig4",
-        "fig5",
-        "fig6",
-        "fig7",
-        "fig8",
-        "fig9",
-        "headline",
-        "overhead",
-        "lifetime",
-        "robustness",
-        "drift",
-        "self_healing",
-    ];
-    let mut it = args.iter().peekable();
+    let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--quick" => scale = Scale::Quick,
             "--scale" => {
                 scale = match it.next().map(String::as_str) {
                     Some("quick") => Scale::Quick,
@@ -151,38 +129,30 @@ fn main() {
                 ));
             }
             "--list-figures" => {
-                for f in all_figures {
-                    println!("{f}");
-                }
+                println!("{}", figure_names("\n"));
                 return;
             }
-            "--figure" => {
-                let name = it
-                    .next()
-                    .unwrap_or_else(|| usage("--figure needs a figure name"));
-                if !all_figures.contains(&name.as_str()) {
-                    unknown_figure(name, &all_figures);
+            "all" => wanted = [true; FIGURES.len()],
+            other if other.starts_with('-') => usage(&format!("unknown argument: {other}")),
+            name => match FIGURES.iter().position(|f| f.name == name) {
+                Some(i) => wanted[i] = true,
+                None => {
+                    eprintln!("error: unknown figure '{name}'");
+                    eprintln!("valid figures: {}", figure_names(" "));
+                    std::process::exit(2);
                 }
-                wanted.insert(name.clone());
-            }
-            "all" => {
-                for f in all_figures {
-                    wanted.insert(f.to_string());
-                }
-            }
-            name if all_figures.contains(&name) => {
-                wanted.insert(name.to_string());
-            }
-            other if !other.starts_with('-') => unknown_figure(other, &all_figures),
-            other => usage(&format!("unknown argument: {other}")),
+            },
         }
     }
-    if wanted.is_empty() {
+    if !wanted.contains(&true) {
         // Quickstart default: regenerate everything.
-        for f in all_figures {
-            wanted.insert(f.to_string());
-        }
+        wanted = [true; FIGURES.len()];
     }
+    let figures: Vec<_> = FIGURES
+        .iter()
+        .zip(wanted)
+        .filter_map(|(f, w)| w.then_some(f))
+        .collect();
     if let Some(dir) = &csv_dir {
         std::fs::create_dir_all(dir).expect("create csv dir");
     }
@@ -195,73 +165,21 @@ fn main() {
         "# scale: {:?}, seed: {seed}, threads: {}, figures: {:?}",
         scale,
         exec.threads(),
-        wanted.iter().collect::<Vec<_>>()
+        figures.iter().map(|f| f.name).collect::<Vec<_>>()
     );
 
-    // Plan every requested figure up front and execute the whole
-    // invocation as ONE flat job list — no per-figure barrier: an idle
-    // worker takes the next unclaimed job whatever figure it belongs to.
-    let needs_rate = ["fig3", "fig6", "headline", "overhead"]
-        .iter()
-        .any(|f| wanted.contains(*f));
-    let needs_query = ["fig4", "fig7", "headline"]
-        .iter()
-        .any(|f| wanted.contains(*f));
+    // Plan the union of the requested figures' plans, in job order, and
+    // execute the whole invocation as ONE flat job list — no per-figure
+    // barrier: an idle worker takes the next unclaimed job whatever
+    // figure it belongs to.
     let mut cells = Vec::new();
-    let mut spans: Vec<(&str, usize, usize)> = Vec::new();
-    let mut plan = |key: &'static str, mut figure_cells: Vec<_>, cells: &mut Vec<_>| {
-        spans.push((key, cells.len(), figure_cells.len()));
-        cells.append(&mut figure_cells);
-    };
-    if needs_rate {
-        plan("rate", figures::rate_sweep_cells(scale, seed), &mut cells);
-    }
-    if needs_query {
-        plan("query", figures::query_sweep_cells(scale, seed), &mut cells);
-    }
-    if wanted.contains("fig2") {
-        plan(
-            "fig2",
-            figures::fig2_deadline_cells(scale, seed),
-            &mut cells,
-        );
-    }
-    if wanted.contains("fig5") {
-        plan(
-            "fig5",
-            figures::fig5_rank_profile_cells(scale, seed),
-            &mut cells,
-        );
-    }
-    if wanted.contains("fig8") {
-        plan(
-            "fig8",
-            figures::fig8_sleep_hist_cells(scale, seed),
-            &mut cells,
-        );
-    }
-    if wanted.contains("fig9") {
-        plan("fig9", figures::fig9_tbe_cells(scale, seed), &mut cells);
-    }
-    if wanted.contains("lifetime") {
-        plan("lifetime", figures::lifetime_cells(scale, seed), &mut cells);
-    }
-    if wanted.contains("robustness") {
-        plan(
-            "robustness",
-            figures::robustness_cells(scale, seed),
-            &mut cells,
-        );
-    }
-    if wanted.contains("drift") {
-        plan("drift", figures::drift_cells(scale, seed), &mut cells);
-    }
-    if wanted.contains("self_healing") {
-        plan(
-            "self_healing",
-            figures::self_healing_cells(scale, seed),
-            &mut cells,
-        );
+    let mut spans: Vec<(Plan, Range<usize>)> = Vec::new();
+    for plan in Plan::ALL {
+        if figures.iter().any(|f| f.plans.contains(&plan)) {
+            let start = cells.len();
+            cells.extend(plan.cells(scale, seed));
+            spans.push((plan, start..cells.len()));
+        }
     }
     let total_jobs: u32 = cells.iter().map(|c: &SweepCell| c.runs).sum();
     eprintln!(
@@ -287,112 +205,22 @@ fn main() {
         std::fs::write(&path, digest_lines(&spans, &cells, &grid)).expect("write digests");
         eprintln!("# wrote {}", path.display());
     }
-    let slice = |key: &str| {
-        spans
-            .iter()
-            .find(|(k, _, _)| *k == key)
-            .map(|&(_, start, len)| &grid[start..start + len])
+    let results_of = |plan: &Plan| -> &Grid {
+        let (_, range) = spans.iter().find(|(p, _)| p == plan).expect("planned");
+        &grid[range.clone()]
     };
-
-    let rate: Option<RateSweepData> = slice("rate").map(|g| figures::rate_sweep_from(g, scale));
-    let query: Option<QuerySweepData> = slice("query").map(|g| figures::query_sweep_from(g, scale));
-
-    let emit = |fig: &FigureData| {
-        println!("{}", fig.render_table());
-        if let Some(dir) = &csv_dir {
-            let path = dir.join(format!("{}.csv", fig.id));
-            std::fs::write(&path, fig.to_csv()).expect("write csv");
-            eprintln!("# wrote {}", path.display());
+    for fig in &figures {
+        let grids: Vec<&Grid> = fig.plans.iter().map(results_of).collect();
+        let rendered = (fig.render)(&grids, scale);
+        for table in &rendered.tables {
+            println!("{}", table.render_table());
+            if let Some(dir) = &csv_dir {
+                let path = dir.join(format!("{}.csv", table.id));
+                std::fs::write(&path, table.to_csv()).expect("write csv");
+                eprintln!("# wrote {}", path.display());
+            }
         }
-    };
-
-    if wanted.contains("fig2") {
-        emit(&figures::fig2_deadline_from(
-            slice("fig2").expect("planned"),
-            scale,
-        ));
-    }
-    if wanted.contains("fig3") {
-        emit(&rate.as_ref().expect("computed").duty);
-    }
-    if wanted.contains("fig4") {
-        emit(&query.as_ref().expect("computed").duty);
-    }
-    if wanted.contains("fig5") {
-        emit(&figures::fig5_rank_profile_from(
-            slice("fig5").expect("planned"),
-        ));
-    }
-    if wanted.contains("fig6") {
-        emit(&rate.as_ref().expect("computed").latency);
-    }
-    if wanted.contains("fig7") {
-        emit(&query.as_ref().expect("computed").latency);
-    }
-    if wanted.contains("fig8") {
-        let data = figures::fig8_sleep_hist_from(slice("fig8").expect("planned"));
-        emit(&data.histogram);
-        println!("fraction of sleep intervals < 2.5 ms (paper: NTS 0.40%, STS 0.85%, DTS 6.33%):");
-        for (label, pct) in &data.below_2_5ms_pct {
-            println!("  {label:>8}: {pct:5.2}%");
-        }
-        println!();
-    }
-    if wanted.contains("fig9") {
-        emit(&figures::fig9_tbe_from(
-            slice("fig9").expect("planned"),
-            scale,
-        ));
-    }
-    if wanted.contains("lifetime") {
-        emit(&figures::lifetime_from(slice("lifetime").expect("planned")));
-        println!("protocol_index legend (energy_drain preset):");
-        for (i, p) in figures::SCENARIO_PROTOCOLS.iter().enumerate() {
-            println!("  {i}: {p}");
-        }
-        println!();
-    }
-    if wanted.contains("robustness") {
-        emit(&figures::robustness_from(
-            slice("robustness").expect("planned"),
-        ));
-        println!("preset_index legend:");
-        for (i, name) in figures::ROBUSTNESS_PRESETS.iter().enumerate() {
-            println!("  {i}: {name}");
-        }
-        println!();
-    }
-    if wanted.contains("drift") {
-        let data = figures::drift_from(slice("drift").expect("planned"), scale);
-        emit(&data.delivery);
-        emit(&data.missed);
-    }
-    if wanted.contains("self_healing") {
-        let data = figures::self_healing_from(slice("self_healing").expect("planned"));
-        emit(&data.delivery);
-        emit(&data.in_partition);
-        emit(&data.time_to_partition);
-        emit(&data.activity);
-        println!("protocol_index legend (churn + bursty_links presets, repair on vs off):");
-        for (i, p) in essat_wsn::config::Protocol::all().iter().enumerate() {
-            println!("  {i}: {p}");
-        }
-        println!();
-    }
-    if wanted.contains("overhead") {
-        let series = &rate.as_ref().expect("computed").dts_overhead_bits;
-        println!("== overhead — DTS phase-update overhead (paper: < 1 bit per data report)");
-        for p in &series.points {
-            println!("  base rate {:3.1} Hz: {:6.4} bits/report", p.x, p.y);
-        }
-        println!();
-    }
-    if wanted.contains("headline") {
-        let h = figures::headline(
-            rate.as_ref().expect("computed"),
-            query.as_ref().expect("computed"),
-        );
-        println!("{}", h.render());
+        print!("{}", rendered.notes);
     }
 
     // Observability side-run: one extra probed run of the first
@@ -467,7 +295,7 @@ fn main() {
     // invocation, stamped with the workload descriptor so the CI bench
     // gate refuses to compare throughput across different job sets.
     if let Some(path) = &bench_json {
-        let planned: Vec<&str> = spans.iter().map(|&(k, _, _)| k).collect();
+        let planned: Vec<&str> = spans.iter().map(|(plan, _)| plan.key()).collect();
         let scale_key = match scale {
             Scale::Quick => "quick",
             Scale::Paper => "paper",
@@ -495,35 +323,40 @@ fn main() {
 /// `<plan key> <cell index within the plan> <protocol> <seed> <digest>`
 /// line per completed job, in job order. Failed jobs have no line.
 fn digest_lines(
-    spans: &[(&str, usize, usize)],
+    spans: &[(Plan, Range<usize>)],
     cells: &[SweepCell],
     grid: &[Vec<RunResult>],
 ) -> String {
     let mut out = format!("# digest-version: {}\n", RunResult::DIGEST_VERSION);
-    for &(key, start, len) in spans {
-        for ci in 0..len {
-            let protocol = cells[start + ci].cfg.protocol;
-            for r in &grid[start + ci] {
-                let _ = writeln!(out, "{key} {ci} {protocol} {} {}", r.seed, r.digest());
+    for (plan, range) in spans {
+        for (ci, i) in range.clone().enumerate() {
+            let protocol = cells[i].cfg.protocol;
+            for r in &grid[i] {
+                let _ = writeln!(
+                    out,
+                    "{} {ci} {protocol} {} {}",
+                    plan.key(),
+                    r.seed,
+                    r.digest()
+                );
             }
         }
     }
     out
 }
 
+/// The figure names of [`FIGURES`], in output order.
+fn figure_names(sep: &str) -> String {
+    FIGURES.map(|f| f.name).join(sep)
+}
+
 fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
-        "usage: essat-figures [fig2..fig9|headline|overhead|lifetime|robustness|drift|self_healing|all]… \
-         [--figure NAME] [--list-figures] [--scale quick|paper] [--seed N] [--csv DIR] \
-         [--threads N] [--bench-json PATH] [--failures-json PATH] [--trace PATH] \
-         [--sample SECONDS] [--profile PATH]"
+        "usage: essat-figures [{}|all]… [--list-figures] [--scale quick|paper] [--seed N] \
+         [--csv DIR] [--threads N] [--bench-json PATH] [--failures-json PATH] \
+         [--trace PATH] [--sample SECONDS] [--profile PATH]",
+        figure_names("|")
     );
-    std::process::exit(2);
-}
-
-fn unknown_figure(name: &str, all: &[&str]) -> ! {
-    eprintln!("error: unknown figure '{name}'");
-    eprintln!("valid figures: {}", all.join(" "));
     std::process::exit(2);
 }

@@ -1,14 +1,20 @@
-//! Integration tests for the figure builders at reduced scale: every
-//! builder produces well-formed series with the expected axes, labels,
-//! and paper-shaped relationships.
+//! Integration tests for the figure assemblers at reduced scale: every
+//! plan's results assemble into well-formed series with the expected
+//! axes, labels, and paper-shaped relationships.
 
 use essat_harness::executor::SweepExecutor;
-use essat_harness::figures;
+use essat_harness::figures::{self, Plan};
 use essat_harness::scale::Scale;
+use essat_wsn::metrics::RunResult;
+
+/// Runs `plan` at quick scale on every core.
+fn run(plan: Plan, seed: u64) -> Vec<Vec<RunResult>> {
+    SweepExecutor::new().run(&plan.cells(Scale::Quick, seed))
+}
 
 #[test]
 fn fig5_builder_shape() {
-    let fig = figures::fig5_rank_profile(&mut SweepExecutor::new(), Scale::Quick, 7);
+    let fig = figures::fig5_rank_profile_from(&run(Plan::Fig5, 7));
     assert_eq!(fig.id, "fig5");
     assert_eq!(fig.series.len(), 3, "three ESSAT protocols");
     for s in &fig.series {
@@ -31,7 +37,7 @@ fn fig5_builder_shape() {
 
 #[test]
 fn fig8_builder_shape() {
-    let data = figures::fig8_sleep_hist(&mut SweepExecutor::new(), Scale::Quick, 11);
+    let data = figures::fig8_sleep_hist_from(&run(Plan::Fig8, 11));
     assert_eq!(data.histogram.id, "fig8");
     assert_eq!(data.histogram.series.len(), 3);
     for s in &data.histogram.series {
@@ -59,7 +65,7 @@ fn fig8_builder_shape() {
 
 #[test]
 fn lifetime_builder_shape() {
-    let fig = figures::lifetime(&mut SweepExecutor::new(), Scale::Quick, 23);
+    let fig = figures::lifetime_from(&run(Plan::Lifetime, 23));
     assert_eq!(fig.id, "lifetime");
     assert_eq!(fig.series.len(), 2, "first death + partition");
     let first_death = &fig.series[0];
@@ -95,7 +101,7 @@ fn lifetime_builder_shape() {
 
 #[test]
 fn robustness_builder_shape() {
-    let fig = figures::robustness(&mut SweepExecutor::new(), Scale::Quick, 29);
+    let fig = figures::robustness_from(&run(Plan::Robustness, 29));
     assert_eq!(fig.id, "robustness");
     assert_eq!(fig.series.len(), figures::SCENARIO_PROTOCOLS.len());
     for s in &fig.series {
@@ -121,7 +127,7 @@ fn robustness_builder_shape() {
 
 #[test]
 fn self_healing_builder_shape() {
-    let data = figures::self_healing(&mut SweepExecutor::new(), Scale::Quick, 2024);
+    let data = figures::self_healing_from(&run(Plan::SelfHealing, 2024));
     assert_eq!(data.delivery.id, "self_healing_delivery");
     assert_eq!(data.in_partition.id, "self_healing_in_partition");
     assert_eq!(data.time_to_partition.id, "self_healing_time_to_partition");
@@ -173,7 +179,7 @@ fn self_healing_builder_shape() {
 
 #[test]
 fn fig2_builder_shape() {
-    let fig = figures::fig2_deadline(&mut SweepExecutor::new(), Scale::Quick, 5);
+    let fig = figures::fig2_deadline_from(&run(Plan::Fig2, 5), Scale::Quick);
     assert_eq!(fig.id, "fig2");
     assert_eq!(fig.series.len(), 2, "duty + latency");
     let duty = &fig.series[0];

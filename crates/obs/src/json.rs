@@ -5,7 +5,8 @@
 //! It parses the full JSON grammar into a [`JsonValue`] tree with
 //! source positions in error messages — enough for the Perfetto
 //! structural validator, the JSONL trace codec, and schema tests over
-//! `BENCH_harness.json`. It is not a performance-sensitive path.
+//! `BENCH_harness.json`. Traces run to megabytes, so every step is
+//! linear in the input.
 
 use std::fmt;
 
@@ -86,6 +87,7 @@ impl std::error::Error for JsonError {}
 /// error.
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -99,6 +101,7 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -245,11 +248,10 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let ch = s.chars().next().unwrap();
+                    // Consume one UTF-8 scalar: every other step of the
+                    // parser advances over ASCII only, so `pos` sits on
+                    // a char boundary here.
+                    let ch = self.input[self.pos..].chars().next().unwrap();
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -327,6 +329,15 @@ mod tests {
         assert!(parse("{} x").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn multibyte_strings_round_trip() {
+        for original in ["a—é✓", "—", "x\u{1F600}y", "é\n✓"] {
+            let doc = format!("[\"{}\", 1]", escape(original));
+            let parsed = parse(&doc).unwrap();
+            assert_eq!(parsed.as_arr().unwrap()[0].as_str(), Some(original));
+        }
     }
 
     #[test]

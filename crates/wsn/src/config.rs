@@ -129,7 +129,8 @@ impl GuardTime {
 pub struct RepairConfig {
     /// Master switch. Disabling reverts to the pre-self-healing
     /// behaviour (synchronous §4.3 repair at detection, no collection-
-    /// layer retransmissions); kept for the zero-cost A/B bench guard.
+    /// layer retransmissions): the legacy arm of the `self_healing`
+    /// figure and the `robustness` figure's setting.
     pub enabled: bool,
 }
 
@@ -140,7 +141,7 @@ impl Default for RepairConfig {
 }
 
 impl RepairConfig {
-    /// Repair disabled entirely (the A/B bench baseline arm).
+    /// Repair disabled entirely (the legacy maintenance path).
     pub fn disabled() -> Self {
         RepairConfig { enabled: false }
     }

@@ -299,47 +299,25 @@ impl<P: Probe> World<P> {
     /// The periodic battery sweep: kill nodes whose cumulative radio
     /// energy exceeds the scenario's capacity.
     ///
-    /// The scan walks the structure-of-arrays `dead` flags (cache-
-    /// linear) and reads each live node's energy through the
-    /// non-mutating [`essat_net::radio::Radio::energy_j_at`], so the
-    /// periodic sweep no longer rewrites every radio's accounting; a
-    /// node's books are settled exactly once, at death or run end.
+    /// Each live node's energy is read through the non-mutating
+    /// [`essat_net::radio::Radio::energy_j_at`], so the sweep does not
+    /// rewrite any radio's accounting; a node's books are settled
+    /// exactly once, at death or run end. The doomed set is fixed
+    /// before the first kill, and nodes die in ascending id order.
     pub(crate) fn handle_battery_check(&mut self, ctx: &mut Context<'_, Ev>) {
         let Some(b) = self.scenario.as_ref().and_then(|s| s.battery) else {
             return;
         };
         let now = ctx.now();
-        // Chunked two-pass sweep. Pass 1 scans the SoA `dead` flags a
-        // cache-line-sized chunk at a time — the live count per chunk is
-        // a branch-free accumulation, so a fully-dead chunk (common late
-        // in lifetime runs) costs one test — and only live nodes pay for
-        // the energy projection. Doomed nodes land in a recycled scratch
-        // list; pass 2 does the (rare, mutation-heavy) kills.
-        const CHUNK: usize = 64;
-        let mut doomed = std::mem::take(&mut self.sweep_scratch);
-        doomed.clear();
-        let n = self.hot.dead.len();
-        let mut base = 0;
-        while base < n {
-            let end = (base + CHUNK).min(n);
-            let chunk = &self.hot.dead[base..end];
-            let live = chunk.iter().fold(0u32, |a, &d| a + !d as u32);
-            if live != 0 {
-                for (off, &dead) in chunk.iter().enumerate() {
-                    if !dead && self.nodes[base + off].radio.energy_j_at(now) >= b.capacity_j {
-                        doomed.push((base + off) as u32);
-                    }
-                }
-            }
-            base = end;
-        }
-        for &i in &doomed {
+        let doomed: Vec<usize> = (0..self.nodes.len())
+            .filter(|&i| !self.hot.dead[i] && self.nodes[i].radio.energy_j_at(now) >= b.capacity_j)
+            .collect();
+        for i in doomed {
             // Battery deaths are permanent: churn recovery must not
             // resurrect a node with an empty battery.
-            self.hot.battery_dead[i as usize] = true;
-            self.kill_node(NodeId::new(i), ctx);
+            self.hot.battery_dead[i] = true;
+            self.kill_node(NodeId::new(i as u32), ctx);
         }
-        self.sweep_scratch = doomed;
         let next = now + b.check_period;
         if next < self.run_end {
             ctx.schedule_at(next, Ev::BatteryCheck);

@@ -197,9 +197,6 @@ pub struct World<P: Probe = NullProbe> {
     /// finished transmission's clean / corrupted / now-idle fan-out into
     /// this one contiguous list instead of three per-call vectors.
     pub(crate) tx_end_buf: TxEndBuf,
-    /// Recycled scratch for the whole-network sweeps (battery doom
-    /// list, boundary checkpoint work lists).
-    pub(crate) sweep_scratch: Vec<u32>,
     /// The attached observability probe ([`NullProbe`] by default).
     pub(crate) probe: P,
 }
@@ -378,7 +375,6 @@ impl<P: Probe> World<P> {
             mact_pool: Vec::new(),
             tx_frames: Vec::new(),
             tx_end_buf: TxEndBuf::default(),
-            sweep_scratch: Vec::new(),
             probe,
         };
 

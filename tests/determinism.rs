@@ -4,7 +4,7 @@
 //! serial path; and pooled worlds match fresh construction.
 
 use essat::harness::executor::{SweepCell, SweepExecutor};
-use essat::harness::figures;
+use essat::harness::figures::{self, Plan};
 use essat::harness::scale::Scale;
 use essat::sim::time::SimDuration;
 use essat::wsn::config::{ExperimentConfig, Protocol, WorkloadSpec};
@@ -115,8 +115,12 @@ fn executor_cell_matches_run_many() {
 /// the thread interleaving.
 #[test]
 fn parallel_executor_matches_serial_byte_identical() {
-    let serial = figures::fig2_deadline(&mut SweepExecutor::with_threads(1), Scale::Quick, 9);
-    let parallel = figures::fig2_deadline(&mut SweepExecutor::with_threads(8), Scale::Quick, 9);
+    let cells = Plan::Fig2.cells(Scale::Quick, 9);
+    let run = |threads| {
+        let grid = SweepExecutor::with_threads(threads).run(&cells);
+        figures::fig2_deadline_from(&grid, Scale::Quick)
+    };
+    let (serial, parallel) = (run(1), run(8));
     assert_eq!(serial.to_csv().into_bytes(), parallel.to_csv().into_bytes());
     assert_eq!(
         serial.render_table().into_bytes(),

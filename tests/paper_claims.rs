@@ -1,7 +1,6 @@
 //! Integration tests asserting the paper's qualitative claims at
 //! reduced scale. Each test mirrors a figure or a sentence of §5; the
-//! full-scale regeneration lives in the `essat-figures` binary and
-//! EXPERIMENTS.md.
+//! full-scale regeneration lives in the `essat-figures` binary.
 
 use essat::net::radio::RadioParams;
 use essat::sim::time::SimDuration;

@@ -5,7 +5,7 @@
 //! sampler rows that reconcile exactly with the `RunResult` totals).
 
 use essat::harness::executor::SweepExecutor;
-use essat::harness::figures;
+use essat::harness::figures::{self, Plan};
 use essat::harness::scale::Scale;
 use essat::obs::perfetto;
 use essat::obs::sample::TimeSeriesSampler;
@@ -72,8 +72,8 @@ fn golden_digests_unchanged_with_probes_attached() {
 /// `--sample` wiring in `essat-figures`).
 #[test]
 fn figure_csvs_identical_across_threads_and_probes() {
-    let lifetime = figures::lifetime_cells(Scale::Quick, SEED);
-    let drift = figures::drift_cells(Scale::Quick, SEED);
+    let lifetime = Plan::Lifetime.cells(Scale::Quick, SEED);
+    let drift = Plan::Drift.cells(Scale::Quick, SEED);
 
     let serial_lifetime = SweepExecutor::with_threads(1).run(&lifetime);
     let serial_drift = SweepExecutor::with_threads(1).run(&drift);
@@ -124,7 +124,7 @@ fn perfetto_documents_validate() {
     assert!(n > 0, "trace is non-empty");
 
     let mut exec = SweepExecutor::with_threads(2);
-    exec.run(&figures::lifetime_cells(Scale::Quick, SEED)[..1]);
+    exec.run(&Plan::Lifetime.cells(Scale::Quick, SEED)[..1]);
     let prof = exec.profile_perfetto();
     let n = perfetto::validate(&prof).expect("profiler document validates");
     assert!(n > 0, "profile is non-empty");
@@ -163,7 +163,7 @@ fn sampler_final_rows_match_run_result_totals() {
 #[test]
 fn bench_json_carries_profiling_extension() {
     let mut exec = SweepExecutor::with_threads(2);
-    let cells = figures::lifetime_cells(Scale::Quick, SEED)[..1].to_vec();
+    let cells = Plan::Lifetime.cells(Scale::Quick, SEED)[..1].to_vec();
     let outcome = exec.run_checked(&cells);
     assert!(outcome.failures.is_empty());
     let doc = exec.stats().to_json(exec.threads());

@@ -50,8 +50,9 @@ fn transient_loss_degrades_gracefully() {
 /// end-to-end frame loss ~(1−(1−p)²)⁷ ≈ 0), so report-level *gaps* only
 /// appear under heavy loss — hence the 40% injection. Resynchronisation
 /// is sender-driven: a failed send forces a phase update onto the next
-/// report (`EssatPolicy::on_report_failed`), so every gap arrives with a
-/// piggyback and the parent requests nothing (0 requests at this seed).
+/// report (`EssatPolicy::on_report_failed`), so at this seed every gap
+/// arrives with a piggyback and the parent requests nothing
+/// (`loss_reaches_the_phase_request_path` pins a gap that does not).
 /// The observable is therefore extra piggybacked phases, not request
 /// packets.
 #[test]
@@ -77,6 +78,31 @@ fn dts_resynchronises_under_loss() {
     let nts = runner::run_one(&cfg(Protocol::NtsSs, 43).with_drop_probability(0.40));
     assert_eq!(nts.phase_piggybacks, 0, "NTS never piggybacks");
     assert_eq!(nts.phase_requests, 0, "NTS never requests resync");
+}
+
+/// ACK'd unicast does reach the parent-driven §4.3 path: a parent that
+/// sees a gap without a piggyback requests a phase update, and the
+/// child's answer resynchronises it.
+///
+/// With repair on, a child keeps redispatching a failed report while
+/// its round deadline allows. At this seed, child n32's redispatches of
+/// round 6 outlast round 7's release, so round 7 leaves at 13.185 s
+/// without a piggyback. Round 6's last retry cycle fails 130 µs later,
+/// and the piggyback `EssatPolicy::on_report_failed` then forces comes
+/// too late for round 7. Parent n24 sees round 7 as a gap without a
+/// piggyback and sends a request. With repair off the same run issues
+/// none.
+#[test]
+fn loss_reaches_the_phase_request_path() {
+    let cfg = ExperimentConfig::quick(Protocol::DtsSs, WorkloadSpec::paper(2.0), 33)
+        .with_drop_probability(0.5);
+    let r = runner::run_one(&cfg);
+    assert!(
+        r.phase_requests > 0 && r.resync_events > 0,
+        "no phase request/resync under 50% loss: {} requests, {} resyncs",
+        r.phase_requests,
+        r.resync_events
+    );
 }
 
 /// Quiet traffic-phase rounds are silence by schedule, not loss: under
