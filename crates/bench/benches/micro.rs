@@ -63,6 +63,50 @@ fn event_queue_churn_with_cancel(c: &mut Criterion) {
     });
 }
 
+fn event_queue_recycled_runs(c: &mut Criterion) {
+    const NODES: usize = 100;
+    c.bench_function("micro/event_queue_recycled_runs", |b| {
+        // A sweep worker's queue, job after job: `WorldScratch` hands
+        // each run the previous run's queue through `clear()`, so a run
+        // starts with whatever storage the last one kept. One iteration
+        // is one short run: a t = 0 burst of one round start per node
+        // (the initial `RoundStart` schedule), then MAC-slot timers that
+        // fire and re-arm, with every other firing's carrier
+        // interruption cancelling and re-arming another node's timer —
+        // a third of all pushes cancelled, the share measured on every
+        // benchmark workload. The run ends with timers still pending, as
+        // a job ends at its configured duration.
+        let mut q = EventQueue::new();
+        let mut rng = SimRng::seed_from_u64(12);
+        b.iter(|| {
+            q.clear();
+            let mut armed: [Option<EventId>; NODES] = [None; NODES];
+            for (node, h) in armed.iter_mut().enumerate() {
+                *h = Some(q.push(SimTime::ZERO, node));
+            }
+            let mut sum = 0u64;
+            for step in 0..10_000u64 {
+                let (t, _, node) = q.pop().expect("every node keeps one timer armed");
+                let now = t.as_nanos();
+                sum = sum.wrapping_add(node as u64);
+                // DIFS plus a backoff of up to 31 20 µs slots.
+                let backoff = 50_000 + 20_000 * (rng.next_u64() % 32);
+                armed[node] = Some(q.push(SimTime::from_nanos(now + backoff), node));
+                if step % 2 == 0 {
+                    // A frame's airtime freezes another node's timer.
+                    let other = (rng.next_u64() as usize) % NODES;
+                    if let Some(id) = armed[other].take() {
+                        q.cancel(id);
+                    }
+                    let resume = now + 1_000_000 + 20_000 * (rng.next_u64() % 32);
+                    armed[other] = Some(q.push(SimTime::from_nanos(resume), other));
+                }
+            }
+            black_box(sum)
+        })
+    });
+}
+
 fn timer_wheel_push_pop(c: &mut Criterion) {
     c.bench_function("micro/timer_wheel_push_pop", |b| {
         // The simulator's dominant workload: MAC-slot-granularity timers
@@ -472,6 +516,7 @@ criterion_group! {
     targets =
         event_queue_churn,
         event_queue_churn_with_cancel,
+        event_queue_recycled_runs,
         timer_wheel_push_pop,
         timer_wheel_cancel_churn,
         mac_timer_arm_disarm_churn,

@@ -167,8 +167,8 @@ impl<M: Model> Engine<M> {
     }
 
     /// Consumes the engine, returning the model and the queue (whose
-    /// slab/bucket allocations a pool can recycle into the next run via
-    /// [`Engine::with_queue`] after clearing it).
+    /// slab, current-bucket and overflow allocations a pool can recycle
+    /// into the next run via [`Engine::with_queue`] after clearing it).
     pub fn into_parts(self) -> (M, EventQueue<M::Event>) {
         (self.model, self.queue)
     }

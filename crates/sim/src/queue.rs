@@ -7,14 +7,13 @@
 //!
 //! # Implementation
 //!
-//! Event payloads live in a **slab** (a vector of reusable slots with a
-//! free list); the ordering structure holds only small `Copy` entries
-//! `(time, seq, slot)`. The insertion sequence number doubles as a
-//! **generation tag**: a slot is live for exactly one sequence number, so
-//! an entry is stale iff its sequence no longer matches its slot.
-//! Cancellation ([`EventQueue::cancel`]) is O(1): drop the payload, free
-//! the slot, and leave the ordering entry to be skipped at pop time by
-//! the sequence check — no hashing anywhere on the push/pop/cancel paths.
+//! Every pending event lives in a **slab** slot (a vector of reusable
+//! slots, the free ones chained into a free list) that also records its
+//! fire time, its insertion sequence number and where the event is filed.
+//! The insertion sequence number doubles as a **generation tag**: a slot
+//! is live for exactly one sequence number, so a copied `(time, seq,
+//! slot)` entry is stale iff its sequence no longer matches its slot — no
+//! hashing anywhere on the push/pop/cancel paths.
 //!
 //! The ordering structure is a **timer wheel** rather than a binary
 //! heap: the dominant simulation workload is timers at MAC-slot
@@ -24,19 +23,27 @@
 //! ns each (65.536 µs ≈ a handful of 802.11 20 µs slots), covering a
 //! ≈268 ms near-future window:
 //!
-//! * **push** within the window appends to the target bucket — O(1);
-//! * **pop** drains the *current* bucket, which is sorted by
-//!   `(time, seq)` once when the cursor reaches it (so the exact global
-//!   order is preserved, including FIFO among same-instant events);
-//! * an occupancy **bitmap** (one bit per bucket) finds the next
-//!   non-empty bucket with a couple of word scans, so sparse stretches
-//!   cost nothing;
+//! * each future bucket is a doubly-linked list threaded through the
+//!   slab slots (one head index per bucket), so a **push** within the
+//!   window links its slot at the bucket's head and a **cancel** unlinks
+//!   it — both O(1), and a cancelled timer is never sorted or skipped;
+//! * when the cursor reaches a bucket, its list is gathered into one
+//!   reusable `current` vector of `(time, seq, slot)` entries, sorted
+//!   once and drained front to back, so **pop** follows the exact
+//!   global order (including FIFO among same-instant events) whatever
+//!   order the list held;
+//! * an occupancy **bitmap** (one bit per bucket, set iff its list is
+//!   non-empty) finds the next non-empty bucket with a couple of word
+//!   scans, so sparse stretches cost nothing;
 //! * events beyond the window go to a small **overflow heap** and
 //!   migrate into the wheel as the cursor advances past their horizon.
 //!
 //! Pushes at or before the cursor's bucket (e.g. `schedule_now` chains)
-//! insert into the current bucket at their sorted position, which keeps
-//! the total order exact even while the bucket is being drained.
+//! insert into `current` at their sorted position, which keeps the total
+//! order exact even while the bucket is being drained. Entries in
+//! `current` and in the overflow heap are copies: cancelling one of
+//! those events frees its slot at once and leaves the copy to be skipped
+//! by the generation check.
 //!
 //! # Examples
 //!
@@ -77,6 +84,14 @@ const BUCKET_COUNT: usize = 4096;
 const BUCKET_MASK: u64 = (BUCKET_COUNT as u64) - 1;
 /// Occupancy bitmap words.
 const OCC_WORDS: usize = BUCKET_COUNT / 64;
+/// The null slot index: an empty bucket, the end of a list.
+const NIL: u32 = u32::MAX;
+
+/// Absolute bucket number of `time`.
+#[inline]
+fn bucket_of(time: SimTime) -> u64 {
+    time.as_nanos() >> BUCKET_SHIFT
+}
 
 /// Opaque handle to a scheduled event, usable to cancel it later.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -95,33 +110,42 @@ impl EventId {
     }
 }
 
-/// One slab slot. `event` is `None` while the slot sits on the free
-/// list; `seq` records the generation that last occupied it.
+/// Where a slot's event is filed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Loc {
+    /// No event: the slot is on the free list.
+    Free,
+    /// Linked into the list of a future wheel bucket.
+    Bucket,
+    /// Copied into `current`, the bucket under the cursor.
+    Current,
+    /// Copied into the overflow heap.
+    Overflow,
+}
+
+/// One slab slot. `seq` records the generation that last occupied it;
+/// `event` is `Some` iff `loc` is not [`Loc::Free`].
 #[derive(Debug)]
 struct Slot<E> {
+    time: SimTime,
     seq: u64,
+    /// Bucket-list neighbours while `loc` is [`Loc::Bucket`]; `next`
+    /// also chains the free list.
+    prev: u32,
+    next: u32,
+    loc: Loc,
     event: Option<E>,
 }
 
-/// One ordering entry: everything needed for ordering and staleness
-/// detection, but not the event payload itself (which stays in the
-/// slab). Used both in wheel buckets and in the overflow heap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A copied ordering entry — everything needed for ordering and
+/// staleness detection, but not the event payload itself (which stays
+/// in the slab). Used in `current` and in the overflow heap. The derived
+/// order is `(time, seq)`: sequence numbers are unique, so the slot
+/// never decides.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Entry {
     time: SimTime,
-    seq: u64,
-    slot: u32,
-}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
+    id: EventId,
 }
 
 /// Deterministic future-event set.
@@ -131,27 +155,32 @@ impl Ord for Entry {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     slots: Vec<Slot<E>>,
-    free: Vec<u32>,
+    /// Head of the free-slot list, chained through `Slot::next`.
+    free: u32,
     live: usize,
     peak_live: usize,
     next_seq: u64,
-    /// The bucket ring; `wheel[abs & BUCKET_MASK]` holds entries whose
-    /// absolute bucket number is `abs ∈ (cur_abs, cur_abs + BUCKET_COUNT)`,
-    /// plus — at ring position `cur_abs & BUCKET_MASK` — the current
-    /// bucket being drained (which may also hold earlier-time entries
-    /// pushed after the cursor passed their nominal bucket).
-    wheel: Vec<Vec<Entry>>,
-    /// One bit per ring position: set iff a non-current bucket holds
-    /// entries (possibly stale).
+    /// Head slot of each future bucket's list: `heads[abs & BUCKET_MASK]`
+    /// lists the events whose absolute bucket number is
+    /// `abs ∈ (cur_abs, cur_abs + BUCKET_COUNT)`. The cursor's own ring
+    /// position is always empty (its events are in `current`).
+    heads: [u32; BUCKET_COUNT],
+    /// One bit per ring position: set iff its bucket list is non-empty.
     occ: [u64; OCC_WORDS],
     /// Absolute bucket number (`time >> BUCKET_SHIFT`) of the cursor.
     cur_abs: u64,
-    /// Drained prefix of the current bucket.
+    /// The cursor's bucket; may also hold earlier-time entries pushed
+    /// after the cursor passed their nominal bucket, and stale copies of
+    /// events cancelled after they arrived.
+    current: Vec<Entry>,
+    /// Drained prefix of `current`.
     drain: usize,
-    /// Whether the current bucket's `[drain..]` suffix is sorted by
-    /// `(time, seq)`.
+    /// Whether `current[drain..]` is sorted by `(time, seq)`. Entries
+    /// gathered on arrival or pushed right after a cursor jump are
+    /// appended unsorted and sorted once, at the next pop.
     sorted: bool,
-    /// Events at or beyond the wheel horizon, ordered by `(time, seq)`.
+    /// Events at or beyond the wheel horizon, ordered by `(time, seq)`
+    /// (possibly stale).
     overflow: BinaryHeap<Reverse<Entry>>,
 }
 
@@ -162,17 +191,18 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue.
+    /// Creates an empty queue. Allocates nothing until the first push.
     pub fn new() -> Self {
         EventQueue {
             slots: Vec::new(),
-            free: Vec::new(),
+            free: NIL,
             live: 0,
             peak_live: 0,
             next_seq: 0,
-            wheel: (0..BUCKET_COUNT).map(|_| Vec::new()).collect(),
+            heads: [NIL; BUCKET_COUNT],
             occ: [0; OCC_WORDS],
             cur_abs: 0,
+            current: Vec::new(),
             drain: 0,
             sorted: false,
             overflow: BinaryHeap::new(),
@@ -207,40 +237,64 @@ impl<E> EventQueue<E> {
         None
     }
 
-    /// Files an ordering entry into the wheel or the overflow heap.
+    /// Links live slot `s` at the head of the list of absolute bucket
+    /// `abs`.
     #[inline]
-    fn insert_entry(&mut self, e: Entry) {
-        let abs = e.time.as_nanos() >> BUCKET_SHIFT;
-        if self.live == 1 && abs > self.cur_abs {
-            // The queue was empty: jump the cursor straight to the new
-            // event's bucket so an idle stretch never routes the next
-            // event through the overflow heap. Any leftover entries in
-            // the old current bucket are stale (live was 0) and can mix
-            // harmlessly with future occupants of the reused ring slot.
-            let ring = (self.cur_abs & BUCKET_MASK) as usize;
-            self.wheel[ring].clear();
-            self.drain = 0;
-            self.sorted = false;
-            self.cur_abs = abs;
-            self.occ_clear((abs & BUCKET_MASK) as usize);
+    fn link(&mut self, s: u32, abs: u64) {
+        let ring = (abs & BUCKET_MASK) as usize;
+        let head = self.heads[ring];
+        if head != NIL {
+            self.slots[head as usize].prev = s;
         }
+        let sl = &mut self.slots[s as usize];
+        sl.prev = NIL;
+        sl.next = head;
+        sl.loc = Loc::Bucket;
+        self.heads[ring] = s;
+        self.occ_set(ring);
+    }
+
+    /// Unlinks slot `s` from its bucket's list, clearing the bucket's
+    /// occupancy bit when the list empties.
+    #[inline]
+    fn unlink(&mut self, s: u32) {
+        let sl = &self.slots[s as usize];
+        let (prev, next, time) = (sl.prev, sl.next, sl.time);
+        if next != NIL {
+            self.slots[next as usize].prev = prev;
+        }
+        if prev != NIL {
+            self.slots[prev as usize].next = next;
+        } else {
+            let ring = (bucket_of(time) & BUCKET_MASK) as usize;
+            self.heads[ring] = next;
+            if next == NIL {
+                self.occ_clear(ring);
+            }
+        }
+    }
+
+    /// Files the live event `e` relative to the cursor: into `current`,
+    /// a bucket list, or the overflow heap.
+    #[inline]
+    fn file(&mut self, e: Entry) {
+        let abs = bucket_of(e.time);
+        let loc = &mut self.slots[e.id.slot as usize].loc;
         if abs <= self.cur_abs {
             // Current bucket (or the past — the engine forbids that, but
-            // the queue keeps exact order regardless): keep the drained
-            // suffix sorted.
-            let ring = (self.cur_abs & BUCKET_MASK) as usize;
+            // the queue keeps exact order regardless): keep a sorted
+            // undrained suffix sorted.
+            *loc = Loc::Current;
             if self.sorted {
-                let tail = &self.wheel[ring][self.drain..];
-                let pos = tail.partition_point(|x| (x.time, x.seq) <= (e.time, e.seq));
-                self.wheel[ring].insert(self.drain + pos, e);
+                let pos = self.current[self.drain..].partition_point(|x| *x < e);
+                self.current.insert(self.drain + pos, e);
             } else {
-                self.wheel[ring].push(e);
+                self.current.push(e);
             }
         } else if abs - self.cur_abs < BUCKET_COUNT as u64 {
-            let ring = (abs & BUCKET_MASK) as usize;
-            self.wheel[ring].push(e);
-            self.occ_set(ring);
+            self.link(e.id.slot, abs);
         } else {
+            *loc = Loc::Overflow;
             self.overflow.push(Reverse(e));
         }
     }
@@ -255,33 +309,52 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: SimTime, event: E) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(s) => {
-                let sl = &mut self.slots[s as usize];
-                sl.seq = seq;
-                sl.event = Some(event);
-                s
-            }
-            None => {
-                let s = self.slots.len() as u32;
-                self.slots.push(Slot {
-                    seq,
-                    event: Some(event),
-                });
-                s
-            }
+        // `file` sets the location.
+        let slot = Slot {
+            time,
+            seq,
+            prev: NIL,
+            next: NIL,
+            loc: Loc::Free,
+            event: Some(event),
+        };
+        let s = if self.free != NIL {
+            let s = self.free;
+            self.free = self.slots[s as usize].next;
+            self.slots[s as usize] = slot;
+            s
+        } else {
+            self.slots.push(slot);
+            (self.slots.len() - 1) as u32
         };
         self.live += 1;
         self.peak_live = self.peak_live.max(self.live);
-        self.insert_entry(Entry { time, seq, slot });
-        EventId { seq, slot }
+        if self.live == 1 {
+            // The queue was empty, so every bucket list is too and
+            // whatever `current` and the overflow heap hold is stale:
+            // drop it and put the cursor on this event's bucket, so an
+            // idle stretch never routes the next event through the
+            // overflow heap.
+            self.current.clear();
+            self.drain = 0;
+            self.sorted = false;
+            self.overflow.clear();
+            self.cur_abs = bucket_of(time);
+        }
+        let id = EventId { seq, slot: s };
+        self.file(Entry { time, id });
+        id
     }
 
-    /// True if `id` still identifies the live occupant of its slot.
-    fn is_live(&self, id: EventId) -> bool {
-        self.slots
-            .get(id.slot as usize)
-            .is_some_and(|sl| sl.seq == id.seq && sl.event.is_some())
+    /// Puts live slot `s` on the free list and returns its event.
+    #[inline]
+    fn release(&mut self, s: u32) -> E {
+        let sl = &mut self.slots[s as usize];
+        sl.loc = Loc::Free;
+        sl.next = self.free;
+        self.free = s;
+        self.live -= 1;
+        sl.event.take().expect("a live slot holds its event")
     }
 
     /// Cancels a pending event. Returns `true` if the event was still
@@ -289,106 +362,109 @@ impl<E> EventQueue<E> {
     /// already fired or been cancelled.
     #[inline]
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let Some(sl) = self.slots.get_mut(id.slot as usize) else {
-            return false;
-        };
-        if sl.seq != id.seq || sl.event.take().is_none() {
+        if !self.is_pending(id) {
             return false;
         }
-        self.free.push(id.slot);
-        self.live -= 1;
+        if self.slots[id.slot as usize].loc == Loc::Bucket {
+            self.unlink(id.slot);
+        }
+        self.release(id.slot);
         true
     }
 
-    /// Returns `true` if the event is still pending.
+    /// Returns `true` if the event is still pending: `id` still names
+    /// the live occupant of its slot.
     #[inline]
     pub fn is_pending(&self, id: EventId) -> bool {
-        self.is_live(id)
+        self.slots
+            .get(id.slot as usize)
+            .is_some_and(|sl| sl.seq == id.seq && sl.loc != Loc::Free)
     }
 
-    /// Migrates overflow entries that now fall inside the wheel window.
+    /// Links overflow events that now fall inside the wheel window into
+    /// their bucket lists, dropping stale copies on the way.
     fn migrate_overflow(&mut self) {
         let horizon = self.cur_abs + BUCKET_COUNT as u64;
-        while let Some(Reverse(e)) = self.overflow.peek() {
-            if e.time.as_nanos() >> BUCKET_SHIFT >= horizon {
+        while let Some(&Reverse(e)) = self.overflow.peek() {
+            let abs = bucket_of(e.time);
+            if abs >= horizon {
                 break;
             }
-            let Some(Reverse(e)) = self.overflow.pop() else {
-                unreachable!()
-            };
-            let abs = e.time.as_nanos() >> BUCKET_SHIFT;
-            let ring = (abs & BUCKET_MASK) as usize;
-            self.wheel[ring].push(e);
-            if abs != self.cur_abs {
-                self.occ_set(ring);
+            self.overflow.pop();
+            if self.is_pending(e.id) {
+                self.link(e.id.slot, abs);
             }
         }
     }
 
-    /// Advances the cursor to the next bucket holding entries (wheel or
-    /// overflow). The current bucket must be fully drained. Returns
-    /// `false` when nothing is pending anywhere.
-    fn advance(&mut self) -> bool {
-        debug_assert!(self.drain >= self.wheel[(self.cur_abs & BUCKET_MASK) as usize].len());
-        let ring = (self.cur_abs & BUCKET_MASK) as usize;
-        self.wheel[ring].clear();
-        self.drain = 0;
-        self.sorted = false;
+    /// Moves the cursor to the next bucket holding live events (wheel or
+    /// overflow) and loads that bucket into `current`. Requires
+    /// `current` to be drained and at least one event to be pending.
+    fn advance(&mut self) {
         // Wheel entries always precede overflow entries (the overflow
         // holds only times at or beyond the horizon), so a non-empty
         // wheel decides the next cursor position by itself.
         let target = match self.next_occupied() {
             Some(abs) => abs,
-            None => match self.overflow.peek() {
-                Some(Reverse(e)) => e.time.as_nanos() >> BUCKET_SHIFT,
-                None => return false,
+            None => loop {
+                let Reverse(e) = *self
+                    .overflow
+                    .peek()
+                    .expect("a pending event outside the wheel is in the overflow heap");
+                if self.is_pending(e.id) {
+                    break bucket_of(e.time);
+                }
+                // Stale: it must not choose the next bucket.
+                self.overflow.pop();
             },
         };
         self.cur_abs = target;
-        self.occ_clear((target & BUCKET_MASK) as usize);
+        self.current.clear();
+        self.drain = 0;
+        self.sorted = false;
         self.migrate_overflow();
-        true
+        let ring = (target & BUCKET_MASK) as usize;
+        let mut s = std::mem::replace(&mut self.heads[ring], NIL);
+        self.occ_clear(ring);
+        while s != NIL {
+            let sl = &mut self.slots[s as usize];
+            sl.loc = Loc::Current;
+            self.current.push(Entry {
+                time: sl.time,
+                id: EventId {
+                    seq: sl.seq,
+                    slot: s,
+                },
+            });
+            s = sl.next;
+        }
     }
 
     /// Positions `drain` at the earliest live entry, advancing buckets
     /// as needed, and returns it (without consuming).
     fn settle_head(&mut self) -> Option<Entry> {
+        if self.live == 0 {
+            return None;
+        }
         loop {
-            let ring = (self.cur_abs & BUCKET_MASK) as usize;
             if !self.sorted {
-                self.drain = 0;
-                self.wheel[ring].sort_unstable();
+                self.current[self.drain..].sort_unstable();
                 self.sorted = true;
             }
-            while self.drain < self.wheel[ring].len() {
-                let e = self.wheel[ring][self.drain];
-                let sl = &self.slots[e.slot as usize];
-                if sl.seq == e.seq && sl.event.is_some() {
+            while let Some(&e) = self.current.get(self.drain) {
+                if self.is_pending(e.id) {
                     return Some(e);
                 }
                 self.drain += 1; // stale: cancelled (slot possibly reused)
             }
-            if !self.advance() {
-                return None;
-            }
+            self.advance();
         }
     }
 
     /// Consumes the entry [`EventQueue::settle_head`] just positioned.
     fn consume_head(&mut self, e: Entry) -> (SimTime, EventId, E) {
         self.drain += 1;
-        let sl = &mut self.slots[e.slot as usize];
-        let event = sl.event.take().expect("settled head is live");
-        self.free.push(e.slot);
-        self.live -= 1;
-        (
-            e.time,
-            EventId {
-                seq: e.seq,
-                slot: e.slot,
-            },
-            event,
-        )
+        (e.time, e.id, self.release(e.id.slot))
     }
 
     /// Removes and returns the earliest pending event as
@@ -436,19 +512,20 @@ impl<E> EventQueue<E> {
 
     /// Removes all pending events and resets the high-water mark and the
     /// cursor (the next push may be at any time, including before
-    /// previously popped events). Bucket, slab and overflow capacity is
-    /// retained, so a recycled queue reaches steady state without
-    /// reallocating.
+    /// previously popped events). The slab, the `current` vector and the
+    /// overflow heap keep their capacity, so a recycled queue reaches
+    /// steady state without reallocating; that capacity follows the
+    /// largest pending set and the fullest bucket, not how many buckets
+    /// were ever used.
     pub fn clear(&mut self) {
         self.slots.clear();
-        self.free.clear();
+        self.free = NIL;
         self.live = 0;
         self.peak_live = 0;
-        for b in &mut self.wheel {
-            b.clear();
-        }
+        self.heads.fill(NIL);
         self.occ = [0; OCC_WORDS];
         self.cur_abs = 0;
+        self.current.clear();
         self.drain = 0;
         self.sorted = false;
         self.overflow.clear();
@@ -675,5 +752,48 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(20)));
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, _, e)| e)).collect();
         assert_eq!(order, vec![20, 40]);
+    }
+
+    /// Cancelling every event of a future bucket — from the middle, the
+    /// tail and the head of its list — empties the list and clears its
+    /// occupancy bit, so the cursor never gathers the cancelled events.
+    #[test]
+    fn cancel_unlinks_future_bucket_events() {
+        let mut q = EventQueue::new();
+        q.push(t(0), 0);
+        // Linked at the head, so the list reads 3 → 2 → 1.
+        let ids: Vec<_> = (1..=3).map(|i| q.push(t(1), i)).collect();
+        q.push(t(2), 4);
+        let ring = (bucket_of(t(1)) & BUCKET_MASK) as usize;
+        for i in [1, 0, 2] {
+            assert!(q.cancel(ids[i]));
+        }
+        assert_eq!(q.heads[ring], NIL);
+        assert_eq!(q.occ[ring >> 6] & (1u64 << (ring & 63)), 0);
+        assert_eq!(q.pop().unwrap().2, 0);
+        assert_eq!(q.pop().unwrap().2, 4);
+        assert_eq!(q.current.len(), 1, "only the live event reached `current`");
+        assert!(q.pop().is_none());
+    }
+
+    /// A recycled queue keeps storage for its largest pending set, not
+    /// for every bucket it ever filled: eight 1,000-event bursts into
+    /// eight distinct buckets, each drained before the next.
+    #[test]
+    fn retained_storage_follows_the_pending_set() {
+        let mut q = EventQueue::new();
+        for k in 0..8u64 {
+            // An anchor in the cursor's bucket, then a same-instant burst
+            // in a later bucket of its own.
+            q.push(t(10 * k), 0);
+            for i in 0..1_000 {
+                q.push(t(10 * k + 1), i);
+            }
+            while q.pop().is_some() {}
+        }
+        let peak = q.peak_len();
+        q.clear();
+        let kept = q.slots.capacity() + q.current.capacity() + q.overflow.capacity();
+        assert!(kept <= 3 * peak, "kept {kept} entries for a peak of {peak}");
     }
 }

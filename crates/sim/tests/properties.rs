@@ -361,43 +361,81 @@ mod wheel_vs_reference {
         )
     }
 
+    /// Plays a push / pop / cancel script on `q` and `r` side by side,
+    /// checking every pop, every cancel outcome and `len()`. Sequence
+    /// numbers keep counting across `clear()`, so the queue's are offset
+    /// from the reference's by the pushes it saw before `r` existed.
+    fn play(q: &mut EventQueue<usize>, r: &mut RefQueue, ops: &[(u8, u64, u16)]) {
+        let base = q.scheduled_total();
+        let mut ids = Vec::new(); // wheel ids by ref seq
+        let mut payload = 0usize;
+        for &(op, t, pick) in ops {
+            match op {
+                0 => {
+                    let id = q.push(SimTime::from_nanos(t), payload);
+                    let seq = r.push(t, payload);
+                    assert_eq!(id.as_u64(), base + seq, "seq numbering agrees");
+                    ids.push(id);
+                    payload += 1;
+                }
+                1 => {
+                    let got = q.pop().map(|(t, _, p)| (t.as_nanos(), p));
+                    assert_eq!(got, r.pop(), "pop order diverged");
+                }
+                _ if !ids.is_empty() => {
+                    let id = ids[pick as usize % ids.len()];
+                    assert_eq!(
+                        q.cancel(id),
+                        r.cancel(id.as_u64() - base),
+                        "cancel outcome diverged"
+                    );
+                }
+                _ => {}
+            }
+            assert_eq!(q.len(), r.live, "live count diverged");
+        }
+    }
+
+    /// Drains `q` and `r`: the survivors must agree exactly, in order.
+    fn drain(q: &mut EventQueue<usize>, r: &mut RefQueue) {
+        loop {
+            let got = q.pop().map(|(t, _, p)| (t.as_nanos(), p));
+            assert_eq!(got, r.pop(), "drain order diverged");
+            assert_eq!(q.len(), r.live, "live count diverged");
+            if got.is_none() {
+                break;
+            }
+        }
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
         #[test]
         fn wheel_matches_reference_heap(ops in proptest::collection::vec(op_strategy(), 1..400)) {
             let mut q = EventQueue::new();
             let mut r = RefQueue::default();
-            let mut ids = Vec::new(); // wheel ids by ref seq
-            let mut payload = 0usize;
-            for (op, t, pick) in ops {
-                match op {
-                    0 => {
-                        let id = q.push(SimTime::from_nanos(t), payload);
-                        let seq = r.push(t, payload);
-                        prop_assert_eq!(id.as_u64(), seq, "seq numbering agrees");
-                        ids.push(id);
-                        payload += 1;
-                    }
-                    1 => {
-                        let got = q.pop().map(|(t, _, p)| (t.as_nanos(), p));
-                        prop_assert_eq!(got, r.pop(), "pop order diverged");
-                    }
-                    _ if !ids.is_empty() => {
-                        let id = ids[pick as usize % ids.len()];
-                        prop_assert_eq!(q.cancel(id), r.cancel(id.as_u64()), "cancel outcome diverged");
-                    }
-                    _ => {}
-                }
-                prop_assert_eq!(q.len(), r.live, "live count diverged");
-            }
-            // Drain: the survivors must agree exactly, in order.
-            loop {
-                let got = q.pop().map(|(t, _, p)| (t.as_nanos(), p));
-                let want = r.pop();
-                prop_assert_eq!(got, want, "drain order diverged");
-                if got.is_none() {
-                    break;
-                }
-            }
+            play(&mut q, &mut r, &ops);
+            drain(&mut q, &mut r);
+        }
+
+        /// A queue recycled through `clear()` — every sweep job after a
+        /// worker's first runs on one — behaves like a fresh queue: after
+        /// a first script leaves events pending in the current bucket,
+        /// future buckets and the overflow heap, `clear()` and a second
+        /// script match a fresh reference pop for pop.
+        #[test]
+        fn recycled_queue_matches_fresh_reference(
+            first in proptest::collection::vec(op_strategy(), 1..400),
+            second in proptest::collection::vec(op_strategy(), 1..400),
+        ) {
+            let mut q = EventQueue::new();
+            play(&mut q, &mut RefQueue::default(), &first);
+            q.clear();
+            prop_assert!(q.is_empty());
+            let mut r = RefQueue::default();
+            play(&mut q, &mut r, &second);
+            drain(&mut q, &mut r);
         }
 
         /// Differential test of the engine's bounded-run loop — one

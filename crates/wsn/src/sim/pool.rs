@@ -3,11 +3,11 @@
 //!
 //! A paper figure is hundreds of independent runs, and without this
 //! module each of them pays the same two fixed costs: (1) allocating a
-//! fresh event-queue slab, channel buffer pools and policy/MAC action
-//! buffers, all of which immediately re-grow to the same steady-state
-//! shapes, and (2) re-deriving the identical topology, routing tree and
-//! channel adjacency for every protocol and repetition sharing a
-//! `(topology parameters, seed)` sweep point.
+//! fresh event-queue slab and current-bucket vector, channel buffer
+//! pools and policy/MAC action buffers, all of which immediately re-grow
+//! to the same steady-state shapes, and (2) re-deriving the identical
+//! topology, routing tree and channel adjacency for every protocol and
+//! repetition sharing a `(topology parameters, seed)` sweep point.
 //!
 //! [`WorldScratch`] fixes (1): a sweep worker keeps one scratch per
 //! thread and threads it through
@@ -47,9 +47,11 @@ use crate::payload::Payload;
 
 /// A worker's recyclable run state: everything a
 /// [`World`](super::world::World) allocates that the *next* run on the
-/// same thread can reuse — the event-queue slab and wheel buckets, the
-/// channel's receiver-list buffer pool, the policy- and
-/// MAC-action buffers, and the tree-view child buffers. See
+/// same thread can reuse — the event queue (its slab, current-bucket
+/// vector and overflow heap, which follow the largest pending set; it
+/// keeps no per-bucket storage), the channel's receiver-list buffer
+/// pool, the policy- and MAC-action buffers, and the tree-view child
+/// buffers. See
 /// [`World::run_instrumented`](super::world::World::run_instrumented).
 #[derive(Debug, Default)]
 pub struct WorldScratch {
