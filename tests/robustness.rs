@@ -334,3 +334,59 @@ fn partition_episodes_heal_under_churn() {
         "no churn seed ever healed a partition — recovery path untested"
     );
 }
+
+/// The fault arms of [`several_queries_per_class_under_faults_match_pinned_digests`].
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    /// `churn` with self-healing on.
+    Churn,
+    /// `churn` on the legacy synchronous §4.3 repair path.
+    ChurnNoRepair,
+    /// Gilbert–Elliott bursty links.
+    BurstyLinks,
+    /// 50% uniform loss: enough report gaps that DTS parents request
+    /// phase updates and children resynchronise.
+    HeavyLoss,
+}
+
+/// Digests of [`several_queries_per_class_under_faults_match_pinned_digests`],
+/// recorded while each node kept its query-agent state in per-query
+/// and per-`(query, round)` keyed collections.
+const MULTI_QUERY_FAULT_DIGESTS: [(Protocol, Fault, &str); 10] = [
+    (Protocol::DtsSs, Fault::Churn, "0c7f96864665ab5d"),
+    (Protocol::DtsSs, Fault::ChurnNoRepair, "b14248caf6b246b0"),
+    (Protocol::DtsSs, Fault::BurstyLinks, "c541ddcb2b5c34c4"),
+    (Protocol::DtsSs, Fault::HeavyLoss, "2c2ea4939494dfc6"),
+    (Protocol::StsSs, Fault::Churn, "ec226d57c39b274a"),
+    (Protocol::StsSs, Fault::ChurnNoRepair, "117ad672c1210c81"),
+    (Protocol::StsSs, Fault::BurstyLinks, "92aaaacc07fc6212"),
+    (Protocol::Psm, Fault::Churn, "a36ccd86b4a516a6"),
+    (Protocol::Psm, Fault::ChurnNoRepair, "a69d494c39084f43"),
+    (Protocol::Psm, Fault::BurstyLinks, "584b41ddf1778862"),
+];
+
+/// Five queries per class under churn (repair on and off), bursty
+/// links and heavy loss: nodes hold many queries' rounds at once while
+/// they die, revive, re-parent, lose reports and resynchronise phases.
+/// No figure or other test combines several queries per class with
+/// faults.
+#[test]
+fn several_queries_per_class_under_faults_match_pinned_digests() {
+    for (protocol, fault, want) in MULTI_QUERY_FAULT_DIGESTS {
+        let workload = WorkloadSpec::paper(1.0).with_queries_per_class(5);
+        let mut base = ExperimentConfig::quick(protocol, workload, 17);
+        let run = SimDuration::from_secs(20);
+        base.duration = run;
+        let cfg = match fault {
+            Fault::Churn => base.with_scenario(Scenario::Spec(presets::churn(run))),
+            Fault::ChurnNoRepair => base
+                .with_scenario(Scenario::Spec(presets::churn(run)))
+                .with_repair(RepairConfig::disabled()),
+            Fault::BurstyLinks => base.with_scenario(Scenario::Spec(presets::bursty_links())),
+            Fault::HeavyLoss => base.with_drop_probability(0.5),
+        };
+        let r = runner::run_one(&cfg);
+        assert_eq!(r.queries.len(), 15);
+        assert_eq!(r.digest(), want, "{protocol} under {fault:?}");
+    }
+}
