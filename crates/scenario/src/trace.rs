@@ -82,22 +82,13 @@ pub fn trace_name(trace: &str) -> Option<&str> {
         .map(str::trim)
 }
 
-fn parse_u64(field: Option<&str>, line: &str) -> Result<u64, String> {
-    field
-        .and_then(|f| f.parse().ok())
-        .ok_or_else(|| format!("malformed integer in trace line: {line}"))
-}
-
-fn parse_f64(field: Option<&str>, line: &str) -> Result<f64, String> {
-    field
-        .and_then(|f| f.parse().ok())
-        .ok_or_else(|| format!("malformed float in trace line: {line}"))
-}
-
-fn parse_i64(field: Option<&str>, line: &str) -> Result<i64, String> {
-    field
-        .and_then(|f| f.parse().ok())
-        .ok_or_else(|| format!("malformed signed integer in trace line: {line}"))
+/// Parses one field as a `T`; a missing, malformed or out-of-range
+/// field is an error naming the line.
+fn parse<T: std::str::FromStr>(field: Option<&str>, line: &str) -> Result<T, String> {
+    field.and_then(|f| f.parse().ok()).ok_or_else(|| {
+        let ty = std::any::type_name::<T>();
+        format!("malformed {ty} field in trace line: {line}")
+    })
 }
 
 /// Parses a trace back into the compiled scenario it recorded.
@@ -115,37 +106,40 @@ pub fn from_trace(trace: &str) -> Result<CompiledScenario, String> {
         let mut parts = line.split_whitespace();
         let tag = parts.next().expect("non-empty line has a first token");
         match tag {
-            "name" => c.name = line["name".len()..].trim().to_string(),
-            "nodes" => c.nodes = parse_u64(parts.next(), line)? as u32,
+            "name" => {
+                c.name = line["name".len()..].trim().to_string();
+                continue;
+            }
+            "nodes" => c.nodes = parse(parts.next(), line)?,
             "link" => {
                 c.link = Some(GilbertElliottParams {
-                    mean_good: SimDuration::from_nanos(parse_u64(parts.next(), line)?),
-                    mean_bad: SimDuration::from_nanos(parse_u64(parts.next(), line)?),
-                    drop_good: parse_f64(parts.next(), line)?,
-                    drop_bad: parse_f64(parts.next(), line)?,
+                    mean_good: SimDuration::from_nanos(parse(parts.next(), line)?),
+                    mean_bad: SimDuration::from_nanos(parse(parts.next(), line)?),
+                    drop_good: parse(parts.next(), line)?,
+                    drop_bad: parse(parts.next(), line)?,
                 });
             }
             "battery" => {
                 c.battery = Some(BatterySpec {
-                    capacity_j: parse_f64(parts.next(), line)?,
-                    check_period: SimDuration::from_nanos(parse_u64(parts.next(), line)?),
+                    capacity_j: parse(parts.next(), line)?,
+                    check_period: SimDuration::from_nanos(parse(parts.next(), line)?),
                 });
             }
             "phase" => {
                 c.traffic.push(TrafficPhase {
-                    from: SimTime::from_nanos(parse_u64(parts.next(), line)?),
-                    rate_scale: parse_f64(parts.next(), line)?,
+                    from: SimTime::from_nanos(parse(parts.next(), line)?),
+                    rate_scale: parse(parts.next(), line)?,
                 });
             }
             "down" | "up" => {
                 c.events.push(ScenarioEvent {
-                    at: SimTime::from_nanos(parse_u64(parts.next(), line)?),
-                    node: parse_u64(parts.next(), line)? as u32,
+                    at: SimTime::from_nanos(parse(parts.next(), line)?),
+                    node: parse(parts.next(), line)?,
                     up: tag == "up",
                 });
             }
             "clock" => {
-                let node = parse_u64(parts.next(), line)? as usize;
+                let node: usize = parse(parts.next(), line)?;
                 if node != c.clocks.len() {
                     return Err(format!(
                         "clock lines must appear in node order (expected node {}): {line}",
@@ -153,18 +147,21 @@ pub fn from_trace(trace: &str) -> Result<CompiledScenario, String> {
                     ));
                 }
                 c.clocks.push(NodeClock {
-                    skew_ppb: parse_i64(parts.next(), line)?,
-                    drift_ppb_per_s: parse_i64(parts.next(), line)?,
+                    skew_ppb: parse(parts.next(), line)?,
+                    drift_ppb_per_s: parse(parts.next(), line)?,
                 });
             }
             "glitch" => {
                 c.glitches.push(GlitchStep {
-                    at: SimTime::from_nanos(parse_u64(parts.next(), line)?),
-                    node: parse_u64(parts.next(), line)? as u32,
-                    delta_ns: parse_i64(parts.next(), line)?,
+                    at: SimTime::from_nanos(parse(parts.next(), line)?),
+                    node: parse(parts.next(), line)?,
+                    delta_ns: parse(parts.next(), line)?,
                 });
             }
             other => return Err(format!("unknown trace line tag `{other}`")),
+        }
+        if let Some(extra) = parts.next() {
+            return Err(format!("unexpected field `{extra}` in trace line: {line}"));
         }
     }
     Ok(c)
@@ -257,5 +254,24 @@ mod tests {
         assert!(from_trace("not a trace").is_err());
         assert!(from_trace("essat-scenario-trace v1\nbogus 1 2").is_err());
         assert!(from_trace("essat-scenario-trace v1\ndown nope 3").is_err());
+    }
+
+    #[test]
+    fn rejects_node_numbers_beyond_u32() {
+        // Each of these used to wrap modulo 2^32 into a valid node.
+        for t in [
+            "essat-scenario-trace v1\nnodes 4294967336",
+            "essat-scenario-trace v1\ndown 5 4294967296",
+            "essat-scenario-trace v1\nglitch 1 4294967296 0",
+        ] {
+            assert!(from_trace(t).is_err(), "{t:?} parsed");
+        }
+    }
+
+    #[test]
+    fn rejects_trailing_fields() {
+        let t = "essat-scenario-trace v1\ndown 5 3 junk";
+        assert!(from_trace(t).is_err());
+        assert!(from_trace("essat-scenario-trace v1\ndown 5 3").is_ok());
     }
 }
