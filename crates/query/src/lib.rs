@@ -25,7 +25,7 @@ pub mod tree;
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::aggregate::{AggState, AggregateOp};
-    pub use crate::model::{Query, QueryId, SourceSet};
-    pub use crate::round::{RoundAggregator, RoundKey};
+    pub use crate::model::{Query, QueryId};
+    pub use crate::round::RoundAggregator;
     pub use crate::tree::RoutingTree;
 }

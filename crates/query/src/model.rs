@@ -5,11 +5,12 @@
 //! time (phase) `φ`. The `k`-th round of a query begins at `φ + k·P`;
 //! every leaf generates a report then, and every interior node aggregates
 //! its own reading with its children's reports before forwarding.
+//!
+//! As in the paper's §5 evaluation, every routing-tree member is a
+//! source of every query, so a query carries no source set.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
-use essat_net::ids::NodeId;
 use essat_sim::time::{SimDuration, SimTime};
 
 use crate::aggregate::AggregateOp;
@@ -41,32 +42,8 @@ impl fmt::Display for QueryId {
     }
 }
 
-/// Which nodes respond to a query.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SourceSet {
-    /// Every routing-tree member samples (the paper's evaluation setup).
-    All,
-    /// Only the listed nodes sample; others merely relay and aggregate.
-    Of(BTreeSet<NodeId>),
-}
-
-impl SourceSet {
-    /// True if `node` produces its own reading for this query.
-    pub fn contains(&self, node: NodeId) -> bool {
-        match self {
-            SourceSet::All => true,
-            SourceSet::Of(set) => set.contains(&node),
-        }
-    }
-
-    /// Builds a listed source set from an iterator.
-    pub fn of<I: IntoIterator<Item = NodeId>>(nodes: I) -> Self {
-        SourceSet::Of(nodes.into_iter().collect())
-    }
-}
-
 /// A registered periodic aggregation query.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Query {
     /// Identifier.
     pub id: QueryId,
@@ -78,13 +55,11 @@ pub struct Query {
     pub deadline: SimDuration,
     /// In-network aggregation function.
     pub op: AggregateOp,
-    /// Responding nodes.
-    pub sources: SourceSet,
 }
 
 impl Query {
     /// Creates a query with deadline equal to its period (the paper's
-    /// evaluation configuration) over all sources.
+    /// evaluation configuration).
     pub fn periodic(id: QueryId, period: SimDuration, phase: SimTime, op: AggregateOp) -> Self {
         assert!(!period.is_zero(), "query period must be positive");
         Query {
@@ -93,7 +68,6 @@ impl Query {
             phase,
             deadline: period,
             op,
-            sources: SourceSet::All,
         }
     }
 
@@ -101,12 +75,6 @@ impl Query {
     pub fn with_deadline(mut self, deadline: SimDuration) -> Self {
         assert!(!deadline.is_zero(), "deadline must be positive");
         self.deadline = deadline;
-        self
-    }
-
-    /// Builder-style override of the source set.
-    pub fn with_sources(mut self, sources: SourceSet) -> Self {
-        self.sources = sources;
         self
     }
 
@@ -186,15 +154,6 @@ mod tests {
         assert_eq!(q.deadline, q.period);
         let q2 = q.with_deadline(SimDuration::from_millis(500));
         assert_eq!(q2.deadline, SimDuration::from_millis(500));
-    }
-
-    #[test]
-    fn source_sets() {
-        let all = SourceSet::All;
-        assert!(all.contains(NodeId::new(7)));
-        let some = SourceSet::of([NodeId::new(1), NodeId::new(2)]);
-        assert!(some.contains(NodeId::new(1)));
-        assert!(!some.contains(NodeId::new(3)));
     }
 
     #[test]

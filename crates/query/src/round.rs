@@ -12,16 +12,6 @@ use std::collections::BTreeMap;
 use essat_net::ids::NodeId;
 
 use crate::aggregate::AggState;
-use crate::model::QueryId;
-
-/// Key of one aggregation round at one node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct RoundKey {
-    /// The query.
-    pub query: QueryId,
-    /// The round number `k`.
-    pub round: u64,
-}
 
 /// Collects child contributions for one round.
 #[derive(Debug, Clone, PartialEq)]
@@ -209,18 +199,5 @@ mod tests {
         // Idempotent.
         agg.add_expected_child(n(5));
         assert!(agg.children_complete());
-    }
-
-    #[test]
-    fn round_key_ordering() {
-        let a = RoundKey {
-            query: QueryId::new(1),
-            round: 5,
-        };
-        let b = RoundKey {
-            query: QueryId::new(1),
-            round: 6,
-        };
-        assert!(a < b);
     }
 }

@@ -48,10 +48,11 @@ pub struct RoutingTree {
     level: Vec<Option<u32>>,
     /// Max hop count to any descendant; 0 for leaves and non-members.
     rank: Vec<u32>,
+    /// `children` paired with each child's rank (what the power
+    /// policies read), rebuilt with the ranks.
+    child_ranks: Vec<Vec<(NodeId, u32)>>,
     member: Vec<bool>,
     members: Vec<NodeId>,
-    /// The deepest member level, cached by `rebuild_derived`.
-    max_level: u32,
 }
 
 impl RoutingTree {
@@ -105,16 +106,16 @@ impl RoutingTree {
             children: vec![Vec::new(); n],
             level,
             rank: vec![0; n],
+            child_ranks: vec![Vec::new(); n],
             member: vec![false; n],
             members: Vec::new(),
-            max_level: 0,
         };
         tree.rebuild_derived();
         tree
     }
 
-    /// Recomputes children lists, membership, ranks, and the deepest
-    /// level from the parent array + levels.
+    /// Recomputes children lists, membership, ranks and the
+    /// `(child, rank)` lists from the parent array + levels.
     fn rebuild_derived(&mut self) {
         let n = self.parent.len();
         for c in &mut self.children {
@@ -145,15 +146,11 @@ impl RoutingTree {
                 .unwrap_or(0);
             self.rank[u.index()] = r;
         }
-        self.max_level = self.scan_max_level();
-    }
-
-    fn scan_max_level(&self) -> u32 {
-        self.members
-            .iter()
-            .filter_map(|&m| self.level[m.index()])
-            .max()
-            .unwrap_or(0)
+        for (i, kids) in self.children.iter().enumerate() {
+            let ranked = &mut self.child_ranks[i];
+            ranked.clear();
+            ranked.extend(kids.iter().map(|&c| (c, self.rank[c.index()])));
+        }
     }
 
     /// The root node.
@@ -192,16 +189,15 @@ impl RoutingTree {
         self.rank[node.index()]
     }
 
-    /// The maximum rank `M` (the root's rank).
+    /// The maximum rank `M` (the root's rank). Every member reaches
+    /// the root, so this is also the deepest member level.
     pub fn max_rank(&self) -> u32 {
         self.rank[self.root.index()]
     }
 
-    /// The deepest level among members (equals [`RoutingTree::max_rank`]
-    /// on any tree, since the root's rank is the height). O(1): cached
-    /// whenever the tree changes.
-    pub fn max_level(&self) -> u32 {
-        self.max_level
+    /// Children of `node` with their ranks, sorted by id.
+    pub fn child_ranks(&self, node: NodeId) -> &[(NodeId, u32)] {
+        &self.child_ranks[node.index()]
     }
 
     /// True if `node` is a member with no children.
@@ -532,11 +528,17 @@ impl RoutingTree {
             // Acyclicity: walking parents reaches the root.
             assert!(self.is_descendant(m, self.root), "{m} reaches root");
         }
+        let deepest = self.members.iter().filter_map(|&m| self.level[m.index()]);
         assert_eq!(
-            self.max_level,
-            self.scan_max_level(),
-            "cached max_level matches the members"
+            Some(self.max_rank()),
+            deepest.max(),
+            "max rank is the deepest member level"
         );
+        for (i, kids) in self.children.iter().enumerate() {
+            let ranked: Vec<(NodeId, u32)> =
+                kids.iter().map(|&c| (c, self.rank[c.index()])).collect();
+            assert_eq!(self.child_ranks[i], ranked, "child ranks of n{i}");
+        }
     }
 }
 

@@ -5,12 +5,11 @@ use essat_core::policy::SleepTrigger;
 use essat_net::ids::NodeId;
 use essat_net::mac::{Mac, MacParams};
 use essat_obs::Probe;
-use essat_query::model::QueryId;
 use essat_sim::engine::Context;
 use essat_sim::time::SimTime;
 
 use super::events::Ev;
-use super::world::World;
+use super::world::{tree_info, World};
 
 impl<P: Probe> World<P> {
     pub(crate) fn handle_node_fail(&mut self, node: NodeId, ctx: &mut Context<'_, Ev>) {
@@ -130,18 +129,15 @@ impl<P: Probe> World<P> {
             self.mac_lost.delivered += ms.delivered;
             self.mac_lost.failed += ms.failed;
             self.mac_lost.retries += ms.retries;
-            for r in n.rounds.values_mut() {
-                if let Some(id) = r.timeout_ev.take() {
-                    ctx.cancel(id);
-                }
-            }
-            n.rounds.clear();
+            n.close_rounds(ctx);
             n.loss = essat_core::maintenance::LossDetector::new();
             n.child_fail =
                 essat_core::maintenance::FailureDetector::new(super::node::CHILD_FAIL_THRESHOLD);
             n.parent_fail =
                 essat_core::maintenance::FailureDetector::new(super::node::PARENT_FAIL_THRESHOLD);
-            n.stale_phase.clear();
+            for qs in &mut n.queries {
+                qs.stale_phase.clear();
+            }
             n.recheck_on_wake = false;
         }
         self.probe.on_node_up(now, node.index() as u32);
@@ -193,15 +189,17 @@ impl<P: Probe> World<P> {
     /// next round boundary (the chains break while a node is dead).
     pub(crate) fn restart_round_chains(&mut self, node: NodeId, ctx: &mut Context<'_, Ev>) {
         let now = ctx.now();
-        let qis: Vec<usize> = self.nodes[node.index()]
-            .participating
-            .iter()
-            .copied()
-            .collect();
-        for qi in qis {
-            let q = self.query(qi);
+        for qi in 0..self.queries.len() {
+            let qs = &mut self.nodes[node.index()].queries[qi];
+            if qs.expected.is_none() {
+                continue;
+            }
+            let q = self.queries[qi];
             let k0 = World::next_round_at(&q, now);
-            self.refuse_rounds_before(node, qi, k0);
+            // The node has no data for rounds that began while it was
+            // dead: a straggler report must not reopen one (which would
+            // re-release a round the policy already advanced past).
+            qs.finish_before(k0);
             let at = q.round_start(k0);
             if at < self.run_end {
                 ctx.schedule_at(
@@ -214,20 +212,6 @@ impl<P: Probe> World<P> {
                 );
             }
         }
-    }
-
-    /// A revived node has no data for rounds that began while it was
-    /// dead: mark them done so straggler reports cannot reopen them
-    /// (which would re-release rounds the policy already advanced past).
-    pub(crate) fn refuse_rounds_before(&mut self, node: NodeId, qi: usize, k0: u64) {
-        if k0 == 0 {
-            return;
-        }
-        self.nodes[node.index()]
-            .done
-            .entry(qi)
-            .and_modify(|d| *d = (*d).max(k0 - 1))
-            .or_insert(k0 - 1);
     }
 
     /// Re-attaches a recovered node that the repair machinery had
@@ -261,17 +245,10 @@ impl<P: Probe> World<P> {
         let now = ctx.now();
         // Back in the tree: any pending self-rescue timer is moot.
         self.disarm_repair(node, node, ctx);
-        {
-            let n = &mut self.nodes[node.index()];
-            n.participating.clear();
-            n.expected_children.clear();
-            for qi in 0..self.queries.len() {
-                n.policy.forget_query(QueryId::new(qi as u32));
-            }
-        }
+        self.nodes[node.index()].leave_queries();
         for qi in 0..self.queries.len() {
             if let Some((round, at)) = self.register_query_at(node, qi, now) {
-                self.refuse_rounds_before(node, qi, round);
+                self.nodes[node.index()].queries[qi].finish_before(round);
                 ctx.schedule_at(
                     self.to_wall(node, at).max(now),
                     Ev::RoundStart {
@@ -355,17 +332,8 @@ impl<P: Probe> World<P> {
                 continue;
             }
             let n = &mut self.nodes[m.index()];
-            n.participating.clear();
-            for r in n.rounds.values_mut() {
-                if let Some(id) = r.timeout_ev.take() {
-                    ctx.cancel(id);
-                }
-            }
-            n.rounds.clear();
-            n.expected_children.clear();
-            for qi in 0..self.queries.len() {
-                n.policy.forget_query(QueryId::new(qi as u32));
-            }
+            n.close_rounds(ctx);
+            n.leave_queries();
             // A *live* dropped node is now an orphan: start its
             // orphan-seconds clock and (self-healing only) arm a
             // self-rescue timer so it periodically tries to get
@@ -421,33 +389,20 @@ impl<P: Probe> World<P> {
         lost: NodeId,
         ctx: &mut Context<'_, Ev>,
     ) {
-        let qids: Vec<usize> = self.nodes[p.index()]
-            .participating
-            .iter()
-            .copied()
-            .collect();
-        for qi in qids {
-            let q = self.query(qi);
+        for qi in 0..self.queries.len() {
             let n = &mut self.nodes[p.index()];
-            if let Some(kids) = n.expected_children.get_mut(&qi) {
-                kids.retain(|&c| c != lost);
-            }
-            n.policy.on_child_removed(&q, lost);
+            let qs = &mut n.queries[qi];
+            let Some(kids) = &mut qs.expected else {
+                continue;
+            };
+            kids.retain(|&c| c != lost);
+            n.policy.on_child_removed(&self.queries[qi], lost);
             n.loss.remove_child(lost);
             n.child_fail.remove(lost);
             // Unblock open rounds that waited on the lost child.
-            let open: Vec<u64> = n
-                .rounds
-                .iter()
-                .filter(|(rk, _)| rk.query == q.id)
-                .map(|(rk, _)| rk.round)
-                .collect();
+            let open: Vec<u64> = qs.rounds.keys().copied().collect();
             for k in open {
-                let key = essat_query::round::RoundKey {
-                    query: q.id,
-                    round: k,
-                };
-                if let Some(r) = self.nodes[p.index()].rounds.get_mut(&key) {
+                if let Some(r) = self.nodes[p.index()].queries[qi].rounds.get_mut(&k) {
                     r.agg.remove_child(lost);
                 }
                 self.maybe_complete(p, qi, k, ctx);
@@ -459,22 +414,16 @@ impl<P: Probe> World<P> {
     /// state from the current tree.
     pub(crate) fn refresh_node_schedule(&mut self, node: NodeId, now: SimTime) {
         let is_root = node == self.root;
-        let kids_now: Vec<NodeId> = self.tree.children(node).to_vec();
-        // Returned to the pool at the end of the function.
-        let tv = self.tree_view(node);
-        let info = tv.info();
-        let qids: Vec<usize> = self.nodes[node.index()]
-            .participating
-            .iter()
-            .copied()
-            .collect();
-        for qi in qids {
-            let q = self.query(qi);
-            let n = &mut self.nodes[node.index()];
-            let old_kids = n.expected_children.insert(qi, kids_now.clone());
+        let info = tree_info(&self.tree, node);
+        let kids_now = self.tree.children(node);
+        let n = &mut self.nodes[node.index()];
+        for (q, qs) in self.queries.iter().zip(&mut n.queries) {
+            let Some(expected) = &mut qs.expected else {
+                continue;
+            };
+            let old_kids = std::mem::replace(expected, kids_now.to_vec());
             n.policy
-                .on_topology_change(&q, &info, is_root, now, &kids_now, old_kids.as_deref());
+                .on_topology_change(q, &info, is_root, now, kids_now, Some(&old_kids));
         }
-        self.put_kids(tv);
     }
 }

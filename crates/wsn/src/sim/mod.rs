@@ -113,7 +113,7 @@ mod tests {
 
     #[test]
     fn collection_deadline_mode_specific() {
-        let (mut world, _) = World::new(quick_cfg(Protocol::Sync, 3));
+        let (world, _) = World::new(quick_cfg(Protocol::Sync, 3));
         // Pick an interior member.
         let node = world
             .tree
@@ -122,9 +122,8 @@ mod tests {
             .copied()
             .find(|&m| !world.tree.is_leaf(m))
             .expect("interior node");
-        world.nodes[node.index()].participating.insert(0);
         let d_sync = world.collection_deadline(node, 0, 0);
-        let q = world.query(0);
+        let q = world.queries[0];
         // SYNC: at least one schedule period of grace.
         assert!(d_sync >= q.round_start(0) + SyncSchedule::paper().period());
     }
@@ -145,7 +144,7 @@ mod tests {
     #[test]
     fn register_skips_childless_nonsources() {
         let (mut world, _) = World::new(quick_cfg(Protocol::DtsSs, 4));
-        // With SourceSet::All every member registers...
+        // Every member is a source, so every member registers...
         let member = world.tree.members()[0];
         // Re-registration for an already-registered query returns the
         // next round time rather than None.

@@ -3,8 +3,8 @@
 //! A [`NodeState`] is one node's slice of the world. The power-
 //! management personality lives entirely behind the
 //! [`PowerPolicy`] trait object; everything else here is
-//! protocol-agnostic: the physical layers, the per-round aggregation
-//! state, and the §4.3 maintenance detectors.
+//! protocol-agnostic: the physical layers, one [`QueryState`] per
+//! query (the query agent), and the §4.3 maintenance detectors.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -13,10 +13,13 @@ use essat_core::policy::PowerPolicy;
 use essat_net::ids::NodeId;
 use essat_net::mac::{Mac, MacTimer};
 use essat_net::radio::Radio;
-use essat_query::round::{RoundAggregator, RoundKey};
+use essat_query::model::QueryId;
+use essat_query::round::RoundAggregator;
+use essat_sim::engine::Context;
 use essat_sim::queue::EventId;
 use essat_sim::time::SimTime;
 
+use super::events::Ev;
 use crate::payload::Payload;
 
 /// Consecutive collection timeouts before a parent declares a child
@@ -43,6 +46,45 @@ pub(crate) struct RoundState {
     /// Deadline-budgeted re-dispatches already spent on this round's
     /// report (capped by `MAX_REDISPATCH` in `sim/repair.rs`).
     pub(crate) redispatches: u32,
+}
+
+/// One node's part in one query (paper §3–§4): whether it takes part,
+/// which children it waits for, its open rounds, and the §4.3
+/// phase-resync state. [`NodeState::queries`] holds one per query,
+/// indexed by query (`QueryId(i)` is index `i`).
+#[derive(Debug, Default)]
+pub(crate) struct QueryState {
+    /// The children this node waits for while it takes part in the
+    /// query; `None` while it does not.
+    pub(crate) expected: Option<Vec<NodeId>>,
+    /// Open rounds, by round number.
+    pub(crate) rounds: BTreeMap<u64, RoundState>,
+    /// Every round below this one is finished (released, completed or
+    /// refused): a straggler report cannot reopen it.
+    pub(crate) finished_below: u64,
+    /// Next round the query's chain should handle (duplicate-chain
+    /// guard for churn-recovery restarts).
+    pub(crate) next_round: u64,
+    /// Children whose DTS phase is suspected stale.
+    pub(crate) stale_phase: BTreeSet<NodeId>,
+    /// Flooded setup: the query reached this node (it re-floods once).
+    pub(crate) registered: bool,
+}
+
+impl QueryState {
+    /// Marks every round before `k` finished.
+    pub(crate) fn finish_before(&mut self, k: u64) {
+        self.finished_below = self.finished_below.max(k);
+    }
+
+    /// Removes round `k`, cancelling its pending collection timeout.
+    pub(crate) fn close_round(&mut self, k: u64, ctx: &mut Context<'_, Ev>) -> Option<RoundState> {
+        let mut r = self.rounds.remove(&k)?;
+        if let Some(id) = r.timeout_ev.take() {
+            ctx.cancel(id);
+        }
+        Some(r)
+    }
 }
 
 /// Radio counters at the end of the setup slot (metrics measure from
@@ -74,28 +116,41 @@ pub(crate) struct NodeState {
     /// `SetTimer`, taken when the timer fires or is cancelled.
     pub(crate) mac_ev: [Option<EventId>; MacTimer::COUNT],
     pub(crate) died_at: Option<SimTime>,
-    pub(crate) participating: BTreeSet<usize>,
-    pub(crate) expected_children: BTreeMap<usize, Vec<NodeId>>,
-    pub(crate) rounds: BTreeMap<RoundKey, RoundState>,
-    /// Highest round released/completed per query (staleness guard).
-    pub(crate) done: BTreeMap<usize, u64>,
+    /// The query agent: one record per query, indexed by query.
+    pub(crate) queries: Vec<QueryState>,
     pub(crate) loss: LossDetector,
     pub(crate) child_fail: FailureDetector,
     pub(crate) parent_fail: FailureDetector,
-    /// `(query, child)` pairs whose DTS phase is suspected stale.
-    pub(crate) stale_phase: BTreeSet<(usize, NodeId)>,
-    /// Next round each query's chain should handle (duplicate-chain
-    /// guard for churn-recovery restarts).
-    pub(crate) next_round: BTreeMap<usize, u64>,
     /// Times this node has been revived by churn.
     pub(crate) revivals: u64,
     /// Set when a skipped round moved expectations while the radio was
     /// mid-turn-on: re-run the sleep checkpoint once the wake-up
     /// completes.
     pub(crate) recheck_on_wake: bool,
-    /// Flooded setup: queries already registered.
-    pub(crate) registered: BTreeSet<usize>,
     pub(crate) snap: RadioSnapshot,
     pub(crate) rank0: u32,
     pub(crate) level0: u32,
+}
+
+impl NodeState {
+    /// Drops every open round, cancelling its pending collection
+    /// timeout (revival, or leaving the tree).
+    pub(crate) fn close_rounds(&mut self, ctx: &mut Context<'_, Ev>) {
+        for qs in &mut self.queries {
+            for r in std::mem::take(&mut qs.rounds).into_values() {
+                if let Some(id) = r.timeout_ev {
+                    ctx.cancel(id);
+                }
+            }
+        }
+    }
+
+    /// Stops taking part in every query: no expected children, and the
+    /// policy forgets each query's schedule.
+    pub(crate) fn leave_queries(&mut self) {
+        for (qi, qs) in self.queries.iter_mut().enumerate() {
+            qs.expected = None;
+            self.policy.forget_query(QueryId::new(qi as u32));
+        }
+    }
 }

@@ -49,15 +49,15 @@ use crate::payload::Payload;
 /// [`World`](super::world::World) allocates that the *next* run on the
 /// same thread can reuse — the event queue (its slab, current-bucket
 /// vector and overflow heap, which follow the largest pending set; it
-/// keeps no per-bucket storage), the channel's receiver-list buffer
-/// pool, the policy- and MAC-action buffers, and the tree-view child
-/// buffers. See
+/// keeps no per-bucket storage), the initial-event list, the channel's
+/// receiver-list buffer pool, the policy- and MAC-action buffers, and
+/// the in-flight frame slots. Policy calls borrow their tree view from
+/// the run's routing tree, so no tree buffers are pooled. See
 /// [`World::run_instrumented`](super::world::World::run_instrumented).
 #[derive(Debug, Default)]
 pub struct WorldScratch {
     pub(crate) queue: EventQueue<Ev>,
     pub(crate) initial: Vec<(SimTime, Ev)>,
-    pub(crate) kid_pool: Vec<Vec<(NodeId, u32)>>,
     pub(crate) act_pool: Vec<Vec<PolicyAction<Payload>>>,
     pub(crate) mact_pool: Vec<Vec<MacAction<Payload>>>,
     pub(crate) tx_frames: Vec<Option<Frame<Payload>>>,

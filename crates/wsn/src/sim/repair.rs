@@ -40,7 +40,6 @@ use essat_net::ids::NodeId;
 use essat_net::mac::MacParams;
 use essat_net::topology::Topology;
 use essat_obs::Probe;
-use essat_query::round::RoundKey;
 use essat_query::tree::RoutingTree;
 use essat_scenario::compile::CompiledScenario;
 use essat_sim::engine::Context;
@@ -504,7 +503,7 @@ impl<P: Probe> World<P> {
         let Some(parent) = self.tree.parent(node) else {
             return false;
         };
-        let q = self.query(qi);
+        let q = self.queries[qi];
         let now = ctx.now();
         let mac = MacParams::paper();
         let retry_cost =
@@ -513,11 +512,7 @@ impl<P: Probe> World<P> {
         if now + retry_cost > deadline.saturating_sub(BUDGET_SLACK) {
             return false; // hopeless: the deadline cannot be met
         }
-        let key = RoundKey {
-            query: q.id,
-            round: k,
-        };
-        let Some(rs) = self.nodes[node.index()].rounds.get_mut(&key) else {
+        let Some(rs) = self.nodes[node.index()].queries[qi].rounds.get_mut(&k) else {
             return false;
         };
         if rs.redispatches >= MAX_REDISPATCH {

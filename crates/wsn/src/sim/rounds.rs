@@ -2,7 +2,11 @@
 //!
 //! Every protocol shares this service: per-round aggregation with
 //! per-policy collection timeouts, loss detection, and the §4.3
-//! failure recovery. Timing decisions (deadlines, release instants,
+//! failure recovery. A node keeps one
+//! [`QueryState`](super::node::QueryState) per query (its expected
+//! children, open rounds by round number, and phase-resync state), and
+//! every policy call borrows the node's place in the routing tree
+//! ([`tree_info`]). Timing decisions (deadlines, release instants,
 //! buffering) are delegated to the node's
 //! [`essat_core::policy::PowerPolicy`].
 
@@ -13,13 +17,13 @@ use essat_net::ids::NodeId;
 use essat_obs::Probe;
 use essat_query::aggregate::AggState;
 use essat_query::model::{Query, QueryId};
-use essat_query::round::RoundKey;
+use essat_query::round::RoundAggregator;
 use essat_sim::engine::Context;
 use essat_sim::time::SimTime;
 
 use super::events::Ev;
 use super::node::RoundState;
-use super::world::World;
+use super::world::{tree_info, World};
 use crate::payload::{sizes, Payload};
 
 impl World {
@@ -51,20 +55,13 @@ impl<P: Probe> World<P> {
         if !self.tree.is_member(node) || self.hot.dead[node.index()] {
             return None;
         }
-        let q = self.query(qi);
-        let kids: Vec<NodeId> = self.tree.children(node).to_vec();
-        let is_src = self.is_source(node, qi);
-        if !is_src && kids.is_empty() {
-            return None; // nothing to sample, nothing to relay
-        }
-        let is_root = node == self.root;
-        let tv = self.tree_view(node);
+        let q = self.queries[qi];
+        let info = tree_info(&self.tree, node);
         let n = &mut self.nodes[node.index()];
-        n.participating.insert(qi);
-        n.registered.insert(qi);
-        n.expected_children.insert(qi, kids);
-        n.policy.on_register(&q, &tv.info(), is_root);
-        self.put_kids(tv);
+        let qs = &mut n.queries[qi];
+        qs.registered = true;
+        qs.expected = Some(self.tree.children(node).to_vec());
+        n.policy.on_register(&q, &info, node == self.root);
         // First round this node can still run.
         let k0 = World::next_round_at(&q, now);
         let at = q.round_start(k0);
@@ -79,30 +76,15 @@ impl<P: Probe> World<P> {
         k: u64,
         ctx: &mut Context<'_, Ev>,
     ) -> bool {
-        let q = self.query(qi);
-        let key = RoundKey {
-            query: q.id,
-            round: k,
-        };
-        {
-            let n = &self.nodes[node.index()];
-            if n.rounds.contains_key(&key) {
-                return true;
-            }
-            if n.done.get(&qi).map(|&d| k <= d).unwrap_or(false) {
-                return false; // round already finished
-            }
+        let qs = &self.nodes[node.index()].queries[qi];
+        if qs.rounds.contains_key(&k) {
+            return true;
         }
-        let expected = self.nodes[node.index()]
-            .expected_children
-            .get(&qi)
-            .cloned()
-            .unwrap_or_default();
-        let deadline = if expected.is_empty() {
-            None
-        } else {
-            Some(self.collection_deadline(node, qi, k))
-        };
+        if k < qs.finished_below {
+            return false; // round already finished
+        }
+        let waits = qs.expected.as_ref().is_some_and(|kids| !kids.is_empty());
+        let deadline = waits.then(|| self.collection_deadline(node, qi, k));
         let timeout_ev = deadline.map(|d| {
             // Stretch the timeout by the guard so desynced children get
             // the extra slack their skewed releases need.
@@ -116,28 +98,25 @@ impl<P: Probe> World<P> {
                 },
             )
         });
-        let n = &mut self.nodes[node.index()];
+        let qs = &mut self.nodes[node.index()].queries[qi];
         let state = RoundState {
-            agg: essat_query::round::RoundAggregator::new(&expected),
+            agg: RoundAggregator::new(qs.expected.as_deref().unwrap_or_default()),
             timeout_ev,
             deadline,
             piggyback: None,
             release_planned: false,
             redispatches: 0,
         };
-        n.rounds.insert(key, state);
+        qs.rounds.insert(k, state);
         true
     }
 
     /// The collection deadline under the node's power policy.
-    pub(crate) fn collection_deadline(&mut self, node: NodeId, qi: usize, k: u64) -> SimTime {
-        let q = self.query(qi);
-        let tv = self.tree_view(node);
-        let deadline = self.nodes[node.index()]
+    pub(crate) fn collection_deadline(&self, node: NodeId, qi: usize, k: u64) -> SimTime {
+        let info = tree_info(&self.tree, node);
+        self.nodes[node.index()]
             .policy
-            .collection_deadline(&q, k, &tv.info());
-        self.put_kids(tv);
-        deadline
+            .collection_deadline(&self.queries[qi], k, &info)
     }
 
     pub(crate) fn handle_round_start(
@@ -147,39 +126,30 @@ impl<P: Probe> World<P> {
         k: u64,
         ctx: &mut Context<'_, Ev>,
     ) {
-        {
-            if self.hot.dead[node.index()] || !self.nodes[node.index()].participating.contains(&qi)
-            {
-                return;
-            }
+        let qs = &mut self.nodes[node.index()].queries[qi];
+        if self.hot.dead[node.index()] || qs.expected.is_none() {
+            return;
         }
-        {
-            // Churn recovery can re-arm a chain whose old event is
-            // still pending; the per-query cursor drops duplicates.
-            let n = &mut self.nodes[node.index()];
-            let next = n.next_round.entry(qi).or_insert(0);
-            if k < *next {
-                return;
-            }
-            *next = k + 1;
+        // Churn recovery can re-arm a chain whose old event is still
+        // pending; the per-query cursor drops duplicates.
+        if k < qs.next_round {
+            return;
         }
+        qs.next_round = k + 1;
         self.probe
             .on_round_start(ctx.now(), node.index() as u32, qi as u32, k);
-        let q = self.query(qi);
+        let q = self.queries[qi];
         if self.round_is_active(&q, k) {
-            if self.open_round(node, qi, k, ctx) && self.is_source(node, qi) {
-                let key = RoundKey {
-                    query: q.id,
-                    round: k,
-                };
+            // Every tree member is a source (paper §5).
+            if self.open_round(node, qi, k, ctx) && self.tree.is_member(node) {
                 let reading = World::reading(node, k);
-                if let Some(r) = self.nodes[node.index()].rounds.get_mut(&key) {
+                if let Some(r) = self.nodes[node.index()].queries[qi].rounds.get_mut(&k) {
                     r.agg.add_own(reading);
                 }
             }
             self.maybe_complete(node, qi, k, ctx);
         } else {
-            self.skip_round(node, qi, k, ctx);
+            self.skip_round(node, qi, k);
         }
         // Chain the next round (on this node's clock).
         let next = q.round_start(k + 1);
@@ -200,40 +170,25 @@ impl<P: Probe> World<P> {
     /// or sent — but the policy's expectations must still advance past
     /// the round, or Safe Sleep would pin the node awake on a stale
     /// past expectation for the rest of the quiet phase.
-    pub(crate) fn skip_round(
-        &mut self,
-        node: NodeId,
-        qi: usize,
-        k: u64,
-        ctx: &mut Context<'_, Ev>,
-    ) {
-        let q = self.query(qi);
+    pub(crate) fn skip_round(&mut self, node: NodeId, qi: usize, k: u64) {
+        let q = self.queries[qi];
         let is_root = node == self.root;
-        let expected = self.nodes[node.index()]
-            .expected_children
-            .get(&qi)
-            .cloned()
-            .unwrap_or_default();
-        let tv = self.tree_view(node);
-        let _ = ctx;
+        let info = tree_info(&self.tree, node);
         let n = &mut self.nodes[node.index()];
+        let qs = &mut n.queries[qi];
+        // Mark the round finished so a straggler report cannot reopen it.
+        qs.finish_before(k + 1);
+        let expected = qs.expected.as_deref().unwrap_or_default();
         // No child sends a quiet round, so its absence is not a loss.
-        for &child in &expected {
+        for &child in expected {
             n.loss.skip(q.id, child, k);
         }
-        // Mark the round finished so a straggler report cannot reopen it.
-        n.done
-            .entry(qi)
-            .and_modify(|d| *d = (*d).max(k))
-            .or_insert(k);
-        n.policy
-            .on_round_skipped(&q, k, &expected, is_root, &tv.info());
+        n.policy.on_round_skipped(&q, k, expected, is_root, &info);
         if !self.hot.dead[node.index()] && !self.hot.radio_active[node.index()] {
             // The radio is mid-turn-on for the expectation we just
             // moved; have the wake-up completion re-run the checkpoint.
             n.recheck_on_wake = true;
         }
-        self.put_kids(tv);
     }
 
     /// Checks readiness and plans the release when ready.
@@ -244,26 +199,17 @@ impl<P: Probe> World<P> {
         k: u64,
         ctx: &mut Context<'_, Ev>,
     ) {
-        let q = self.query(qi);
-        let key = RoundKey {
-            query: q.id,
-            round: k,
-        };
-        let ready = {
-            let n = &self.nodes[node.index()];
-            match n.rounds.get(&key) {
-                None => false,
-                Some(r) => {
-                    !r.release_planned
-                        && r.agg.children_complete()
-                        && (!self.is_source(node, qi) || r.agg.own_added())
-                }
+        let ready = match self.nodes[node.index()].queries[qi].rounds.get(&k) {
+            None => false,
+            Some(r) => {
+                !r.release_planned
+                    && r.agg.children_complete()
+                    && (!self.tree.is_member(node) || r.agg.own_added())
             }
         };
-        if !ready {
-            return;
+        if ready {
+            self.finish_round(node, qi, k, true, ctx);
         }
-        self.finish_round(node, qi, k, true, ctx);
     }
 
     /// Completes a round: at the root, record metrics; elsewhere, plan
@@ -276,29 +222,19 @@ impl<P: Probe> World<P> {
         full: bool,
         ctx: &mut Context<'_, Ev>,
     ) {
-        let q = self.query(qi);
-        let key = RoundKey {
-            query: q.id,
-            round: k,
-        };
+        let q = self.queries[qi];
         let now = ctx.now();
         if node == self.root {
-            let Some(mut r) = self.nodes[node.index()].rounds.remove(&key) else {
+            let qs = &mut self.nodes[node.index()].queries[qi];
+            let Some(mut r) = qs.close_round(k, ctx) else {
                 return;
             };
-            if let Some(id) = r.timeout_ev.take() {
-                ctx.cancel(id);
-            }
             let agg = r.agg.seal();
-            let n = &mut self.nodes[node.index()];
-            n.done
-                .entry(qi)
-                .and_modify(|d| *d = (*d).max(k))
-                .or_insert(k);
+            qs.finish_before(k + 1);
             // "Full" means every expected source reading arrived — the
             // root's children being complete is not enough, since their
             // aggregates may themselves be partial.
-            let full = full && agg.count() == self.source_count[qi];
+            let full = full && agg.count() == self.source_count;
             self.probe
                 .on_round_sealed(now, node.index() as u32, qi as u32, k, full);
             // A fast clock can finish a round at a wall instant before
@@ -313,7 +249,7 @@ impl<P: Probe> World<P> {
                 qm.rounds_full += 1;
             }
             qm.delivered_readings += agg.count();
-            qm.expected_readings += self.source_count[qi];
+            qm.expected_readings += self.source_count;
             qm.records.push(crate::metrics::RoundRecord {
                 round: k,
                 at: now,
@@ -324,34 +260,23 @@ impl<P: Probe> World<P> {
             return;
         }
         // Non-root: plan the release according to the power policy.
-        let mut send_now = false;
-        let mut send_at = now;
-        {
-            let tv = self.tree_view(node);
-            let n = &mut self.nodes[node.index()];
-            let Some(r) = n.rounds.get_mut(&key) else {
-                self.put_kids(tv);
-                return;
-            };
-            r.release_planned = true;
-            // The round is closing; its timeout must not fire.
-            if let Some(id) = r.timeout_ev.take() {
-                ctx.cancel(id);
-            }
-            let rel = n.policy.plan_release(&q, k, now, &tv.info());
-            r.piggyback = rel.piggyback;
-            if rel.send_at <= now {
-                send_now = true;
-            } else {
-                send_at = rel.send_at;
-            }
-            self.put_kids(tv);
+        let info = tree_info(&self.tree, node);
+        let n = &mut self.nodes[node.index()];
+        let Some(r) = n.queries[qi].rounds.get_mut(&k) else {
+            return;
+        };
+        r.release_planned = true;
+        // The round is closing; its timeout must not fire.
+        if let Some(id) = r.timeout_ev.take() {
+            ctx.cancel(id);
         }
-        if send_now {
+        let rel = n.policy.plan_release(&q, k, now, &info);
+        r.piggyback = rel.piggyback;
+        if rel.send_at <= now {
             self.do_send(node, qi, k, ctx);
         } else {
             ctx.schedule_at(
-                self.to_wall(node, send_at).max(now),
+                self.to_wall(node, rel.send_at).max(now),
                 Ev::ReleaseReport {
                     node,
                     query: qi,
@@ -365,34 +290,17 @@ impl<P: Probe> World<P> {
     /// the policy's dispatch seam (PSM buffers, everyone else
     /// forwards).
     pub(crate) fn do_send(&mut self, node: NodeId, qi: usize, k: u64, ctx: &mut Context<'_, Ev>) {
-        let q = self.query(qi);
-        let key = RoundKey {
-            query: q.id,
-            round: k,
-        };
+        let qs = &mut self.nodes[node.index()].queries[qi];
         let Some(parent) = self.tree.parent(node) else {
             // Detached from the tree (declared failed): drop silently.
-            if let Some(mut r) = self.nodes[node.index()].rounds.remove(&key) {
-                if let Some(id) = r.timeout_ev.take() {
-                    ctx.cancel(id);
-                }
-            }
+            qs.close_round(k, ctx);
             return;
         };
-        let (agg, piggyback) = {
-            let n = &mut self.nodes[node.index()];
-            let Some(r) = n.rounds.get_mut(&key) else {
-                return;
-            };
-            (r.agg.seal(), r.piggyback)
+        let Some(r) = qs.rounds.get_mut(&k) else {
+            return;
         };
-        {
-            let n = &mut self.nodes[node.index()];
-            n.done
-                .entry(qi)
-                .and_modify(|d| *d = (*d).max(k))
-                .or_insert(k);
-        }
+        let (agg, piggyback) = (r.agg.seal(), r.piggyback);
+        qs.finish_before(k + 1);
         if piggyback.is_some() {
             self.phase_piggybacks += 1;
         }
@@ -405,7 +313,7 @@ impl<P: Probe> World<P> {
                 kind: FrameKind::Data,
                 bytes: PAPER_REPORT_BYTES,
                 payload: Payload::Report {
-                    query: q.id,
+                    query: self.queries[qi].id,
                     round: k,
                     agg,
                     piggyback,
@@ -428,41 +336,32 @@ impl<P: Probe> World<P> {
         k: u64,
         ctx: &mut Context<'_, Ev>,
     ) {
-        let q = self.query(qi);
-        let key = RoundKey {
-            query: q.id,
-            round: k,
-        };
         // Superseded timeouts are cancelled on the queue, so a dispatch
         // is always the live one; the guards below are defensive.
-        let missing = {
-            let n = &mut self.nodes[node.index()];
-            match n.rounds.get_mut(&key) {
-                None => return,
-                Some(r) if r.release_planned => return,
-                Some(r) => {
-                    #[cfg(feature = "sanitize")]
-                    assert_eq!(
-                        r.timeout_ev,
-                        Some(ctx.event_id()),
-                        "sanitizer: stale collection timeout dispatched at node {node}"
-                    );
-                    r.timeout_ev = None; // consumed by this dispatch
-                    r.agg.missing()
-                }
+        let missing = match self.nodes[node.index()].queries[qi].rounds.get_mut(&k) {
+            None => return,
+            Some(r) if r.release_planned => return,
+            Some(r) => {
+                #[cfg(feature = "sanitize")]
+                assert_eq!(
+                    r.timeout_ev,
+                    Some(ctx.event_id()),
+                    "sanitizer: stale collection timeout dispatched at node {node}"
+                );
+                r.timeout_ev = None; // consumed by this dispatch
+                r.agg.missing()
             }
         };
         self.missed_reports += missing.len() as u64;
-        let tv = self.tree_view(node);
+        let info = tree_info(&self.tree, node);
         let mut failed_children = Vec::new();
         let n = &mut self.nodes[node.index()];
         for &c in &missing {
-            n.policy.on_child_timeout(&q, c, k, &tv.info());
+            n.policy.on_child_timeout(&self.queries[qi], c, k, &info);
             if n.child_fail.miss(c) {
                 failed_children.push(c);
             }
         }
-        self.put_kids(tv);
         for c in failed_children {
             if self.tree.is_member(c) && self.tree.parent(c) == Some(node) {
                 self.on_peer_suspect(node, c, ctx);
@@ -496,9 +395,9 @@ impl<P: Probe> World<P> {
                 self.handle_report(node, frame.src, query, round, agg, piggyback, ctx);
             }
             Payload::PhaseUpdateRequest { query } => {
-                let qi = query.index();
-                let q = self.query(qi);
-                self.nodes[node.index()].policy.on_phase_update_request(&q);
+                self.nodes[node.index()]
+                    .policy
+                    .on_phase_update_request(&self.queries[query.index()]);
             }
             Payload::Atim => {
                 self.nodes[node.index()].policy.on_atim_received(frame.src);
@@ -523,56 +422,44 @@ impl<P: Probe> World<P> {
         ctx: &mut Context<'_, Ev>,
     ) {
         let qi = query.index();
-        let q = self.query(qi);
-        if !self.nodes[node.index()].participating.contains(&qi) {
+        let q = self.queries[qi];
+        let Some(expected) = &mut self.nodes[node.index()].queries[qi].expected else {
             return;
-        }
+        };
         // Resurrection: a child we removed is still alive — restore it.
         if self.tree.children(node).contains(&child) {
-            let n = &mut self.nodes[node.index()];
-            let kids = n.expected_children.entry(qi).or_default();
-            if !kids.contains(&child) {
-                kids.push(child);
-                kids.sort_unstable();
+            if !expected.contains(&child) {
+                expected.push(child);
+                expected.sort_unstable();
             }
-        } else if !self.nodes[node.index()]
-            .expected_children
-            .get(&qi)
-            .map(|v| v.contains(&child))
-            .unwrap_or(false)
-        {
+        } else if !expected.contains(&child) {
             return; // stranger (stale sender after re-parenting)
         }
 
-        let tv = self.tree_view(node);
+        let info = tree_info(&self.tree, node);
         let now = ctx.now();
-        let mut resynced = false;
-        {
-            let n = &mut self.nodes[node.index()];
-            let obs = n.loss.observe(query, child, k);
-            n.child_fail.heard_from(child);
-            // §4.3 phase resynchronisation bookkeeping. A piggyback
-            // that clears a known-stale phase is a completed resync.
-            if piggyback.is_some() {
-                resynced = n.stale_phase.remove(&(qi, child));
+        let n = &mut self.nodes[node.index()];
+        let stale = &mut n.queries[qi].stale_phase;
+        let obs = n.loss.observe(query, child, k);
+        n.child_fail.heard_from(child);
+        // §4.3 phase resynchronisation bookkeeping. A piggyback that
+        // clears a known-stale phase is a completed resync.
+        let resynced = piggyback.is_some() && stale.remove(&child);
+        if n.policy.wants_phase_resync() {
+            let gap = matches!(obs, LossObservation::Gap { .. });
+            if gap && piggyback.is_none() {
+                stale.insert(child);
             }
-            if n.policy.wants_phase_resync() {
-                let gap = matches!(obs, LossObservation::Gap { .. });
-                if gap && piggyback.is_none() {
-                    n.stale_phase.insert((qi, child));
-                }
-                if n.stale_phase.contains(&(qi, child)) {
-                    // Ask for a phase update on the ACK we are about to
-                    // send (the paper's piggyback-in-ACK mechanism).
-                    n.mac
-                        .prime_ack_note(child, Payload::PhaseUpdateRequest { query });
-                    self.phase_requests += 1;
-                }
+            if stale.contains(&child) {
+                // Ask for a phase update on the ACK we are about to
+                // send (the paper's piggyback-in-ACK mechanism).
+                n.mac
+                    .prime_ack_note(child, Payload::PhaseUpdateRequest { query });
+                self.phase_requests += 1;
             }
-            n.policy
-                .on_report_received(&q, child, k, now, piggyback, &tv.info());
         }
-        self.put_kids(tv);
+        n.policy
+            .on_report_received(&q, child, k, now, piggyback, &info);
         // The child spoke: withdraw any pending repair against it.
         self.disarm_repair(node, child, ctx);
         if resynced {
@@ -580,9 +467,7 @@ impl<P: Probe> World<P> {
         }
         // Fold into the round (unless it already finished).
         if self.open_round(node, qi, k, ctx) {
-            let key = RoundKey { query, round: k };
-            let n = &mut self.nodes[node.index()];
-            if let Some(r) = n.rounds.get_mut(&key) {
+            if let Some(r) = self.nodes[node.index()].queries[qi].rounds.get_mut(&k) {
                 r.agg.add_child(child, agg);
             }
         }
@@ -603,44 +488,31 @@ impl<P: Probe> World<P> {
         k: u64,
         ctx: &mut Context<'_, Ev>,
     ) {
-        let q = self.query(qi);
-        let key = RoundKey {
-            query: q.id,
-            round: k,
-        };
-        let current = {
-            let n = &self.nodes[node.index()];
-            match n.rounds.get(&key) {
-                Some(r) if !r.release_planned && r.deadline.is_some() => r.deadline,
-                _ => return,
-            }
+        let current = match self.nodes[node.index()].queries[qi].rounds.get(&k) {
+            Some(r) if !r.release_planned && r.deadline.is_some() => r.deadline,
+            _ => return,
         };
         let fresh = self.collection_deadline(node, qi, k);
-        if Some(fresh) != current {
-            let old_ev = {
-                let n = &mut self.nodes[node.index()];
-                let r = n.rounds.get_mut(&key).expect("checked above");
-                r.deadline = Some(fresh);
-                r.timeout_ev.take()
-            };
-            if let Some(id) = old_ev {
-                ctx.cancel(id);
-            }
-            let wall = self.to_wall(node, fresh) + self.guard_at(fresh);
-            let id = ctx.schedule_at(
-                wall.max(ctx.now()),
-                Ev::CollectionTimeout {
-                    node,
-                    query: qi,
-                    round: k,
-                },
-            );
-            self.nodes[node.index()]
-                .rounds
-                .get_mut(&key)
-                .expect("checked above")
-                .timeout_ev = Some(id);
+        if Some(fresh) == current {
+            return;
         }
+        let wall = self.to_wall(node, fresh) + self.guard_at(fresh);
+        let r = self.nodes[node.index()].queries[qi]
+            .rounds
+            .get_mut(&k)
+            .expect("checked above");
+        r.deadline = Some(fresh);
+        if let Some(id) = r.timeout_ev.take() {
+            ctx.cancel(id);
+        }
+        r.timeout_ev = Some(ctx.schedule_at(
+            wall.max(ctx.now()),
+            Ev::CollectionTimeout {
+                node,
+                query: qi,
+                round: k,
+            },
+        ));
     }
 
     pub(crate) fn handle_tx_done(
@@ -660,21 +532,15 @@ impl<P: Probe> World<P> {
                     self.observe_link(node, dest, attempts, true);
                 }
                 let qi = query.index();
-                let q = self.query(qi);
-                let tv = self.tree_view(node);
-                let parent = self.tree.parent(node);
+                let info = tree_info(&self.tree, node);
                 let now = ctx.now();
                 let n = &mut self.nodes[node.index()];
-                if let Some(p) = parent {
+                if let Some(p) = self.tree.parent(node) {
                     n.parent_fail.heard_from(p);
                 }
-                n.policy.on_report_sent(&q, round, now, &tv.info());
-                if let Some(mut r) = n.rounds.remove(&RoundKey { query, round }) {
-                    if let Some(id) = r.timeout_ev.take() {
-                        ctx.cancel(id);
-                    }
-                }
-                self.put_kids(tv);
+                n.policy
+                    .on_report_sent(&self.queries[qi], round, now, &info);
+                n.queries[qi].close_round(round, ctx);
                 // The suspect answered: withdraw any pending repair.
                 if let Dest::Unicast(dest) = frame.dest {
                     self.disarm_repair(node, dest, ctx);
@@ -703,8 +569,7 @@ impl<P: Probe> World<P> {
         attempts: u32,
         ctx: &mut Context<'_, Ev>,
     ) {
-        if let Payload::Report { query, round, .. } = &frame.payload {
-            let (query, round) = (*query, *round);
+        if let Payload::Report { query, round, .. } = frame.payload {
             let qi = query.index();
             // An exhausted retry cycle is `attempts` un-ACKed failures
             // on the directed link, and one miss toward the parent —
@@ -720,17 +585,12 @@ impl<P: Probe> World<P> {
             // toward the (possibly since-repaired) parent while the
             // round deadline still affords one. The round stays live.
             if !self.try_redispatch(node, qi, round, frame, ctx) {
-                let q = self.query(qi);
-                let tv = self.tree_view(node);
+                let info = tree_info(&self.tree, node);
                 let now = ctx.now();
                 let n = &mut self.nodes[node.index()];
-                n.policy.on_report_failed(&q, round, now, &tv.info());
-                if let Some(mut r) = n.rounds.remove(&RoundKey { query, round }) {
-                    if let Some(id) = r.timeout_ev.take() {
-                        ctx.cancel(id);
-                    }
-                }
-                self.put_kids(tv);
+                n.policy
+                    .on_report_failed(&self.queries[qi], round, now, &info);
+                n.queries[qi].close_round(round, ctx);
             }
             if let Some(p) = parent_failed {
                 if self.tree.is_member(p) && p != self.root {
@@ -750,7 +610,7 @@ impl<P: Probe> World<P> {
         ctx: &mut Context<'_, Ev>,
     ) {
         let i = node.index();
-        if self.hot.dead[i] || !self.hot.member[i] || self.nodes[i].registered.contains(&qi) {
+        if self.hot.dead[i] || !self.hot.member[i] || self.nodes[i].queries[qi].registered {
             return;
         }
         if let Some((round, at)) = self.register_query_at(node, qi, ctx.now()) {
@@ -764,7 +624,7 @@ impl<P: Probe> World<P> {
             );
         } else {
             // Still mark as seen so we only rebroadcast once.
-            self.nodes[node.index()].registered.insert(qi);
+            self.nodes[i].queries[qi].registered = true;
         }
         // Re-flood once.
         let frame = {

@@ -1,7 +1,5 @@
 //! The [`World`]: one simulation run over the discrete-event engine.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use essat_core::policy::{PolicyAction, SleepTrigger};
 use essat_core::shaper::TreeInfo;
 use essat_net::channel::{Channel, TxEndBuf};
@@ -24,7 +22,9 @@ use essat_sim::stats::{Histogram, OnlineStats};
 use essat_sim::time::SimTime;
 
 use super::events::Ev;
-use super::node::{NodeState, RadioSnapshot, CHILD_FAIL_THRESHOLD, PARENT_FAIL_THRESHOLD};
+use super::node::{
+    NodeState, QueryState, RadioSnapshot, CHILD_FAIL_THRESHOLD, PARENT_FAIL_THRESHOLD,
+};
 use super::pool::{BuildCache, Prebuilt, WorldScratch};
 use crate::config::{ExperimentConfig, SetupMode, SETUP_SLOT};
 use crate::metrics::{LifetimeStats, MacTotals, NodeMetrics, QueryMetrics, RunResult};
@@ -85,28 +85,17 @@ impl Hot {
     }
 }
 
-/// A node's place in the routing tree ([`World::tree_view`]): the
-/// owned form of the [`TreeInfo`] the policy calls borrow.
-#[derive(Debug)]
-pub(crate) struct TreeView {
-    own_rank: u32,
-    max_rank: u32,
-    own_level: u32,
-    max_level: u32,
-    /// Children with their ranks, drawn from [`World::kid_pool`].
-    kids: Vec<(NodeId, u32)>,
-}
-
-impl TreeView {
-    /// The borrowed snapshot the policy calls take.
-    pub(crate) fn info(&self) -> TreeInfo<'_> {
-        TreeInfo {
-            own_rank: self.own_rank,
-            max_rank: self.max_rank,
-            own_level: self.own_level,
-            max_level: self.max_level,
-            children: &self.kids,
-        }
+/// `node`'s place in `tree` as the policy calls take it, borrowing the
+/// tree's `(child, rank)` list.
+pub(crate) fn tree_info(tree: &RoutingTree, node: NodeId) -> TreeInfo<'_> {
+    TreeInfo {
+        own_rank: tree.rank(node),
+        max_rank: tree.max_rank(),
+        own_level: tree.level(node).unwrap_or(0),
+        // Every member reaches the root, so the deepest level is the
+        // root's rank.
+        max_level: tree.max_rank(),
+        children: tree.child_ranks(node),
     }
 }
 
@@ -140,7 +129,9 @@ pub struct World<P: Probe = NullProbe> {
     /// Compiled dynamic-environment scenario, if any.
     pub(crate) scenario: Option<CompiledScenario>,
     pub(crate) queries: Vec<Query>,
-    pub(crate) source_count: Vec<u64>,
+    /// Readings a full round delivers: every build-time tree member is
+    /// a source (paper §5).
+    pub(crate) source_count: u64,
     pub(crate) nodes: Vec<NodeState>,
     /// Structure-of-arrays hot node state (see [`Hot`]).
     pub(crate) hot: Hot,
@@ -179,12 +170,10 @@ pub struct World<P: Probe = NullProbe> {
     /// MAC counters of MACs replaced by churn revivals (so totals keep
     /// the pre-death traffic).
     pub(crate) mac_lost: MacTotals,
-    /// Recycled `(child, rank)` buffers for [`World::tree_view`], so the
-    /// per-event tree snapshots allocate only until the pool warms up.
-    pub(crate) kid_pool: Vec<Vec<(NodeId, u32)>>,
-    /// Recycled policy-action buffers (same purpose as `kid_pool`).
+    /// Recycled policy-action buffers, so steady-state event handling
+    /// allocates only until the pool warms up.
     pub(crate) act_pool: Vec<Vec<PolicyAction<Payload>>>,
-    /// Recycled MAC-action buffers (same purpose as `kid_pool`).
+    /// Recycled MAC-action buffers (same purpose as `act_pool`).
     pub(crate) mact_pool: Vec<Vec<essat_net::mac::MacAction<Payload>>>,
     /// In-flight frames, indexed by the channel's transmission slot.
     ///
@@ -277,8 +266,7 @@ impl<P: Probe> World<P> {
                 queries.push(q);
             }
         }
-        let member_count = tree.member_count() as u64;
-        let source_count = queries.iter().map(|_| member_count).collect();
+        let source_count = tree.member_count() as u64;
 
         let run_end = SimTime::ZERO + cfg.duration;
         let measure_from = SimTime::ZERO + SETUP_SLOT;
@@ -299,18 +287,12 @@ impl<P: Probe> World<P> {
                 ),
                 mac_ev: [None; MacTimer::COUNT],
                 died_at: None,
-                participating: BTreeSet::new(),
-                expected_children: BTreeMap::new(),
-                rounds: BTreeMap::new(),
-                done: BTreeMap::new(),
+                queries: queries.iter().map(|_| QueryState::default()).collect(),
                 loss: essat_core::maintenance::LossDetector::new(),
                 child_fail: essat_core::maintenance::FailureDetector::new(CHILD_FAIL_THRESHOLD),
                 parent_fail: essat_core::maintenance::FailureDetector::new(PARENT_FAIL_THRESHOLD),
-                stale_phase: BTreeSet::new(),
-                next_round: BTreeMap::new(),
                 revivals: 0,
                 recheck_on_wake: false,
-                registered: BTreeSet::new(),
                 snap: RadioSnapshot::default(),
                 rank0: tree.rank(id),
                 level0: tree.level(id).unwrap_or(0),
@@ -370,7 +352,6 @@ impl<P: Probe> World<P> {
             lifetime: LifetimeStats::default(),
             repair,
             mac_lost: MacTotals::default(),
-            kid_pool: Vec::new(),
             act_pool: Vec::new(),
             mact_pool: Vec::new(),
             tx_frames: Vec::new(),
@@ -583,7 +564,6 @@ impl<P: Probe> World<P> {
 
     /// Moves a scratch's warmed buffer pools into this (fresh) world.
     pub(crate) fn adopt_scratch(&mut self, scratch: &mut WorldScratch) {
-        std::mem::swap(&mut self.kid_pool, &mut scratch.kid_pool);
         std::mem::swap(&mut self.act_pool, &mut scratch.act_pool);
         std::mem::swap(&mut self.mact_pool, &mut scratch.mact_pool);
         std::mem::swap(&mut self.tx_frames, &mut scratch.tx_frames);
@@ -593,10 +573,6 @@ impl<P: Probe> World<P> {
     // ------------------------------------------------------------------
     // Helpers
     // ------------------------------------------------------------------
-
-    pub(crate) fn query(&self, qi: usize) -> Query {
-        self.queries[qi].clone()
-    }
 
     /// Maps a node-local schedule instant to wall (engine) time under
     /// the scenario's clock-fault model.
@@ -624,39 +600,6 @@ impl<P: Probe> World<P> {
     /// the clock error accumulated by `t`.
     pub(crate) fn guard_at(&self, t: SimTime) -> essat_sim::time::SimDuration {
         self.cfg.clock_guard.at(t)
-    }
-
-    /// `node`'s place in the current tree.
-    ///
-    /// The children vector comes from [`World::kid_pool`]; hand the view
-    /// back with [`World::put_kids`] when done so steady-state event
-    /// handling does not allocate.
-    pub(crate) fn tree_view(&mut self, node: NodeId) -> TreeView {
-        let mut kids = self.kid_pool.pop().unwrap_or_default();
-        kids.extend(
-            self.tree
-                .children(node)
-                .iter()
-                .map(|&c| (c, self.tree.rank(c))),
-        );
-        TreeView {
-            own_rank: self.tree.rank(node),
-            max_rank: self.tree.max_rank(),
-            own_level: self.tree.level(node).unwrap_or(0),
-            max_level: self.tree.max_level(),
-            kids,
-        }
-    }
-
-    /// Returns a [`World::tree_view`] children buffer to the pool.
-    pub(crate) fn put_kids(&mut self, view: TreeView) {
-        let mut kids = view.kids;
-        kids.clear();
-        self.kid_pool.push(kids);
-    }
-
-    pub(crate) fn is_source(&self, node: NodeId, qi: usize) -> bool {
-        self.tree.is_member(node) && self.queries[qi].sources.contains(node)
     }
 
     pub(crate) fn in_forced_window(&self, now: SimTime) -> bool {
@@ -738,7 +681,7 @@ impl<P: Probe> World<P> {
                 },
             );
         }
-        self.nodes[root.index()].registered.insert(qi);
+        self.nodes[root.index()].queries[qi].registered = true;
         let frame = {
             let n = &mut self.nodes[root.index()];
             essat_net::frame::Frame {
@@ -787,7 +730,6 @@ impl<P: Probe> World<P> {
             self.probe.on_run_end(end, &view);
         }
         if let Some(s) = scratch {
-            s.kid_pool.append(&mut self.kid_pool);
             s.act_pool.append(&mut self.act_pool);
             s.mact_pool.append(&mut self.mact_pool);
             self.tx_frames.clear();
