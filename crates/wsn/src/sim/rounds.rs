@@ -622,11 +622,8 @@ impl<P: Probe> World<P> {
                     round,
                 },
             );
-        } else {
-            // Still mark as seen so we only rebroadcast once.
-            self.nodes[i].queries[qi].registered = true;
         }
-        // Re-flood once.
+        // Re-flood once (registering marked the query as seen).
         let frame = {
             let n = &mut self.nodes[node.index()];
             Frame {
