@@ -258,7 +258,7 @@ mod tests {
 
     #[test]
     fn rejects_node_numbers_beyond_u32() {
-        // Each of these used to wrap modulo 2^32 into a valid node.
+        // Each node number is a valid one modulo 2^32.
         for t in [
             "essat-scenario-trace v1\nnodes 4294967336",
             "essat-scenario-trace v1\ndown 5 4294967296",

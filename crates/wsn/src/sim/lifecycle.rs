@@ -400,9 +400,9 @@ impl<P: Probe> World<P> {
             n.loss.remove_child(lost);
             n.child_fail.remove(lost);
             // Unblock open rounds that waited on the lost child.
-            let open: Vec<u64> = qs.rounds.keys().copied().collect();
+            let open: Vec<u64> = qs.rounds.keys().collect();
             for k in open {
-                if let Some(r) = self.nodes[p.index()].queries[qi].rounds.get_mut(&k) {
+                if let Some(r) = self.nodes[p.index()].queries[qi].rounds.get_mut(k) {
                     r.agg.remove_child(lost);
                 }
                 self.maybe_complete(p, qi, k, ctx);

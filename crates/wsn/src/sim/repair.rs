@@ -512,7 +512,7 @@ impl<P: Probe> World<P> {
         if now + retry_cost > deadline.saturating_sub(BUDGET_SLACK) {
             return false; // hopeless: the deadline cannot be met
         }
-        let Some(rs) = self.nodes[node.index()].queries[qi].rounds.get_mut(&k) else {
+        let Some(rs) = self.nodes[node.index()].queries[qi].rounds.get_mut(k) else {
             return false;
         };
         if rs.redispatches >= MAX_REDISPATCH {

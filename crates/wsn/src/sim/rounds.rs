@@ -77,7 +77,7 @@ impl<P: Probe> World<P> {
         ctx: &mut Context<'_, Ev>,
     ) -> bool {
         let qs = &self.nodes[node.index()].queries[qi];
-        if qs.rounds.contains_key(&k) {
+        if qs.rounds.get(k).is_some() {
             return true;
         }
         if k < qs.finished_below {
@@ -143,7 +143,7 @@ impl<P: Probe> World<P> {
             // Every tree member is a source (paper §5).
             if self.open_round(node, qi, k, ctx) && self.tree.is_member(node) {
                 let reading = World::reading(node, k);
-                if let Some(r) = self.nodes[node.index()].queries[qi].rounds.get_mut(&k) {
+                if let Some(r) = self.nodes[node.index()].queries[qi].rounds.get_mut(k) {
                     r.agg.add_own(reading);
                 }
             }
@@ -199,7 +199,7 @@ impl<P: Probe> World<P> {
         k: u64,
         ctx: &mut Context<'_, Ev>,
     ) {
-        let ready = match self.nodes[node.index()].queries[qi].rounds.get(&k) {
+        let ready = match self.nodes[node.index()].queries[qi].rounds.get(k) {
             None => false,
             Some(r) => {
                 !r.release_planned
@@ -262,7 +262,7 @@ impl<P: Probe> World<P> {
         // Non-root: plan the release according to the power policy.
         let info = tree_info(&self.tree, node);
         let n = &mut self.nodes[node.index()];
-        let Some(r) = n.queries[qi].rounds.get_mut(&k) else {
+        let Some(r) = n.queries[qi].rounds.get_mut(k) else {
             return;
         };
         r.release_planned = true;
@@ -296,7 +296,7 @@ impl<P: Probe> World<P> {
             qs.close_round(k, ctx);
             return;
         };
-        let Some(r) = qs.rounds.get_mut(&k) else {
+        let Some(r) = qs.rounds.get_mut(k) else {
             return;
         };
         let (agg, piggyback) = (r.agg.seal(), r.piggyback);
@@ -338,7 +338,7 @@ impl<P: Probe> World<P> {
     ) {
         // Superseded timeouts are cancelled on the queue, so a dispatch
         // is always the live one; the guards below are defensive.
-        let missing = match self.nodes[node.index()].queries[qi].rounds.get_mut(&k) {
+        let missing = match self.nodes[node.index()].queries[qi].rounds.get_mut(k) {
             None => return,
             Some(r) if r.release_planned => return,
             Some(r) => {
@@ -467,7 +467,7 @@ impl<P: Probe> World<P> {
         }
         // Fold into the round (unless it already finished).
         if self.open_round(node, qi, k, ctx) {
-            if let Some(r) = self.nodes[node.index()].queries[qi].rounds.get_mut(&k) {
+            if let Some(r) = self.nodes[node.index()].queries[qi].rounds.get_mut(k) {
                 r.agg.add_child(child, agg);
             }
         }
@@ -488,7 +488,7 @@ impl<P: Probe> World<P> {
         k: u64,
         ctx: &mut Context<'_, Ev>,
     ) {
-        let current = match self.nodes[node.index()].queries[qi].rounds.get(&k) {
+        let current = match self.nodes[node.index()].queries[qi].rounds.get(k) {
             Some(r) if !r.release_planned && r.deadline.is_some() => r.deadline,
             _ => return,
         };
@@ -499,7 +499,7 @@ impl<P: Probe> World<P> {
         let wall = self.to_wall(node, fresh) + self.guard_at(fresh);
         let r = self.nodes[node.index()].queries[qi]
             .rounds
-            .get_mut(&k)
+            .get_mut(k)
             .expect("checked above");
         r.deadline = Some(fresh);
         if let Some(id) = r.timeout_ev.take() {
