@@ -199,3 +199,35 @@ impl NodeState {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn round(redispatches: u32) -> RoundState {
+        RoundState {
+            agg: RoundAggregator::new(&[]),
+            timeout_ev: None,
+            deadline: None,
+            piggyback: None,
+            release_planned: false,
+            redispatches,
+        }
+    }
+
+    #[test]
+    fn rounds_stay_sorted_by_round_number() {
+        let mut rounds = Rounds::default();
+        for k in [5, 3, 4] {
+            rounds.insert(k, round(k as u32));
+        }
+        assert_eq!(rounds.keys().collect::<Vec<_>>(), [3, 4, 5]);
+        assert_eq!(rounds.get(4).map(|r| r.redispatches), Some(4));
+        rounds.get_mut(4).expect("open").redispatches = 9;
+        assert_eq!(rounds.remove(3).map(|r| r.redispatches), Some(3));
+        assert!(rounds.get(3).is_none() && rounds.remove(3).is_none());
+        let left: Vec<u32> = rounds.drain().map(|r| r.redispatches).collect();
+        assert_eq!(left, [9, 5]);
+        assert_eq!(rounds.keys().count(), 0);
+    }
+}
