@@ -50,10 +50,13 @@ pub(crate) struct RoundState {
 
 /// A node's open rounds of one query, sorted by round number.
 ///
-/// A node has one or two rounds of a query open at a time, so one small
-/// sorted `Vec` holds them; a `BTreeMap` per query would allocate an
-/// eleven-slot node for each, which raised `query_load`'s peak RSS by a
-/// quarter at 30 queries per node.
+/// Usually one round is open: on the benchmark workloads (seed 1,
+/// 10 s) a round opened with no other round of its query open at the
+/// node in 97% (`steady_rate`) to 99.8% (`query_load`) of opens, and at
+/// most 12, 2 and 6 were open at once (`steady_rate`, `query_load`,
+/// `faults`). A `BTreeMap` per query would allocate an eleven-slot node
+/// for each, which raised `query_load`'s peak RSS by a quarter at 30
+/// queries per node.
 #[derive(Debug, Default)]
 pub(crate) struct Rounds(Vec<(u64, RoundState)>);
 
@@ -112,7 +115,8 @@ pub(crate) struct QueryState {
     pub(crate) next_round: u64,
     /// Children whose DTS phase is suspected stale.
     pub(crate) stale_phase: BTreeSet<NodeId>,
-    /// Flooded setup: the query reached this node (it re-floods once).
+    /// The query reached this node, by registration or by a flooded
+    /// setup copy; a flooded copy is re-flooded only the first time.
     pub(crate) registered: bool,
 }
 

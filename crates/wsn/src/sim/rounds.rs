@@ -623,7 +623,10 @@ impl<P: Probe> World<P> {
                 },
             );
         }
-        // Re-flood once (registering marked the query as seen).
+        // Mark the query seen even when the node did not register (a
+        // live node that repair dropped from the tree), so it re-floods
+        // once rather than once per copy it hears.
+        self.nodes[i].queries[qi].registered = true;
         let frame = {
             let n = &mut self.nodes[node.index()];
             Frame {

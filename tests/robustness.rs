@@ -347,29 +347,36 @@ enum Fault {
     /// 50% uniform loss: enough report gaps that DTS parents request
     /// phase updates and children resynchronise.
     HeavyLoss,
+    /// Flooded query setup at 50% loss on the legacy repair path: live
+    /// children declared failed drop out of the tree before the flood
+    /// reaches them, and each must re-flood a query only once.
+    FloodedHeavyLoss,
 }
 
 /// Digests of [`several_queries_per_class_under_faults_match_pinned_digests`],
 /// recorded while each node kept its query-agent state in per-query
 /// and per-`(query, round)` keyed collections.
-const MULTI_QUERY_FAULT_DIGESTS: [(Protocol, Fault, &str); 10] = [
+const MULTI_QUERY_FAULT_DIGESTS: [(Protocol, Fault, &str); 13] = [
     (Protocol::DtsSs, Fault::Churn, "0c7f96864665ab5d"),
     (Protocol::DtsSs, Fault::ChurnNoRepair, "b14248caf6b246b0"),
     (Protocol::DtsSs, Fault::BurstyLinks, "c541ddcb2b5c34c4"),
     (Protocol::DtsSs, Fault::HeavyLoss, "2c2ea4939494dfc6"),
+    (Protocol::DtsSs, Fault::FloodedHeavyLoss, "198d270c6ec8f000"),
     (Protocol::StsSs, Fault::Churn, "ec226d57c39b274a"),
     (Protocol::StsSs, Fault::ChurnNoRepair, "117ad672c1210c81"),
     (Protocol::StsSs, Fault::BurstyLinks, "92aaaacc07fc6212"),
+    (Protocol::StsSs, Fault::FloodedHeavyLoss, "9e0409ddc9c64a89"),
     (Protocol::Psm, Fault::Churn, "a36ccd86b4a516a6"),
     (Protocol::Psm, Fault::ChurnNoRepair, "a69d494c39084f43"),
     (Protocol::Psm, Fault::BurstyLinks, "584b41ddf1778862"),
+    (Protocol::Psm, Fault::FloodedHeavyLoss, "4acf2c593bf1227f"),
 ];
 
 /// Five queries per class under churn (repair on and off), bursty
-/// links and heavy loss: nodes hold many queries' rounds at once while
-/// they die, revive, re-parent, lose reports and resynchronise phases.
-/// No figure or other test combines several queries per class with
-/// faults.
+/// links and heavy loss (with idealized and flooded setup): nodes hold
+/// many queries' rounds at once while they die, revive, re-parent, lose
+/// reports and resynchronise phases. No figure or other test combines
+/// several queries per class with faults.
 #[test]
 fn several_queries_per_class_under_faults_match_pinned_digests() {
     for (protocol, fault, want) in MULTI_QUERY_FAULT_DIGESTS {
@@ -384,6 +391,11 @@ fn several_queries_per_class_under_faults_match_pinned_digests() {
                 .with_repair(RepairConfig::disabled()),
             Fault::BurstyLinks => base.with_scenario(Scenario::Spec(presets::bursty_links())),
             Fault::HeavyLoss => base.with_drop_probability(0.5),
+            Fault::FloodedHeavyLoss => {
+                base.setup_mode = SetupMode::Flooded;
+                base.with_drop_probability(0.5)
+                    .with_repair(RepairConfig::disabled())
+            }
         };
         let r = runner::run_one(&cfg);
         assert_eq!(r.queries.len(), 15);
