@@ -25,7 +25,7 @@
 
 use std::collections::BTreeMap;
 
-use essat_core::shaper::{Expectations, Release, ShaperKind, TrafficShaper, TreeInfo};
+use essat_core::shaper::{Expectations, Release, TrafficShaper, TreeInfo};
 use essat_net::ids::NodeId;
 use essat_query::model::{Query, QueryId};
 use essat_sim::time::{SimDuration, SimTime};
@@ -63,12 +63,6 @@ impl Tag {
 }
 
 impl TrafficShaper for Tag {
-    fn kind(&self) -> ShaperKind {
-        // TAG is a static, topology-derived schedule like STS; it reuses
-        // the static family tag for display purposes.
-        ShaperKind::Sts
-    }
-
     fn register(&mut self, q: &Query, tree: &TreeInfo<'_>, is_root: bool) -> Expectations {
         self.next_send_round.insert(q.id, 0);
         for &(c, _) in tree.children {

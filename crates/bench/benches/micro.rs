@@ -1,9 +1,10 @@
 //! Micro-benchmarks of the hot substrate paths: event queue, Safe Sleep
 //! decisions, shaper updates, MAC contention cycles, channel collision
-//! bookkeeping, and routing-tree construction.
+//! bookkeeping, and topology and routing-tree construction.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 
 use essat_core::dts::Dts;
 use essat_core::nts::Nts;
@@ -13,7 +14,7 @@ use essat_core::sts::Sts;
 use essat_net::channel::{Channel, TxEndBuf};
 use essat_net::ids::NodeId;
 use essat_net::mac::{Mac, MacAction, MacTimer};
-use essat_net::topology::Topology;
+use essat_net::topology::{Topology, PAPER_RANGE_M};
 use essat_query::aggregate::{AggState, AggregateOp};
 use essat_query::model::{Query, QueryId};
 use essat_query::tree::RoutingTree;
@@ -282,14 +283,14 @@ fn mac_timer_arm_disarm_churn(c: &mut Criterion) {
 
 fn channel_end_tx_vectorised(c: &mut Criterion) {
     let mut rng = SimRng::seed_from_u64(42);
-    let topo = Topology::random_paper(&mut rng);
+    let topo = Arc::new(Topology::random_paper(&mut rng));
     c.bench_function("micro/channel_end_tx_vectorised", |b| {
         // Four spread-out senders transmit concurrently, then all
         // transmissions end — one busy begin/end cycle of the paper
         // deployment, including the collision bookkeeping. Ends resolve
         // through `end_tx_into` into one recycled flat buffer (clean |
         // corrupted | now-idle partitions), the path the simulator runs.
-        let mut ch = Channel::new(&topo, SimRng::seed_from_u64(7));
+        let mut ch = Channel::new(Arc::clone(&topo), SimRng::seed_from_u64(7));
         let mut end = TxEndBuf::default();
         let mut t = 0u64;
         b.iter(|| {
@@ -371,10 +372,10 @@ fn shaper_round_trip(c: &mut Criterion) {
 
 fn channel_collision_storm(c: &mut Criterion) {
     let mut rng = SimRng::seed_from_u64(42);
-    let topo = Topology::random_paper(&mut rng);
+    let topo = Arc::new(Topology::random_paper(&mut rng));
     c.bench_function("micro/channel_40_overlapping_tx", |b| {
         b.iter(|| {
-            let mut ch = Channel::new(&topo, SimRng::seed_from_u64(7));
+            let mut ch = Channel::new(Arc::clone(&topo), SimRng::seed_from_u64(7));
             let mut end = TxEndBuf::default();
             let mut txs = Vec::new();
             for i in 0..40u32 {
@@ -396,12 +397,12 @@ fn channel_dense_overlap(c: &mut Criterion) {
     // 24 nodes in a 40 m square at 125 m range: a clique, so every
     // sender interferes at every node.
     let mut rng = SimRng::seed_from_u64(42);
-    let topo = Topology::random(24, Area::new(40.0, 40.0), 125.0, &mut rng);
+    let topo = Arc::new(Topology::random(24, Area::new(40.0, 40.0), 125.0, &mut rng));
     c.bench_function("micro/channel_dense_overlap", |b| {
         // Twelve staggered transmissions all in the air at once, then
         // all end: the worst case for collision marking, where every
         // begin overlaps every copy in flight at every node.
-        let mut ch = Channel::new(&topo, SimRng::seed_from_u64(7));
+        let mut ch = Channel::new(Arc::clone(&topo), SimRng::seed_from_u64(7));
         let mut end = TxEndBuf::default();
         let mut ids = Vec::with_capacity(12);
         let mut t = 0u64;
@@ -446,6 +447,28 @@ fn gilbert_elliott_step(c: &mut Criterion) {
             black_box(ge.dropped(SimTime::from_micros(t), NodeId::new(3), NodeId::new(17)))
         })
     });
+}
+
+fn topology_build(c: &mut Criterion) {
+    use essat_net::geometry::Area;
+    // What every world builds first: a random placement with both
+    // adjacency lists, and the root closest to the centre. The quick
+    // shape (40 nodes in 350 × 350 m²) and the paper's (80 nodes in
+    // 500 × 500 m²), a fresh seed per iteration.
+    for (id, nodes, side) in [
+        ("micro/topology_build_40_nodes", 40, 350.0),
+        ("micro/topology_build_80_nodes", 80, 500.0),
+    ] {
+        let mut seed = 0u64;
+        c.bench_function(id, |b| {
+            b.iter(|| {
+                seed += 1;
+                let mut rng = SimRng::seed_from_u64(seed);
+                let topo = Topology::random(nodes, Area::new(side, side), PAPER_RANGE_M, &mut rng);
+                black_box(topo.closest_to_center())
+            })
+        });
+    }
 }
 
 fn tree_construction(c: &mut Criterion) {
@@ -526,6 +549,7 @@ criterion_group! {
         channel_collision_storm,
         channel_dense_overlap,
         gilbert_elliott_step,
+        topology_build,
         tree_construction,
         link_quality_ewma,
         tree_reparent,

@@ -33,7 +33,7 @@ use essat_net::ids::NodeId;
 use essat_query::model::{Query, QueryId};
 use essat_sim::time::{SimDuration, SimTime};
 
-use crate::shaper::{Expectations, Release, ShaperKind, TrafficShaper, TreeInfo};
+use crate::shaper::{Expectations, Release, TrafficShaper, TreeInfo};
 
 /// The §4.3 timeout margin `t_TO`: round `k` times out at
 /// `max_c r(k, c) + t_TO`.
@@ -106,10 +106,6 @@ impl Dts {
 }
 
 impl TrafficShaper for Dts {
-    fn kind(&self) -> ShaperKind {
-        ShaperKind::Dts
-    }
-
     fn register(&mut self, q: &Query, tree: &TreeInfo<'_>, is_root: bool) -> Expectations {
         self.sends.insert(
             q.id,

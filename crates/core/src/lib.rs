@@ -49,6 +49,6 @@ pub mod prelude {
         EssatPolicy, NodeView, PolicyAction, PolicyTimer, PowerPolicy, SleepTrigger,
     };
     pub use crate::safe_sleep::{SafeSleep, SleepDecision};
-    pub use crate::shaper::{Expectations, Release, ShaperKind, TrafficShaper, TreeInfo};
+    pub use crate::shaper::{Expectations, Release, TrafficShaper, TreeInfo};
     pub use crate::sts::{Sts, StsConfig};
 }

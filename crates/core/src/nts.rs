@@ -18,7 +18,7 @@ use essat_net::ids::NodeId;
 use essat_query::model::Query;
 use essat_sim::time::{SimDuration, SimTime};
 
-use crate::shaper::{Expectations, Release, ShaperKind, TrafficShaper, TreeInfo};
+use crate::shaper::{Expectations, Release, TrafficShaper, TreeInfo};
 
 /// The NTS shaper. Stateless: every expectation is a closed form of the
 /// query parameters, which is also why the paper calls it the most robust
@@ -45,10 +45,6 @@ impl Nts {
 }
 
 impl TrafficShaper for Nts {
-    fn kind(&self) -> ShaperKind {
-        ShaperKind::Nts
-    }
-
     fn register(&mut self, q: &Query, tree: &TreeInfo<'_>, is_root: bool) -> Expectations {
         Expectations {
             snext: (!is_root).then(|| Self::slot(q, 0)),

@@ -373,11 +373,6 @@ impl EssatPolicy {
         }
     }
 
-    /// The underlying shaper (tests inspect its kind).
-    pub fn shaper(&self) -> &dyn TrafficShaper {
-        self.shaper.as_ref()
-    }
-
     /// The Safe Sleep scheduler (tests inspect expectations).
     pub fn safe_sleep(&self) -> &SafeSleep {
         &self.ss

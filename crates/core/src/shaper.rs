@@ -89,28 +89,6 @@ pub struct Release {
     pub piggyback: Option<SimTime>,
 }
 
-/// The paper's three shaper families, used for configuration and display.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ShaperKind {
-    /// No traffic shaping (§4.2.1).
-    Nts,
-    /// Static traffic shaper (§4.2.2).
-    Sts,
-    /// Dynamic traffic shaper (§4.2.3).
-    Dts,
-}
-
-impl fmt::Display for ShaperKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            ShaperKind::Nts => "NTS",
-            ShaperKind::Sts => "STS",
-            ShaperKind::Dts => "DTS",
-        };
-        f.write_str(s)
-    }
-}
-
 /// A traffic shaper as defined in §4.2.
 ///
 /// Implementations must be deterministic: identical call sequences must
@@ -118,9 +96,6 @@ impl fmt::Display for ShaperKind {
 /// reproducible runs). `Send` is required so whole simulations can be
 /// farmed out across threads by the experiment runner.
 pub trait TrafficShaper: fmt::Debug + Send {
-    /// Which family this shaper belongs to.
-    fn kind(&self) -> ShaperKind;
-
     /// A query was registered at this node. Returns the initial
     /// expectations for Safe Sleep. `is_root` suppresses the send
     /// expectation.
@@ -234,12 +209,5 @@ mod tests {
         assert_eq!(info.own_rank, 0);
         assert_eq!(info.max_rank, 5);
         assert!(info.children.is_empty());
-    }
-
-    #[test]
-    fn kind_display() {
-        assert_eq!(ShaperKind::Nts.to_string(), "NTS");
-        assert_eq!(ShaperKind::Sts.to_string(), "STS");
-        assert_eq!(ShaperKind::Dts.to_string(), "DTS");
     }
 }

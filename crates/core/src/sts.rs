@@ -30,7 +30,7 @@ use essat_net::ids::NodeId;
 use essat_query::model::{Query, QueryId};
 use essat_sim::time::{SimDuration, SimTime};
 
-use crate::shaper::{Expectations, Release, ShaperKind, TrafficShaper, TreeInfo};
+use crate::shaper::{Expectations, Release, TrafficShaper, TreeInfo};
 
 /// Configuration for [`Sts`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -95,10 +95,6 @@ impl Sts {
 }
 
 impl TrafficShaper for Sts {
-    fn kind(&self) -> ShaperKind {
-        ShaperKind::Sts
-    }
-
     fn register(&mut self, q: &Query, tree: &TreeInfo<'_>, is_root: bool) -> Expectations {
         self.next_send_round.insert(q.id, 0);
         for &(c, _) in tree.children {

@@ -22,10 +22,10 @@
 //! dense-traffic simulations, so the channel is built to not allocate in
 //! steady state:
 //!
-//! * Adjacency is stored **CSR-style** — one flat `Vec<NodeId>` plus an
-//!   offsets array per range — and each transmission refers to its
-//!   hearers/sensers by the *sender's index range* into those arrays
-//!   instead of cloning the neighbour lists per transmission.
+//! * Who hears whom is read straight from the [`Topology`], which the
+//!   channel shares by `Arc` with the rest of the world: a transmission
+//!   finds its hearers and sensers through its sender's id and copies no
+//!   neighbour list.
 //! * In-flight transmissions live in a **slab** keyed by a dense slot id
 //!   ([`TxId`] packs slot + generation); there is no hashing anywhere.
 //! * Collisions are marked in O(degree) with **overlap epochs**: every
@@ -40,6 +40,8 @@
 //! # Examples
 //!
 //! ```
+//! use std::sync::Arc;
+//!
 //! use essat_net::channel::{Channel, TxEndBuf};
 //! use essat_net::ids::NodeId;
 //! use essat_net::topology::Topology;
@@ -47,7 +49,7 @@
 //! use essat_sim::time::{SimDuration, SimTime};
 //!
 //! let topo = Topology::line(3, 10.0, 12.0); // 0 - 1 - 2
-//! let mut ch = Channel::new(&topo, SimRng::seed_from_u64(1));
+//! let mut ch = Channel::new(Arc::new(topo), SimRng::seed_from_u64(1));
 //! let t0 = SimTime::ZERO;
 //! let tx = ch.begin_tx(t0, NodeId::new(0), SimDuration::from_micros(416));
 //! assert!(ch.carrier_busy(NodeId::new(1)));
@@ -118,7 +120,7 @@ impl TxId {
 }
 
 /// One slab slot for an in-flight transmission. Hearers/sensers are the
-/// sender's CSR ranges in the channel's adjacency arrays.
+/// sender's neighbour lists in the topology.
 #[derive(Debug)]
 struct ActiveTx {
     /// The `begin_tx` counter value of this transmission; its copy at
@@ -172,7 +174,7 @@ impl Default for TxEndBuf {
 
 impl TxEndBuf {
     /// Hearers whose copy survived collisions and loss injection, in
-    /// ascending id (CSR) order. The caller must still verify each
+    /// ascending id order. The caller must still verify each
     /// receiver's radio was active for the whole airtime before
     /// delivering to its MAC.
     #[inline]
@@ -188,7 +190,7 @@ impl TxEndBuf {
     }
 
     /// Nodes at which the medium just became idle (carrier 1 → 0), in
-    /// interference-CSR order; their MACs must be notified.
+    /// ascending id order; their MACs must be notified.
     #[inline]
     pub fn now_idle(&self) -> &[NodeId] {
         &self.nodes[self.corrupted_end..]
@@ -220,62 +222,6 @@ pub struct ChannelStats {
     pub injected_drops: u64,
 }
 
-/// CSR adjacency: `flat[off[i]..off[i+1]]` are node `i`'s neighbours in
-/// ascending id order.
-#[derive(Debug)]
-struct Csr {
-    flat: Vec<NodeId>,
-    off: Vec<u32>,
-}
-
-impl Csr {
-    fn from_lists<'a>(n: usize, mut list: impl FnMut(usize) -> &'a [NodeId]) -> Csr {
-        let mut off = Vec::with_capacity(n + 1);
-        let mut flat = Vec::new();
-        off.push(0u32);
-        for i in 0..n {
-            flat.extend_from_slice(list(i));
-            off.push(flat.len() as u32);
-        }
-        Csr { flat, off }
-    }
-
-    /// Node `i`'s neighbours.
-    #[inline]
-    fn of(&self, i: usize) -> &[NodeId] {
-        &self.flat[self.off[i] as usize..self.off[i + 1] as usize]
-    }
-}
-
-/// The immutable adjacency block a channel consults on every
-/// transmission: communication- and interference-range CSR indexes over
-/// a fixed topology.
-///
-/// Building it walks the whole topology, so sweep harnesses share one
-/// instance (`Arc`) across every run at the same `(topology, seed)`
-/// point instead of rebuilding it per job — see
-/// [`Channel::with_adjacency`].
-#[derive(Debug)]
-pub struct ChannelAdjacency {
-    neighbors: Csr,
-    interference: Csr,
-    nodes: usize,
-}
-
-impl ChannelAdjacency {
-    /// Builds the CSR indexes for `topology`.
-    pub fn build(topology: &Topology) -> ChannelAdjacency {
-        let n = topology.node_count();
-        ChannelAdjacency {
-            neighbors: Csr::from_lists(n, |i| topology.neighbors(NodeId::new(i as u32))),
-            interference: Csr::from_lists(n, |i| {
-                topology.interference_neighbors(NodeId::new(i as u32))
-            }),
-            nodes: n,
-        }
-    }
-}
-
 /// Recycled receiver-list buffers carried across runs by a world pool
 /// so a fresh channel starts warm.
 #[derive(Debug, Default)]
@@ -286,7 +232,7 @@ pub struct ChannelPools {
 /// The shared medium. One instance per simulation.
 #[derive(Debug)]
 pub struct Channel {
-    adj: Arc<ChannelAdjacency>,
+    topo: Arc<Topology>,
     carrier_count: Vec<u32>,
     transmitting: Vec<bool>,
     /// Per node, the epoch of the latest `begin_tx` that made every copy
@@ -309,17 +255,12 @@ pub struct Channel {
 }
 
 impl Channel {
-    /// Creates a channel over the given topology with no loss injection.
-    pub fn new(topology: &Topology, rng: SimRng) -> Self {
-        Self::with_adjacency(Arc::new(ChannelAdjacency::build(topology)), rng)
-    }
-
-    /// Creates a channel over a pre-built (possibly shared) adjacency
-    /// block — the sweep executor's build-cache path.
-    pub fn with_adjacency(adj: Arc<ChannelAdjacency>, rng: SimRng) -> Self {
-        let n = adj.nodes;
+    /// Creates a channel over the given (possibly shared) topology with
+    /// no loss injection.
+    pub fn new(topo: Arc<Topology>, rng: SimRng) -> Self {
+        let n = topo.node_count();
         Channel {
-            adj,
+            topo,
             carrier_count: vec![0; n],
             transmitting: vec![false; n],
             overlap: vec![0; n],
@@ -380,9 +321,8 @@ impl Channel {
         let mut stats = self.stats;
         for tx in self.slots.iter().filter(|tx| tx.live) {
             stats.collisions += self
-                .adj
-                .neighbors
-                .of(tx.sender.index())
+                .topo
+                .neighbors(tx.sender)
                 .iter()
                 .filter(|h| self.overlap[h.index()] >= tx.epoch)
                 .count() as u64;
@@ -447,7 +387,7 @@ impl Channel {
         // (half-duplex). The stamp covers exactly the copies begun so
         // far: later transmissions carry larger epochs.
         let mut now_busy = self.take_nodes();
-        for &h in self.adj.interference.of(si) {
+        for &h in self.topo.interference_neighbors(sender) {
             let hi = h.index();
             let cc = &mut self.carrier_count[hi];
             *cc += 1;
@@ -485,7 +425,7 @@ impl Channel {
     /// transitions into a caller-recycled [`TxEndBuf`].
     ///
     /// The fan-out is vectorised: receivers are classified with slice
-    /// passes over the sender's CSR adjacency ranges — one pass writes
+    /// passes over the sender's neighbour lists — one pass writes
     /// the clean hearers (loss injection draws happen here, in
     /// ascending-id order, one per copy that no overlap corrupted), the
     /// next the rest, as contiguous partitions of the flat outcome list.
@@ -504,9 +444,8 @@ impl Channel {
         let (sender, epoch) = (tx.sender, tx.epoch);
         out.reset(sender, tx.start);
         self.free.push(slot as u32);
-        let si = sender.index();
-        self.transmitting[si] = false;
-        let hearers = self.adj.neighbors.of(si);
+        self.transmitting[sender.index()] = false;
+        let hearers = self.topo.neighbors(sender);
 
         // Pass 1 — the clean hearers, in hearer (ascending-id) order.
         // Loss draws happen here and only here: one per copy no overlap
@@ -547,7 +486,7 @@ impl Channel {
 
         // Pass 3 — decrement carrier counts over the interference range,
         // appending the 1 → 0 transitions as the final partition.
-        for &h in self.adj.interference.of(si) {
+        for &h in self.topo.interference_neighbors(sender) {
             let cc = &mut self.carrier_count[h.index()];
             debug_assert!(*cc > 0, "carrier count underflow at {h}");
             *cc -= 1;
@@ -584,7 +523,7 @@ mod tests {
     /// 0 - 1 - 2 - 3 line, only adjacent nodes hear each other.
     fn line4() -> Channel {
         let topo = Topology::line(4, 10.0, 12.0);
-        Channel::new(&topo, SimRng::seed_from_u64(42))
+        Channel::new(Arc::new(topo), SimRng::seed_from_u64(42))
     }
 
     #[test]
@@ -729,7 +668,7 @@ mod tests {
     #[test]
     fn loss_injection_drops_roughly_p() {
         let topo = Topology::line(2, 10.0, 12.0);
-        let mut ch = Channel::new(&topo, SimRng::seed_from_u64(7));
+        let mut ch = Channel::new(Arc::new(topo), SimRng::seed_from_u64(7));
         ch.set_drop_probability(0.3);
         let mut dropped = 0;
         let trials = 2000;
@@ -808,7 +747,7 @@ mod tests {
     #[test]
     fn isolated_node_transmission_reaches_nobody() {
         let topo = Topology::line(2, 100.0, 10.0); // out of range
-        let mut ch = Channel::new(&topo, SimRng::seed_from_u64(1));
+        let mut ch = Channel::new(Arc::new(topo), SimRng::seed_from_u64(1));
         let tx = ch.begin_tx(t_us(0), n(0), us(416));
         assert!(tx.now_busy.is_empty());
         let end = finish(&mut ch, t_us(416), tx.id);
@@ -850,7 +789,7 @@ mod interference_tests {
     /// only), interference 22 m (two hops).
     fn two_range() -> Channel {
         let topo = Topology::line(4, 10.0, 12.0).with_interference_range(22.0);
-        Channel::new(&topo, SimRng::seed_from_u64(5))
+        Channel::new(Arc::new(topo), SimRng::seed_from_u64(5))
     }
 
     #[test]
@@ -892,7 +831,7 @@ mod interference_tests {
         // Without an explicit interference range the two lists coincide,
         // so 3's transmission cannot affect 1.
         let topo = Topology::line(4, 10.0, 12.0);
-        let mut ch = Channel::new(&topo, SimRng::seed_from_u64(5));
+        let mut ch = Channel::new(Arc::new(topo), SimRng::seed_from_u64(5));
         let a = ch.begin_tx(t_us(0), n(0), us(416));
         let _b = ch.begin_tx(t_us(100), n(3), us(416));
         let ea = finish(&mut ch, t_us(416), a.id);

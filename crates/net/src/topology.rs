@@ -31,156 +31,6 @@ pub const PAPER_NODE_COUNT: u32 = 80;
 /// the paper's setup.
 pub const PAPER_TREE_RADIUS_M: f64 = 300.0;
 
-/// Uniform spatial grid over the nodes' bounding box, used to answer
-/// disk queries (adjacency construction, [`Topology::closest_to`],
-/// [`Topology::nodes_within`]) without scanning every node.
-///
-/// Buckets are stored CSR-style; node ids are ascending within a cell,
-/// and query results are re-sorted so callers see the same ascending
-/// order the old linear scans produced.
-#[derive(Debug, Clone)]
-struct SpatialGrid {
-    min_x: f64,
-    min_y: f64,
-    cell_w: f64,
-    cell_h: f64,
-    cols: usize,
-    rows: usize,
-    /// `items[starts[c]..starts[c+1]]` are the node indices in cell `c`.
-    starts: Vec<u32>,
-    items: Vec<u32>,
-}
-
-impl SpatialGrid {
-    /// Builds a grid with cells of roughly `target_cell` metres (clamped
-    /// so pathological ranges cannot explode the cell count).
-    fn build(positions: &[Position], target_cell: f64) -> SpatialGrid {
-        let (mut min_x, mut min_y) = (f64::INFINITY, f64::INFINITY);
-        let (mut max_x, mut max_y) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-        for p in positions {
-            min_x = min_x.min(p.x);
-            min_y = min_y.min(p.y);
-            max_x = max_x.max(p.x);
-            max_y = max_y.max(p.y);
-        }
-        let w = (max_x - min_x).max(1e-9);
-        let h = (max_y - min_y).max(1e-9);
-        let target = target_cell.max(1e-9);
-        let cols = ((w / target).ceil() as usize).clamp(1, 256);
-        let rows = ((h / target).ceil() as usize).clamp(1, 256);
-        let cell_w = w / cols as f64;
-        let cell_h = h / rows as f64;
-        // Counting sort of nodes into CSR buckets (stable, so ids stay
-        // ascending within each cell).
-        let mut counts = vec![0u32; cols * rows + 1];
-        let cell_of = |p: Position| -> usize {
-            let cx = (((p.x - min_x) / cell_w) as usize).min(cols - 1);
-            let cy = (((p.y - min_y) / cell_h) as usize).min(rows - 1);
-            cy * cols + cx
-        };
-        for p in positions {
-            counts[cell_of(*p) + 1] += 1;
-        }
-        for c in 1..counts.len() {
-            counts[c] += counts[c - 1];
-        }
-        let starts = counts.clone();
-        let mut fill = counts;
-        let mut items = vec![0u32; positions.len()];
-        for (i, p) in positions.iter().enumerate() {
-            let c = cell_of(*p);
-            items[fill[c] as usize] = i as u32;
-            fill[c] += 1;
-        }
-        SpatialGrid {
-            min_x,
-            min_y,
-            cell_w,
-            cell_h,
-            cols,
-            rows,
-            starts,
-            items,
-        }
-    }
-
-    fn cell(&self, cx: usize, cy: usize) -> &[u32] {
-        let c = cy * self.cols + cx;
-        &self.items[self.starts[c] as usize..self.starts[c + 1] as usize]
-    }
-
-    /// Calls `f` with every node index whose cell intersects the square
-    /// of half-width `radius` around `p` (a superset of the disk).
-    fn for_each_candidate(&self, p: Position, radius: f64, mut f: impl FnMut(u32)) {
-        let cx0 = (((p.x - radius - self.min_x) / self.cell_w).floor().max(0.0) as usize)
-            .min(self.cols - 1);
-        let cx1 = (((p.x + radius - self.min_x) / self.cell_w).floor().max(0.0) as usize)
-            .min(self.cols - 1);
-        let cy0 = (((p.y - radius - self.min_y) / self.cell_h).floor().max(0.0) as usize)
-            .min(self.rows - 1);
-        let cy1 = (((p.y + radius - self.min_y) / self.cell_h).floor().max(0.0) as usize)
-            .min(self.rows - 1);
-        for cy in cy0..=cy1 {
-            for cx in cx0..=cx1 {
-                for &i in self.cell(cx, cy) {
-                    f(i);
-                }
-            }
-        }
-    }
-
-    /// The node index closest to `p`, ties broken towards the lowest
-    /// index (matching a first-wins linear scan). Expands cell rings
-    /// outward until no unscanned cell can hold a closer node.
-    fn closest(&self, positions: &[Position], p: Position) -> u32 {
-        // Clamp p into the grid; projection onto the bounding box is
-        // non-expansive, so ring lower bounds computed from the clamped
-        // cell remain valid lower bounds for the true distances.
-        let ccx = (((p.x - self.min_x) / self.cell_w).floor().max(0.0) as usize).min(self.cols - 1);
-        let ccy = (((p.y - self.min_y) / self.cell_h).floor().max(0.0) as usize).min(self.rows - 1);
-        let min_cell = self.cell_w.min(self.cell_h);
-        let mut best: Option<(f64, u32)> = None;
-        let max_ring = self.cols.max(self.rows);
-        for k in 0..=max_ring {
-            if let Some((bd, _)) = best {
-                // Cells at Chebyshev ring k are at least (k-1) cells
-                // away from p's cell: nothing closer can appear there.
-                if ((k as f64) - 1.0) * min_cell > bd.sqrt() {
-                    break;
-                }
-            }
-            let lo_x = ccx.saturating_sub(k);
-            let hi_x = (ccx + k).min(self.cols - 1);
-            let lo_y = ccy.saturating_sub(k);
-            let hi_y = (ccy + k).min(self.rows - 1);
-            for cy in lo_y..=hi_y {
-                for cx in lo_x..=hi_x {
-                    let on_ring = cy == lo_y || cy == hi_y || cx == lo_x || cx == hi_x;
-                    let is_new = k == 0
-                        || cx < ccx.saturating_sub(k - 1)
-                        || cx > (ccx + k - 1).min(self.cols - 1)
-                        || cy < ccy.saturating_sub(k - 1)
-                        || cy > (ccy + k - 1).min(self.rows - 1);
-                    if !(on_ring && is_new) {
-                        continue;
-                    }
-                    for &i in self.cell(cx, cy) {
-                        let d = positions[i as usize].distance_sq(p);
-                        let better = match best {
-                            None => true,
-                            Some((bd, bi)) => d < bd || (d == bd && i < bi),
-                        };
-                        if better {
-                            best = Some((d, i));
-                        }
-                    }
-                }
-            }
-        }
-        best.expect("grid holds at least one node").1
-    }
-}
-
 /// Immutable node placement + unit-disk adjacency.
 ///
 /// Two radii are tracked: the **communication range** (frames decode)
@@ -188,9 +38,9 @@ impl SpatialGrid {
 /// sensed as energy and can corrupt concurrent receptions, but carry no
 /// decodable frame) — the classic two-range model of ns-2.
 ///
-/// Construction and the point queries ([`Topology::closest_to`],
-/// [`Topology::nodes_within`]) run over a uniform spatial grid index
-/// rather than scanning all `n` nodes (or all `n²` pairs).
+/// Each range's adjacency is computed once, at construction, by a plain
+/// pairwise scan: deployments here have at most 80 nodes, where a
+/// spatial index does not pay for itself.
 #[derive(Debug, Clone)]
 pub struct Topology {
     area: Area,
@@ -199,25 +49,26 @@ pub struct Topology {
     positions: Vec<Position>,
     neighbors: Vec<Vec<NodeId>>,
     interference_neighbors: Vec<Vec<NodeId>>,
-    grid: SpatialGrid,
 }
 
-/// Builds per-node disk adjacency (excluding self) via the grid; lists
-/// come out ascending, matching what the old pairwise scan produced.
-fn disk_adjacency(grid: &SpatialGrid, positions: &[Position], radius: f64) -> Vec<Vec<NodeId>> {
+/// Indices of the positions within `radius` of `p`, ascending.
+fn within(positions: &[Position], p: Position, radius: f64) -> impl Iterator<Item = u32> + '_ {
     let r_sq = radius * radius;
-    positions
-        .iter()
-        .enumerate()
+    (0u32..)
+        .zip(positions)
+        .filter(move |(_, q)| q.distance_sq(p) <= r_sq)
+        .map(|(j, _)| j)
+}
+
+/// Per-node disk adjacency (excluding self), each list ascending.
+fn disk_adjacency(positions: &[Position], radius: f64) -> Vec<Vec<NodeId>> {
+    (0u32..)
+        .zip(positions)
         .map(|(i, &p)| {
-            let mut list: Vec<NodeId> = Vec::new();
-            grid.for_each_candidate(p, radius, |j| {
-                if j as usize != i && positions[j as usize].distance_sq(p) <= r_sq {
-                    list.push(NodeId::new(j));
-                }
-            });
-            list.sort_unstable();
-            list
+            within(positions, p, radius)
+                .filter(|&j| j != i)
+                .map(NodeId::new)
+                .collect()
         })
         .collect()
 }
@@ -234,8 +85,7 @@ impl Topology {
             range.is_finite() && range > 0.0,
             "communication range must be positive, got {range}"
         );
-        let grid = SpatialGrid::build(&positions, range);
-        let neighbors = disk_adjacency(&grid, &positions, range);
+        let neighbors = disk_adjacency(&positions, range);
         let interference_neighbors = neighbors.clone();
         Topology {
             area,
@@ -244,7 +94,6 @@ impl Topology {
             positions,
             neighbors,
             interference_neighbors,
-            grid,
         }
     }
 
@@ -263,7 +112,7 @@ impl Topology {
             self.range
         );
         self.interference_range = r;
-        self.interference_neighbors = disk_adjacency(&self.grid, &self.positions, r);
+        self.interference_neighbors = disk_adjacency(&self.positions, r);
         self
     }
 
@@ -364,25 +213,25 @@ impl Topology {
         self.closest_to(self.area.center())
     }
 
-    /// The node closest to an arbitrary point (grid ring search; ties
-    /// resolve to the lowest node id, as a linear scan would).
+    /// The node closest to an arbitrary point; ties resolve to the
+    /// lowest node id.
     pub fn closest_to(&self, p: Position) -> NodeId {
-        NodeId::new(self.grid.closest(&self.positions, p))
+        let mut best = (f64::INFINITY, 0);
+        for (i, q) in (0u32..).zip(&self.positions) {
+            let d = q.distance_sq(p);
+            if d < best.0 {
+                best = (d, i);
+            }
+        }
+        NodeId::new(best.1)
     }
 
     /// Nodes within `radius` of `center`'s position (including `center`),
     /// in ascending id order.
     pub fn nodes_within(&self, center: NodeId, radius: f64) -> Vec<NodeId> {
-        let c = self.positions[center.index()];
-        let r_sq = radius * radius;
-        let mut out = Vec::new();
-        self.grid.for_each_candidate(c, radius, |i| {
-            if self.positions[i as usize].distance_sq(c) <= r_sq {
-                out.push(NodeId::new(i));
-            }
-        });
-        out.sort_unstable();
-        out
+        within(&self.positions, self.positions[center.index()], radius)
+            .map(NodeId::new)
+            .collect()
     }
 
     /// BFS hop distance from `root` over the connectivity graph;
@@ -531,13 +380,15 @@ mod tests {
     }
 }
 
+/// The disk-query contracts the channel and the tree builder rely on:
+/// ascending adjacency lists, lowest-id ties, `nodes_within` in id order.
 #[cfg(test)]
-mod grid_tests {
+mod contract_tests {
     use super::*;
 
-    /// Grid adjacency must equal the brute-force pairwise scan.
+    /// Each adjacency list is every other node in range, ascending.
     #[test]
-    fn grid_adjacency_matches_bruteforce() {
+    fn adjacency_is_every_node_in_range_ascending() {
         for seed in [1u64, 7, 42] {
             let mut rng = SimRng::seed_from_u64(seed);
             let t = Topology::random(60, Area::new(300.0, 200.0), 70.0, &mut rng);
@@ -552,10 +403,10 @@ mod grid_tests {
         }
     }
 
-    /// Grid closest_to must match the linear scan, including its
-    /// lowest-id tie-breaking.
+    /// closest_to is the nearest node, for probes inside and outside
+    /// the area.
     #[test]
-    fn grid_closest_matches_bruteforce() {
+    fn closest_to_is_the_nearest_node() {
         let mut rng = SimRng::seed_from_u64(5);
         let t = Topology::random(50, Area::new(400.0, 400.0), 60.0, &mut rng);
         let mut probe_rng = SimRng::seed_from_u64(6);
@@ -580,17 +431,17 @@ mod grid_tests {
 
     /// Exact-tie probes resolve to the lowest id.
     #[test]
-    fn grid_closest_breaks_ties_low_id() {
+    fn closest_to_breaks_ties_low_id() {
         let t = Topology::grid(3, 3, 10.0, 12.0);
         // The probe sits equidistant from nodes 0, 1, 3, and 4; the
-        // lowest id must win the tie, as with a first-wins linear scan.
+        // lowest id must win the tie.
         let p = Position::new(5.0, 5.0);
         assert_eq!(t.closest_to(p), NodeId::new(0));
     }
 
-    /// nodes_within via the grid equals the linear filter, in order.
+    /// nodes_within is the distance filter, in id order.
     #[test]
-    fn grid_nodes_within_matches_bruteforce() {
+    fn nodes_within_is_an_id_ordered_filter() {
         let mut rng = SimRng::seed_from_u64(11);
         let t = Topology::random(60, Area::new(250.0, 250.0), 40.0, &mut rng);
         for center in t.nodes() {

@@ -11,6 +11,8 @@
 //! the channel reports must match the reference exactly, including the
 //! statistics mid-flight.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use essat_net::channel::{Channel, ChannelStats, LossModel, TxEndBuf, TxId};
@@ -210,9 +212,11 @@ proptest! {
         script in proptest::collection::vec((0u8..10, any::<u32>(), 0u64..3), 1..160),
     ) {
         let mut rng = SimRng::seed_from_u64(seed);
-        let topo = Topology::random(n, Area::new(side, side), range, &mut rng)
-            .with_interference_range(range * interference);
-        let mut ch = Channel::new(&topo, SimRng::seed_from_u64(seed ^ 0xA5));
+        let topo = Arc::new(
+            Topology::random(n, Area::new(side, side), range, &mut rng)
+                .with_interference_range(range * interference),
+        );
+        let mut ch = Channel::new(Arc::clone(&topo), SimRng::seed_from_u64(seed ^ 0xA5));
         ch.set_drop_probability(drop_prob);
         if let Some(salt) = loss_salt {
             ch.set_loss_model(Box::new(HashLoss(salt)));

@@ -1,5 +1,7 @@
 //! Property-based tests of the wireless substrate.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use essat_net::channel::{Channel, TxEndBuf};
@@ -55,8 +57,8 @@ proptest! {
         txs in proptest::collection::vec((0u32..40, 0u64..5_000), 1..30),
     ) {
         let mut rng = SimRng::seed_from_u64(seed);
-        let topo = Topology::random(n, Area::new(200.0, 200.0), 70.0, &mut rng);
-        let mut ch = Channel::new(&topo, SimRng::seed_from_u64(seed ^ 1));
+        let topo = Arc::new(Topology::random(n, Area::new(200.0, 200.0), 70.0, &mut rng));
+        let mut ch = Channel::new(Arc::clone(&topo), SimRng::seed_from_u64(seed ^ 1));
         let air = SimDuration::from_micros(416);
         // Start transmissions (skipping busy senders), then end them all.
         let mut live: Vec<(NodeId, essat_net::channel::TxId, usize)> = Vec::new();

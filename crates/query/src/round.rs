@@ -3,11 +3,9 @@
 //! For every `(query, round)` a non-leaf node waits for the data reports
 //! of its children, merges them with its own reading, and forwards one
 //! aggregated report. [`RoundAggregator`] tracks which children have
-//! contributed, supports the §4.3 timeout path (forward a *partial*
-//! aggregate based on the reports received so far), and refuses
-//! duplicates.
-
-use std::collections::BTreeMap;
+//! not contributed yet, supports the §4.3 timeout path (forward a
+//! *partial* aggregate based on the reports received so far), and
+//! refuses duplicates.
 
 use essat_net::ids::NodeId;
 
@@ -16,8 +14,8 @@ use crate::aggregate::AggState;
 /// Collects child contributions for one round.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoundAggregator {
-    expected: Vec<NodeId>,
-    received: BTreeMap<NodeId, bool>,
+    /// Expected children that have not reported yet, ascending.
+    pending: Vec<NodeId>,
     acc: AggState,
     own_added: bool,
     sealed: bool,
@@ -27,9 +25,11 @@ impl RoundAggregator {
     /// Creates an aggregator expecting one report from each of
     /// `expected_children`.
     pub fn new(expected_children: &[NodeId]) -> Self {
+        let mut pending = expected_children.to_vec();
+        pending.sort_unstable();
+        pending.dedup();
         RoundAggregator {
-            expected: expected_children.to_vec(),
-            received: expected_children.iter().map(|&c| (c, false)).collect(),
+            pending,
             acc: AggState::empty(),
             own_added: false,
             sealed: false,
@@ -50,23 +50,17 @@ impl RoundAggregator {
     /// Adds a child's report. Returns `false` (duplicate or unexpected
     /// child, or already sealed) if the report was ignored.
     pub fn add_child(&mut self, child: NodeId, report: AggState) -> bool {
-        if self.sealed {
+        if self.sealed || !self.remove_child(child) {
             return false;
         }
-        match self.received.get_mut(&child) {
-            Some(seen @ false) => {
-                *seen = true;
-                self.acc.merge(&report);
-                true
-            }
-            _ => false,
-        }
+        self.acc.merge(&report);
+        true
     }
 
     /// True once every expected child has contributed (own reading is the
     /// node's responsibility and tracked separately).
     pub fn children_complete(&self) -> bool {
-        self.received.values().all(|&seen| seen)
+        self.pending.is_empty()
     }
 
     /// True if this node's reading is already folded in.
@@ -74,18 +68,9 @@ impl RoundAggregator {
         self.own_added
     }
 
-    /// Children that have not contributed yet.
+    /// Children that have not contributed yet, ascending.
     pub fn missing(&self) -> Vec<NodeId> {
-        self.received
-            .iter()
-            .filter(|(_, &seen)| !seen)
-            .map(|(&c, _)| c)
-            .collect()
-    }
-
-    /// Children expected in this round.
-    pub fn expected(&self) -> &[NodeId] {
-        &self.expected
+        self.pending.clone()
     }
 
     /// Stops accepting contributions and returns the (possibly partial)
@@ -96,24 +81,15 @@ impl RoundAggregator {
         self.acc
     }
 
-    /// True if [`RoundAggregator::seal`] has been called.
-    pub fn is_sealed(&self) -> bool {
-        self.sealed
-    }
-
     /// Drops `child` from the expectations (parent of a failed node,
     /// §4.3). Returns `true` if the child was still pending.
     pub fn remove_child(&mut self, child: NodeId) -> bool {
-        self.expected.retain(|&c| c != child);
-        matches!(self.received.remove(&child), Some(false))
-    }
-
-    /// Adds a new expected child mid-round (child of a failed node that
-    /// re-parented here, §4.3). No effect if already expected.
-    pub fn add_expected_child(&mut self, child: NodeId) {
-        if !self.received.contains_key(&child) {
-            self.expected.push(child);
-            self.received.insert(child, false);
+        match self.pending.binary_search(&child) {
+            Ok(at) => {
+                self.pending.remove(at);
+                true
+            }
+            Err(_) => false,
         }
     }
 }
@@ -166,7 +142,6 @@ mod tests {
         assert_eq!(partial.count(), 2);
         // Late child is rejected.
         assert!(!agg.add_child(n(1), AggState::from_reading(99.0)));
-        assert!(agg.is_sealed());
     }
 
     #[test]
@@ -185,19 +160,5 @@ mod tests {
         assert!(agg.remove_child(n(2)), "child was pending");
         assert!(agg.children_complete());
         assert!(!agg.remove_child(n(2)), "already gone");
-    }
-
-    #[test]
-    fn add_expected_child_mid_round() {
-        let mut agg = RoundAggregator::new(&[n(1)]);
-        agg.add_child(n(1), AggState::from_reading(1.0));
-        assert!(agg.children_complete());
-        agg.add_expected_child(n(5));
-        assert!(!agg.children_complete());
-        assert!(agg.add_child(n(5), AggState::from_reading(2.0)));
-        assert!(agg.children_complete());
-        // Idempotent.
-        agg.add_expected_child(n(5));
-        assert!(agg.children_complete());
     }
 }

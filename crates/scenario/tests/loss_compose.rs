@@ -8,6 +8,8 @@
 //! The contract now is composition: a frame copy is lost if the model
 //! drops it **or** the baseline random loss fires.
 
+use std::sync::Arc;
+
 use essat_net::channel::{Channel, TxEndBuf};
 use essat_net::ids::NodeId;
 use essat_net::topology::Topology;
@@ -30,8 +32,8 @@ fn never_dropping_links(nodes: u32) -> GilbertElliott {
 
 #[test]
 fn baseline_drop_probability_survives_an_installed_model() {
-    let topo = Topology::line(2, 10.0, 12.0);
-    let mut ch = Channel::new(&topo, SimRng::seed_from_u64(7));
+    let topo = Arc::new(Topology::line(2, 10.0, 12.0));
+    let mut ch = Channel::new(topo, SimRng::seed_from_u64(7));
     ch.set_drop_probability(0.3);
     // A model that never drops must leave the measured loss at the
     // baseline rate, not at zero (the override bug).
@@ -61,8 +63,8 @@ fn bursty_bad_state_composes_with_baseline() {
     // A GE process pinned to the *bad* state with certain loss: every
     // copy dies regardless of the (low) baseline — and with the model
     // removed, the baseline alone takes over again.
-    let topo = Topology::line(2, 10.0, 12.0);
-    let mut ch = Channel::new(&topo, SimRng::seed_from_u64(11));
+    let topo = Arc::new(Topology::line(2, 10.0, 12.0));
+    let mut ch = Channel::new(topo, SimRng::seed_from_u64(11));
     ch.set_drop_probability(0.2);
     let params = GilbertElliottParams {
         mean_good: SimDuration::from_micros(1),

@@ -29,7 +29,6 @@ impl<P: Probe> World<P> {
             }
             self.hot.dead[i] = true;
             let n = &mut self.nodes[i];
-            n.died_at = Some(now);
             n.radio.settle(now);
             // A dead node's MAC timers and chain policy schedules must
             // not fire; cancel them. The pending radio wake (if any)
@@ -119,7 +118,6 @@ impl<P: Probe> World<P> {
             // better off the queue entirely).
             self.cancel_mac_timers(node, ctx);
             let n = &mut self.nodes[i];
-            n.died_at = None;
             n.revivals += 1;
             n.radio.resurrect(now);
             let old = std::mem::replace(&mut n.mac, Mac::new(node, MacParams::paper(), mac_rng));

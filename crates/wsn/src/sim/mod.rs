@@ -142,19 +142,26 @@ mod tests {
     }
 
     #[test]
-    fn register_skips_childless_nonsources() {
-        let (mut world, _) = World::new(quick_cfg(Protocol::DtsSs, 4));
+    fn members_register_and_non_members_do_not() {
+        // The paper's 500 m square leaves its corners outside the 300 m
+        // tree radius, so some nodes are not members.
+        let cfg = ExperimentConfig::paper(Protocol::DtsSs, WorkloadSpec::paper(1.0), 4);
+        let (mut world, _) = World::new(cfg);
         // Every member is a source, so every member registers...
         let member = world.tree.members()[0];
         // Re-registration for an already-registered query returns the
         // next round time rather than None.
         let at = world.register_query_at(member, 0, SimTime::ZERO);
         assert!(at.is_some());
-        // Non-members never register.
-        let non_member = world.topo.nodes().find(|&n| !world.tree.is_member(n));
-        if let Some(nm) = non_member {
-            assert!(world.register_query_at(nm, 0, SimTime::ZERO).is_none());
-        }
+        // ...and non-members never register.
+        let non_member = world
+            .topo
+            .nodes()
+            .find(|&n| !world.tree.is_member(n))
+            .expect("a node outside the tree");
+        assert!(world
+            .register_query_at(non_member, 0, SimTime::ZERO)
+            .is_none());
     }
 
     #[test]

@@ -164,7 +164,6 @@ pub(crate) struct NodeState {
     /// [`MacTimer::idx`]: stored when the executor schedules a
     /// `SetTimer`, taken when the timer fires or is cancelled.
     pub(crate) mac_ev: [Option<EventId>; MacTimer::COUNT],
-    pub(crate) died_at: Option<SimTime>,
     /// The query agent: one record per query, indexed by query.
     pub(crate) queries: Vec<QueryState>,
     pub(crate) loss: LossDetector,

@@ -6,8 +6,8 @@
 //! fresh event-queue slab and current-bucket vector, channel buffer
 //! pools and policy/MAC action buffers, all of which immediately re-grow
 //! to the same steady-state shapes, and (2) re-deriving the identical
-//! topology, routing tree and channel adjacency for every protocol and
-//! repetition sharing a `(topology parameters, seed)` sweep point.
+//! topology and routing tree for every protocol and repetition sharing a
+//! `(topology parameters, seed)` sweep point.
 //!
 //! [`WorldScratch`] fixes (1): a sweep worker keeps one scratch per
 //! thread and threads it through
@@ -15,9 +15,9 @@
 //! which adopts the warmed allocations at construction and salvages them
 //! at finalise. [`BuildCache`] fixes (2): a lock-guarded map from the
 //! build inputs to an [`Arc`]-shared immutable `Prebuilt` block
-//! (topology + pristine routing tree + channel CSR adjacency). Runs
-//! clone the cheap mutable tree from the pristine copy and share the
-//! rest by reference.
+//! (topology + pristine routing tree). Runs clone the cheap mutable tree
+//! from the pristine copy and share the topology, whose neighbour lists
+//! the channel reads, by reference.
 //!
 //! Neither pool affects behaviour: recycled buffers arrive empty, the
 //! cache is a pure function of the same inputs `World::new` hashes from
@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use essat_core::policy::PolicyAction;
-use essat_net::channel::{ChannelAdjacency, ChannelPools};
+use essat_net::channel::ChannelPools;
 use essat_net::frame::Frame;
 use essat_net::geometry::Area;
 use essat_net::ids::NodeId;
@@ -81,7 +81,6 @@ pub(crate) struct Prebuilt {
     pub(crate) root: NodeId,
     /// Pristine tree; runs clone it (failures/churn mutate their copy).
     pub(crate) tree: RoutingTree,
-    pub(crate) adj: Arc<ChannelAdjacency>,
 }
 
 impl Prebuilt {
@@ -98,12 +97,10 @@ impl Prebuilt {
         }
         let root = topo.closest_to_center();
         let tree = RoutingTree::build(&topo, root, Some(PAPER_TREE_RADIUS_M));
-        let adj = Arc::new(ChannelAdjacency::build(&topo));
         Prebuilt {
             topo: Arc::new(topo),
             root,
             tree,
-            adj,
         }
     }
 }
@@ -132,12 +129,12 @@ impl BuildKey {
     }
 }
 
-/// Shared, thread-safe cache of prebuilt topology / routing-tree /
-/// channel-adjacency blocks for one sweep.
+/// Shared, thread-safe cache of prebuilt topology / routing-tree blocks
+/// for one sweep.
 ///
 /// The executor creates one per job list and hands it to every worker;
 /// repetitions and protocols at the same `(topology, seed)` point then
-/// build the topology, routing tree and channel adjacency **once**.
+/// build the topology and routing tree **once**.
 #[derive(Debug, Default)]
 pub struct BuildCache {
     map: Mutex<HashMap<BuildKey, Arc<Prebuilt>>>,

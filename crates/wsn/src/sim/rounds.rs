@@ -403,7 +403,11 @@ impl<P: Probe> World<P> {
                 self.nodes[node.index()].policy.on_atim_received(frame.src);
             }
             Payload::QuerySetup { query, hops } => {
-                self.handle_query_setup(node, query.index(), hops, ctx);
+                // A build-time member forwards each flood once.
+                let (i, qi) = (node.index(), query.index());
+                if self.hot.member[i] && !self.nodes[i].queries[qi].registered {
+                    self.flood_setup(node, qi, hops + 1, ctx);
+                }
             }
             Payload::Empty => {}
         }
@@ -602,17 +606,17 @@ impl<P: Probe> World<P> {
         self.sleep_checkpoint(node, SleepTrigger::Quiesce, ctx);
     }
 
-    pub(crate) fn handle_query_setup(
+    /// One step of the flooded setup (the root issuing it with
+    /// `hops = 0`, or a node forwarding it): registers query `qi` at
+    /// `node`, schedules its first round, marks the query seen and
+    /// broadcasts the `QuerySetup` frame carrying `hops`.
+    pub(crate) fn flood_setup(
         &mut self,
         node: NodeId,
         qi: usize,
         hops: u32,
         ctx: &mut Context<'_, Ev>,
     ) {
-        let i = node.index();
-        if self.hot.dead[i] || !self.hot.member[i] || self.nodes[i].queries[qi].registered {
-            return;
-        }
         if let Some((round, at)) = self.register_query_at(node, qi, ctx.now()) {
             ctx.schedule_at(
                 self.to_wall(node, at).max(ctx.now()),
@@ -626,20 +630,18 @@ impl<P: Probe> World<P> {
         // Mark the query seen even when the node did not register (a
         // live node that repair dropped from the tree), so it re-floods
         // once rather than once per copy it hears.
-        self.nodes[i].queries[qi].registered = true;
-        let frame = {
-            let n = &mut self.nodes[node.index()];
-            Frame {
-                id: n.mac.alloc_frame_id(),
-                src: node,
-                dest: Dest::Broadcast,
-                kind: FrameKind::Data,
-                bytes: sizes::QUERY_SETUP_BYTES,
-                payload: Payload::QuerySetup {
-                    query: QueryId::new(qi as u32),
-                    hops: hops + 1,
-                },
-            }
+        let n = &mut self.nodes[node.index()];
+        n.queries[qi].registered = true;
+        let frame = Frame {
+            id: n.mac.alloc_frame_id(),
+            src: node,
+            dest: Dest::Broadcast,
+            kind: FrameKind::Data,
+            bytes: sizes::QUERY_SETUP_BYTES,
+            payload: Payload::QuerySetup {
+                query: QueryId::new(qi as u32),
+                hops,
+            },
         };
         self.enqueue_frame(node, frame, ctx);
     }

@@ -219,11 +219,11 @@ impl<P: Probe> World<P> {
         let mut phase_rng = master.derive(2);
         let channel_rng = master.derive(3);
 
-        // The topology, pristine routing tree and channel adjacency are
-        // pure functions of (cfg shape, seed); take them from the cache
-        // when the executor provides one, else build them here (the
-        // builder consumes the same `master.derive(1)` stream either
-        // way, so cached and fresh construction are indistinguishable).
+        // The topology and pristine routing tree are pure functions of
+        // (cfg shape, seed); take them from the cache when the executor
+        // provides one, else build them here (the builder consumes the
+        // same `master.derive(1)` stream either way, so cached and fresh
+        // construction are indistinguishable).
         let pre = match pre {
             Some(p) => p,
             None => std::sync::Arc::new(Prebuilt::build(&cfg)),
@@ -232,7 +232,7 @@ impl<P: Probe> World<P> {
         let root = pre.root;
         let tree = pre.tree.clone();
 
-        let mut channel = Channel::with_adjacency(std::sync::Arc::clone(&pre.adj), channel_rng);
+        let mut channel = Channel::new(std::sync::Arc::clone(&topo), channel_rng);
         channel.set_drop_probability(cfg.drop_probability);
 
         // Dynamic environment: compile the scenario (or replay its
@@ -286,7 +286,6 @@ impl<P: Probe> World<P> {
                     master.derive2(4, id.as_u32() as u64),
                 ),
                 mac_ev: [None; MacTimer::COUNT],
-                died_at: None,
                 queries: queries.iter().map(|_| QueryState::default()).collect(),
                 loss: essat_core::maintenance::LossDetector::new(),
                 child_fail: essat_core::maintenance::FailureDetector::new(CHILD_FAIL_THRESHOLD),
@@ -669,36 +668,6 @@ impl<P: Probe> World<P> {
         }
     }
 
-    pub(crate) fn handle_flood_issue(&mut self, qi: usize, ctx: &mut Context<'_, Ev>) {
-        let root = self.root;
-        if let Some((round, at)) = self.register_query_at(root, qi, ctx.now()) {
-            ctx.schedule_at(
-                self.to_wall(root, at).max(ctx.now()),
-                Ev::RoundStart {
-                    node: root,
-                    query: qi,
-                    round,
-                },
-            );
-        }
-        self.nodes[root.index()].queries[qi].registered = true;
-        let frame = {
-            let n = &mut self.nodes[root.index()];
-            essat_net::frame::Frame {
-                id: n.mac.alloc_frame_id(),
-                src: root,
-                dest: essat_net::frame::Dest::Broadcast,
-                kind: essat_net::frame::FrameKind::Data,
-                bytes: crate::payload::sizes::QUERY_SETUP_BYTES,
-                payload: Payload::QuerySetup {
-                    query: QueryId::new(qi as u32),
-                    hops: 0,
-                },
-            }
-        };
-        self.enqueue_frame(root, frame, ctx);
-    }
-
     /// Collects the run's metrics; with a scratch, salvages the world's
     /// warmed buffer pools into it for the worker's next run. Returns
     /// the probe alongside the result so callers can drain what it
@@ -970,7 +939,7 @@ impl<P: Probe> Model for World<P> {
             Ev::NodeFail { node } => self.handle_node_fail(node, ctx),
             Ev::NodeRecover { node } => self.handle_node_recover(node, ctx),
             Ev::BatteryCheck => self.handle_battery_check(ctx),
-            Ev::FloodIssue { query } => self.handle_flood_issue(query, ctx),
+            Ev::FloodIssue { query } => self.flood_setup(self.root, query, 0, ctx),
             Ev::ForceWake { node } => self.wake_radio(node, ctx),
         }
     }
