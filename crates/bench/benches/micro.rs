@@ -287,20 +287,20 @@ fn channel_end_tx_vectorised(c: &mut Criterion) {
     c.bench_function("micro/channel_end_tx_vectorised", |b| {
         // Four spread-out senders transmit concurrently, then all
         // transmissions end — one busy begin/end cycle of the paper
-        // deployment, including the collision bookkeeping. Ends resolve
+        // deployment, including the collision bookkeeping. Begins write
+        // their carrier lists into one recycled vector and ends resolve
         // through `end_tx_into` into one recycled flat buffer (clean |
         // corrupted | now-idle partitions), the path the simulator runs.
         let mut ch = Channel::new(Arc::clone(&topo), SimRng::seed_from_u64(7));
-        let mut end = TxEndBuf::default();
+        let (mut busy, mut end) = (Vec::new(), TxEndBuf::default());
         let mut t = 0u64;
         b.iter(|| {
             let t0 = SimTime::from_micros(t);
             let airtime = SimDuration::from_micros(416);
-            let txs = [0u32, 20, 40, 60].map(|s| ch.begin_tx(t0, NodeId::new(s), airtime));
+            let txs = [0u32, 20, 40, 60].map(|s| ch.begin_tx(t0, NodeId::new(s), &mut busy));
             let mut clean = 0usize;
             for tx in txs {
-                ch.recycle_nodes(tx.now_busy);
-                ch.end_tx_into(t0 + airtime, tx.id, &mut end);
+                ch.end_tx_into(t0 + airtime, tx, &mut end);
                 clean += end.clean().len();
             }
             t += 1_000;
@@ -376,15 +376,15 @@ fn channel_collision_storm(c: &mut Criterion) {
     c.bench_function("micro/channel_40_overlapping_tx", |b| {
         b.iter(|| {
             let mut ch = Channel::new(Arc::clone(&topo), SimRng::seed_from_u64(7));
-            let mut end = TxEndBuf::default();
+            let (mut busy, mut end) = (Vec::new(), TxEndBuf::default());
             let mut txs = Vec::new();
             for i in 0..40u32 {
                 let t = SimTime::from_micros(i as u64 * 10);
-                txs.push(ch.begin_tx(t, NodeId::new(i), SimDuration::from_micros(416)));
+                txs.push(ch.begin_tx(t, NodeId::new(i), &mut busy));
             }
             let mut clean = 0usize;
             for (i, tx) in txs.into_iter().enumerate() {
-                ch.end_tx_into(SimTime::from_micros(416 + i as u64 * 10), tx.id, &mut end);
+                ch.end_tx_into(SimTime::from_micros(416 + i as u64 * 10), tx, &mut end);
                 clean += end.clean().len();
             }
             black_box(clean)
@@ -403,19 +403,13 @@ fn channel_dense_overlap(c: &mut Criterion) {
         // all end: the worst case for collision marking, where every
         // begin overlaps every copy in flight at every node.
         let mut ch = Channel::new(Arc::clone(&topo), SimRng::seed_from_u64(7));
-        let mut end = TxEndBuf::default();
+        let (mut busy, mut end) = (Vec::new(), TxEndBuf::default());
         let mut ids = Vec::with_capacity(12);
         let mut t = 0u64;
         b.iter(|| {
-            let airtime = SimDuration::from_micros(416);
             for s in 0..12u32 {
-                let tx = ch.begin_tx(
-                    SimTime::from_micros(t + s as u64),
-                    NodeId::new(s * 2),
-                    airtime,
-                );
-                ch.recycle_nodes(tx.now_busy);
-                ids.push(tx.id);
+                let t0 = SimTime::from_micros(t + s as u64);
+                ids.push(ch.begin_tx(t0, NodeId::new(s * 2), &mut busy));
             }
             let mut corrupted = 0u32;
             for (i, id) in ids.drain(..).enumerate() {

@@ -466,15 +466,14 @@ impl SweepExecutor {
         // Shared immutable build cache: every job at the same
         // (topology, seed) sweep point — all protocols, all repetitions
         // with the same derived seed — reuses one topology + routing
-        // tree + channel adjacency instead of rebuilding them per job.
+        // tree instead of rebuilding them per job.
         let cache = BuildCache::new();
         std::thread::scope(|scope| {
             for w in 0..workers {
                 let (jobs, cursor, slots, cache) = (&jobs, &cursor, &slots, &cache);
                 scope.spawn(move || {
-                    // Worker-local scratch: the event-queue slab, channel
-                    // buffer pools and action buffers warmed by one job
-                    // are recycled into the next.
+                    // Worker-local scratch: the event queue grown by one
+                    // job is recycled into the next.
                     let mut scratch = WorldScratch::new();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);

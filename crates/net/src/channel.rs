@@ -33,9 +33,9 @@
 //!   stamps it on each node where the copies in flight just became
 //!   undecodable. A copy is corrupted iff its hearer's stamp is at least
 //!   the copy's epoch, so no transmission is ever revisited.
-//! * [`TxStart::now_busy`] draws from an internal **buffer pool**; the
-//!   simulator hands the vector back via [`Channel::recycle_nodes`].
-//!   Ends write into one caller-recycled [`TxEndBuf`].
+//! * A begin writes its carrier 0 → 1 list into a caller-recycled
+//!   `Vec<NodeId>`, and an end writes into a caller-recycled
+//!   [`TxEndBuf`], so the channel keeps no buffers of its own.
 //!
 //! # Examples
 //!
@@ -51,18 +51,20 @@
 //! let topo = Topology::line(3, 10.0, 12.0); // 0 - 1 - 2
 //! let mut ch = Channel::new(Arc::new(topo), SimRng::seed_from_u64(1));
 //! let t0 = SimTime::ZERO;
-//! let tx = ch.begin_tx(t0, NodeId::new(0), SimDuration::from_micros(416));
+//! let mut busy = Vec::new();
+//! let tx = ch.begin_tx(t0, NodeId::new(0), &mut busy);
+//! assert_eq!(busy, [NodeId::new(1)]);
 //! assert!(ch.carrier_busy(NodeId::new(1)));
 //! assert!(!ch.carrier_busy(NodeId::new(2)), "node 2 is out of range of 0");
 //! let mut end = TxEndBuf::default();
-//! ch.end_tx_into(t0 + SimDuration::from_micros(416), tx.id, &mut end);
+//! ch.end_tx_into(t0 + SimDuration::from_micros(416), tx, &mut end);
 //! assert_eq!(end.clean(), [NodeId::new(1)]);
 //! ```
 
 use std::sync::Arc;
 
 use essat_sim::rng::SimRng;
-use essat_sim::time::{SimDuration, SimTime};
+use essat_sim::time::SimTime;
 
 use crate::ids::NodeId;
 use crate::topology::Topology;
@@ -130,16 +132,6 @@ struct ActiveTx {
     live: bool,
     sender: NodeId,
     start: SimTime,
-}
-
-/// Outcome of starting a transmission.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TxStart {
-    /// Handle to pass to [`Channel::end_tx_into`].
-    pub id: TxId,
-    /// Nodes at which the medium just became busy (carrier 0 → 1);
-    /// their MACs must be notified.
-    pub now_busy: Vec<NodeId>,
 }
 
 /// Reusable outcome buffer for [`Channel::end_tx_into`]: the outcome of
@@ -222,13 +214,6 @@ pub struct ChannelStats {
     pub injected_drops: u64,
 }
 
-/// Recycled receiver-list buffers carried across runs by a world pool
-/// so a fresh channel starts warm.
-#[derive(Debug, Default)]
-pub struct ChannelPools {
-    nodes: Vec<Vec<NodeId>>,
-}
-
 /// The shared medium. One instance per simulation.
 #[derive(Debug)]
 pub struct Channel {
@@ -245,8 +230,6 @@ pub struct Channel {
     /// Transmission slab; `live` marks the in-flight slots.
     slots: Vec<ActiveTx>,
     free: Vec<u32>,
-    /// Recycled receiver-list buffers (see [`Channel::recycle_nodes`]).
-    node_pool: Vec<Vec<NodeId>>,
     drop_prob: f64,
     /// Optional per-link loss process; composes with `drop_prob`.
     loss_model: Option<Box<dyn LossModel>>,
@@ -267,7 +250,6 @@ impl Channel {
             epoch: 0,
             slots: Vec::new(),
             free: Vec::new(),
-            node_pool: Vec::new(),
             drop_prob: 0.0,
             loss_model: None,
             rng,
@@ -330,42 +312,20 @@ impl Channel {
         stats
     }
 
-    /// Moves the channel's warmed buffer pool into `pools` (called at
-    /// the end of a pooled run so the next run's channel starts warm).
-    pub fn harvest_pools(&mut self, pools: &mut ChannelPools) {
-        pools.nodes.append(&mut self.node_pool);
-    }
-
-    /// Adopts a previously harvested buffer pool.
-    pub fn adopt_pools(&mut self, pools: &mut ChannelPools) {
-        self.node_pool.append(&mut pools.nodes);
-    }
-
-    /// Returns a receiver-list vector to the channel's buffer pool.
+    /// Starts a transmission from `sender`, returning the handle to
+    /// pass to [`Channel::end_tx_into`]. `now_busy` is cleared, then
+    /// receives the nodes at which the medium just became busy (carrier
+    /// 0 → 1), in ascending id order; their MACs must be notified.
     ///
-    /// Optional: callers that consume [`TxStart::now_busy`] can hand the
-    /// vector back here to keep the begin path allocation-free in steady
-    /// state.
-    pub fn recycle_nodes(&mut self, mut v: Vec<NodeId>) {
-        v.clear();
-        self.node_pool.push(v);
-    }
-
-    fn take_nodes(&mut self) -> Vec<NodeId> {
-        self.node_pool.pop().unwrap_or_default()
-    }
-
-    /// Starts a transmission from `sender` lasting `airtime`.
-    ///
-    /// The caller must schedule a call to [`Channel::end_tx_into`] exactly
-    /// `airtime` later and must ensure the sender's radio is active.
+    /// The caller schedules the matching [`Channel::end_tx_into`] one
+    /// airtime later and must ensure the sender's radio is active.
     ///
     /// # Panics
     ///
     /// Panics if `sender` is already transmitting (the MAC must never do
     /// this).
-    pub fn begin_tx(&mut self, now: SimTime, sender: NodeId, airtime: SimDuration) -> TxStart {
-        let _ = airtime; // airtime is enforced by the caller's end event
+    pub fn begin_tx(&mut self, now: SimTime, sender: NodeId, now_busy: &mut Vec<NodeId>) -> TxId {
+        now_busy.clear();
         let si = sender.index();
         assert!(
             !self.transmitting[si],
@@ -386,7 +346,6 @@ impl Channel {
         // capture), and a transmitting hearer cannot decode the new copy
         // (half-duplex). The stamp covers exactly the copies begun so
         // far: later transmissions carry larger epochs.
-        let mut now_busy = self.take_nodes();
         for &h in self.topo.interference_neighbors(sender) {
             let hi = h.index();
             let cc = &mut self.carrier_count[hi];
@@ -415,10 +374,7 @@ impl Channel {
                 self.slots.len() as u32 - 1
             }
         };
-        TxStart {
-            id: TxId::new(slot, epoch as u32),
-            now_busy,
-        }
+        TxId::new(slot, epoch as u32)
     }
 
     /// Finishes a transmission, writing delivery outcomes and carrier
@@ -500,6 +456,7 @@ impl Channel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use essat_sim::time::SimDuration;
 
     fn us(v: u64) -> SimDuration {
         SimDuration::from_micros(v)
@@ -511,6 +468,12 @@ mod tests {
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
+    }
+
+    /// Begins a transmission from `sender` at `now`, ignoring which
+    /// carriers it raised.
+    pub(super) fn begin(ch: &mut Channel, now: SimTime, sender: NodeId) -> TxId {
+        ch.begin_tx(now, sender, &mut Vec::new())
     }
 
     /// Ends `id` at `now` into a fresh outcome buffer.
@@ -529,9 +492,10 @@ mod tests {
     #[test]
     fn clean_delivery_to_neighbors_only() {
         let mut ch = line4();
-        let tx = ch.begin_tx(t_us(0), n(1), us(416));
-        assert_eq!(tx.now_busy, vec![n(0), n(2)]);
-        let end = finish(&mut ch, t_us(416), tx.id);
+        let mut busy = vec![n(3)];
+        let tx = ch.begin_tx(t_us(0), n(1), &mut busy);
+        assert_eq!(busy, [n(0), n(2)], "cleared, then filled in id order");
+        let end = finish(&mut ch, t_us(416), tx);
         assert_eq!(end.clean(), [n(0), n(2)]);
         assert!(end.corrupted().is_empty());
         assert_eq!(end.now_idle(), [n(0), n(2)]);
@@ -543,12 +507,12 @@ mod tests {
     fn overlapping_transmissions_collide_at_common_hearer() {
         let mut ch = line4();
         // 0 and 2 both transmit; node 1 hears both -> both corrupt at 1.
-        let a = ch.begin_tx(t_us(0), n(0), us(416));
-        let b = ch.begin_tx(t_us(100), n(2), us(416));
-        let end_a = finish(&mut ch, t_us(416), a.id);
+        let a = begin(&mut ch, t_us(0), n(0));
+        let b = begin(&mut ch, t_us(100), n(2));
+        let end_a = finish(&mut ch, t_us(416), a);
         assert!(end_a.clean().is_empty());
         assert_eq!(end_a.corrupted(), [n(1)]);
-        let end_b = finish(&mut ch, t_us(516), b.id);
+        let end_b = finish(&mut ch, t_us(516), b);
         // Node 3 only hears 2, so its copy survives; node 1's copy died.
         assert_eq!(end_b.clean(), [n(3)]);
         assert_eq!(end_b.corrupted(), [n(1)]);
@@ -558,11 +522,11 @@ mod tests {
     #[test]
     fn non_overlapping_sequential_txs_are_clean() {
         let mut ch = line4();
-        let a = ch.begin_tx(t_us(0), n(0), us(416));
-        let ea = finish(&mut ch, t_us(416), a.id);
+        let a = begin(&mut ch, t_us(0), n(0));
+        let ea = finish(&mut ch, t_us(416), a);
         assert_eq!(ea.clean(), [n(1)]);
-        let b = ch.begin_tx(t_us(500), n(2), us(416));
-        let eb = finish(&mut ch, t_us(916), b.id);
+        let b = begin(&mut ch, t_us(500), n(2));
+        let eb = finish(&mut ch, t_us(916), b);
         assert_eq!(eb.clean(), [n(1), n(3)]);
         assert_eq!(ch.stats().collisions, 0);
     }
@@ -573,16 +537,16 @@ mod tests {
         // 1 transmits; while it does, 2 transmits too. 1 must not receive
         // 2's frame even though only one tx is audible at 1 (its own tx
         // doesn't count toward its carrier).
-        let a = ch.begin_tx(t_us(0), n(1), us(416));
-        let b = ch.begin_tx(t_us(10), n(2), us(100));
-        let eb = finish(&mut ch, t_us(110), b.id);
+        let a = begin(&mut ch, t_us(0), n(1));
+        let b = begin(&mut ch, t_us(10), n(2));
+        let eb = finish(&mut ch, t_us(110), b);
         assert!(
             !eb.clean().contains(&n(1)),
             "transmitting node must not receive"
         );
         // 3 hears only 2's tx -> clean there.
         assert!(eb.clean().contains(&n(3)));
-        let ea = finish(&mut ch, t_us(416), a.id);
+        let ea = finish(&mut ch, t_us(416), a);
         // 1's frame is corrupted at 2 (2 was transmitting during it).
         assert!(ea.corrupted().contains(&n(2)));
         // ...and clean at 0 (0 heard only 1's frame).
@@ -592,10 +556,10 @@ mod tests {
     #[test]
     fn late_starter_corrupts_frame_already_in_flight() {
         let mut ch = line4();
-        let a = ch.begin_tx(t_us(0), n(0), us(416)); // 1 hears
-                                                     // 2 starts mid-flight; at node 1 carrier goes 1 -> 2.
-        let _b = ch.begin_tx(t_us(200), n(2), us(416));
-        let ea = finish(&mut ch, t_us(416), a.id);
+        let a = begin(&mut ch, t_us(0), n(0)); // 1 hears
+                                               // 2 starts mid-flight; at node 1 carrier goes 1 -> 2.
+        let _b = begin(&mut ch, t_us(200), n(2));
+        let ea = finish(&mut ch, t_us(416), a);
         assert_eq!(ea.corrupted(), [n(1)]);
         assert!(ea.clean().is_empty());
     }
@@ -604,15 +568,15 @@ mod tests {
     fn carrier_counts_track_busy_idle() {
         let mut ch = line4();
         assert!(!ch.carrier_busy(n(1)));
-        let a = ch.begin_tx(t_us(0), n(0), us(416));
+        let a = begin(&mut ch, t_us(0), n(0));
         assert!(ch.carrier_busy(n(1)));
         assert!(!ch.carrier_busy(n(3)));
-        let b = ch.begin_tx(t_us(10), n(2), us(416));
+        let b = begin(&mut ch, t_us(10), n(2));
         assert!(ch.carrier_busy(n(3)));
-        let ea = finish(&mut ch, t_us(416), a.id);
+        let ea = finish(&mut ch, t_us(416), a);
         assert!(!ea.now_idle().contains(&n(1)), "1 still hears 2's tx");
         assert!(ch.carrier_busy(n(1)));
-        let eb = finish(&mut ch, t_us(426), b.id);
+        let eb = finish(&mut ch, t_us(426), b);
         assert!(eb.now_idle().contains(&n(1)));
         assert!(!ch.carrier_busy(n(1)));
         assert!(!ch.carrier_busy(n(3)));
@@ -622,9 +586,9 @@ mod tests {
     fn is_transmitting_lifecycle() {
         let mut ch = line4();
         assert!(!ch.is_transmitting(n(0)));
-        let a = ch.begin_tx(t_us(0), n(0), us(10));
+        let a = begin(&mut ch, t_us(0), n(0));
         assert!(ch.is_transmitting(n(0)));
-        finish(&mut ch, t_us(10), a.id);
+        finish(&mut ch, t_us(10), a);
         assert!(!ch.is_transmitting(n(0)));
     }
 
@@ -632,30 +596,30 @@ mod tests {
     #[should_panic(expected = "second concurrent transmission")]
     fn double_tx_rejected() {
         let mut ch = line4();
-        let _ = ch.begin_tx(t_us(0), n(0), us(10));
-        let _ = ch.begin_tx(t_us(1), n(0), us(10));
+        let _ = begin(&mut ch, t_us(0), n(0));
+        let _ = begin(&mut ch, t_us(1), n(0));
     }
 
     #[test]
     #[should_panic(expected = "unknown transmission")]
     fn stale_tx_id_rejected() {
         let mut ch = line4();
-        let a = ch.begin_tx(t_us(0), n(0), us(10));
-        finish(&mut ch, t_us(10), a.id);
+        let a = begin(&mut ch, t_us(0), n(0));
+        finish(&mut ch, t_us(10), a);
         // The slot is reused by a new transmission; the stale id must
         // not end it.
-        let _b = ch.begin_tx(t_us(20), n(2), us(10));
-        finish(&mut ch, t_us(30), a.id);
+        let _b = begin(&mut ch, t_us(20), n(2));
+        finish(&mut ch, t_us(30), a);
     }
 
     #[test]
     fn slab_reuse_many_sequential_txs() {
         let mut ch = line4();
+        let mut busy = Vec::new();
         for i in 0..1_000u64 {
             let t0 = t_us(i * 1_000);
-            let tx = ch.begin_tx(t0, n((i % 4) as u32), us(416));
-            finish(&mut ch, t0 + us(416), tx.id);
-            ch.recycle_nodes(tx.now_busy);
+            let tx = ch.begin_tx(t0, n((i % 4) as u32), &mut busy);
+            finish(&mut ch, t0 + us(416), tx);
         }
         assert_eq!(ch.stats().transmissions, 1_000);
         assert_eq!(ch.stats().collisions, 0);
@@ -674,8 +638,8 @@ mod tests {
         let trials = 2000;
         for i in 0..trials {
             let t0 = SimTime::from_micros(i * 1000);
-            let tx = ch.begin_tx(t0, n(0), us(416));
-            let end = finish(&mut ch, t0 + us(416), tx.id);
+            let tx = begin(&mut ch, t0, n(0));
+            let end = finish(&mut ch, t0 + us(416), tx);
             if end.corrupted().contains(&n(1)) {
                 dropped += 1;
             }
@@ -701,8 +665,8 @@ mod tests {
         // Model alone: only its chosen receiver loses copies.
         let mut ch = line4();
         ch.set_loss_model(Box::new(DropAt(n(0))));
-        let tx = ch.begin_tx(t_us(0), n(1), us(416));
-        let end = finish(&mut ch, t_us(416), tx.id);
+        let tx = begin(&mut ch, t_us(0), n(1));
+        let end = finish(&mut ch, t_us(416), tx);
         assert_eq!(end.clean(), [n(2)]);
         assert_eq!(end.corrupted(), [n(0)]);
         assert_eq!(ch.stats().injected_drops, 1);
@@ -710,15 +674,15 @@ mod tests {
         // silently overridden (the PR 3 review bug): with p = 1 every
         // copy the model spared is still dropped by the baseline.
         ch.set_drop_probability(1.0);
-        let tx = ch.begin_tx(t_us(1_000), n(1), us(416));
-        let end = finish(&mut ch, t_us(1_416), tx.id);
+        let tx = begin(&mut ch, t_us(1_000), n(1));
+        let end = finish(&mut ch, t_us(1_416), tx);
         assert!(end.clean().is_empty(), "baseline must still fire");
         assert_eq!(end.corrupted(), [n(0), n(2)]);
         assert_eq!(ch.stats().injected_drops, 3);
         // Removing the model keeps the static path.
         ch.clear_loss_model();
-        let tx = ch.begin_tx(t_us(2_000), n(1), us(416));
-        let end = finish(&mut ch, t_us(2_416), tx.id);
+        let tx = begin(&mut ch, t_us(2_000), n(1));
+        let end = finish(&mut ch, t_us(2_416), tx);
         assert!(end.clean().is_empty(), "p = 1 drops every copy");
         assert_eq!(end.corrupted(), [n(0), n(2)]);
     }
@@ -736,8 +700,8 @@ mod tests {
         let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
         let mut ch = line4();
         ch.set_loss_model(Box::new(Recorder(log.clone())));
-        let tx = ch.begin_tx(t_us(100), n(1), us(416));
-        let _ = finish(&mut ch, t_us(516), tx.id);
+        let tx = begin(&mut ch, t_us(100), n(1));
+        let _ = finish(&mut ch, t_us(516), tx);
         assert_eq!(
             *log.lock().unwrap(),
             vec![(t_us(516), n(1), n(0)), (t_us(516), n(1), n(2))]
@@ -748,9 +712,10 @@ mod tests {
     fn isolated_node_transmission_reaches_nobody() {
         let topo = Topology::line(2, 100.0, 10.0); // out of range
         let mut ch = Channel::new(Arc::new(topo), SimRng::seed_from_u64(1));
-        let tx = ch.begin_tx(t_us(0), n(0), us(416));
-        assert!(tx.now_busy.is_empty());
-        let end = finish(&mut ch, t_us(416), tx.id);
+        let mut busy = Vec::new();
+        let tx = ch.begin_tx(t_us(0), n(0), &mut busy);
+        assert!(busy.is_empty());
+        let end = finish(&mut ch, t_us(416), tx);
         assert!(end.clean().is_empty());
         assert!(end.corrupted().is_empty());
     }
@@ -758,8 +723,8 @@ mod tests {
     #[test]
     fn tx_end_reports_start_time() {
         let mut ch = line4();
-        let tx = ch.begin_tx(t_us(123), n(0), us(10));
-        let end = finish(&mut ch, t_us(133), tx.id);
+        let tx = begin(&mut ch, t_us(123), n(0));
+        let end = finish(&mut ch, t_us(133), tx);
         assert_eq!(end.started, t_us(123));
         assert_eq!(end.sender, n(0));
     }
@@ -767,15 +732,11 @@ mod tests {
 
 #[cfg(test)]
 mod interference_tests {
-    use super::tests::finish;
+    use super::tests::{begin, finish};
     use super::*;
     use crate::topology::Topology;
     use essat_sim::rng::SimRng;
-    use essat_sim::time::{SimDuration, SimTime};
-
-    fn us(v: u64) -> SimDuration {
-        SimDuration::from_micros(v)
-    }
+    use essat_sim::time::SimTime;
 
     fn t_us(v: u64) -> SimTime {
         SimTime::from_micros(v)
@@ -795,15 +756,16 @@ mod interference_tests {
     #[test]
     fn interference_is_sensed_but_not_decoded() {
         let mut ch = two_range();
-        let tx = ch.begin_tx(t_us(0), n(0), us(416));
+        let mut busy = Vec::new();
+        let tx = ch.begin_tx(t_us(0), n(0), &mut busy);
         // Node 2 senses node 0 (22 m reach) but cannot decode it.
         assert!(
             ch.carrier_busy(n(2)),
             "carrier sensed at interference range"
         );
-        assert!(tx.now_busy.contains(&n(2)));
+        assert!(busy.contains(&n(2)));
         assert!(!ch.carrier_busy(n(3)), "three hops is beyond interference");
-        let end = finish(&mut ch, t_us(416), tx.id);
+        let end = finish(&mut ch, t_us(416), tx);
         assert_eq!(end.clean(), [n(1)], "only comm-range decodes");
         assert!(!end.corrupted().contains(&n(2)));
         assert!(end.now_idle().contains(&n(2)));
@@ -816,9 +778,9 @@ mod interference_tests {
         // 0 transmits to 1; 3 transmits concurrently. 3 is outside 1's
         // communication range but inside its interference range — the
         // classic hidden-terminal corruption the one-range model misses.
-        let a = ch.begin_tx(t_us(0), n(0), us(416));
-        let _b = ch.begin_tx(t_us(100), n(3), us(416));
-        let ea = finish(&mut ch, t_us(416), a.id);
+        let a = begin(&mut ch, t_us(0), n(0));
+        let _b = begin(&mut ch, t_us(100), n(3));
+        let ea = finish(&mut ch, t_us(416), a);
         assert!(
             ea.corrupted().contains(&n(1)),
             "interference-range overlap must corrupt"
@@ -832,9 +794,9 @@ mod interference_tests {
         // so 3's transmission cannot affect 1.
         let topo = Topology::line(4, 10.0, 12.0);
         let mut ch = Channel::new(Arc::new(topo), SimRng::seed_from_u64(5));
-        let a = ch.begin_tx(t_us(0), n(0), us(416));
-        let _b = ch.begin_tx(t_us(100), n(3), us(416));
-        let ea = finish(&mut ch, t_us(416), a.id);
+        let a = begin(&mut ch, t_us(0), n(0));
+        let _b = begin(&mut ch, t_us(100), n(3));
+        let ea = finish(&mut ch, t_us(416), a);
         assert_eq!(ea.clean(), [n(1)]);
     }
 }

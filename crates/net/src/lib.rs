@@ -32,11 +32,11 @@ pub mod topology;
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::channel::{Channel, ChannelStats, TxEndBuf, TxId, TxStart};
+    pub use crate::channel::{Channel, ChannelStats, TxEndBuf, TxId};
     pub use crate::frame::{airtime, Dest, Frame, FrameId, FrameKind};
     pub use crate::geometry::{Area, Position};
     pub use crate::ids::NodeId;
     pub use crate::mac::{Mac, MacAction, MacParams, MacStats, MacTimer};
-    pub use crate::radio::{Radio, RadioParams, RadioState, SleepInterval, TransitionOutcome};
+    pub use crate::radio::{Radio, RadioParams, RadioState, TransitionOutcome};
     pub use crate::topology::Topology;
 }

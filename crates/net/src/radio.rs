@@ -12,13 +12,15 @@
 //!
 //! [`Radio`] implements the four-state machine
 //! `Active ⇄ TurningOff/TurningOn ⇄ Off` with exact per-state time
-//! accounting, energy integration, and capture of every completed sleep
-//! interval (the raw data for the paper's Figure 8 histogram).
+//! accounting and energy integration. Completing a wake-up reports when
+//! the sleep it ends began ([`TransitionOutcome::NowActive`]), so the
+//! caller can bin each sleep interval as it closes (the raw data for the
+//! paper's Figure 8 histogram); the radio keeps no interval list.
 //!
 //! # Examples
 //!
 //! ```
-//! use essat_net::radio::{Radio, RadioParams};
+//! use essat_net::radio::{Radio, RadioParams, TransitionOutcome};
 //! use essat_sim::time::{SimDuration, SimTime};
 //!
 //! let params = RadioParams::mica2();
@@ -29,9 +31,9 @@
 //! assert!(radio.is_off());
 //! let t1 = SimTime::from_millis(50);
 //! let w = radio.begin_wake(t1).unwrap();
-//! radio.finish_transition(t1 + w);
+//! let woke = radio.finish_transition(t1 + w);
 //! assert!(radio.is_active());
-//! assert_eq!(radio.sleep_intervals().len(), 1);
+//! assert_eq!(woke, TransitionOutcome::NowActive { slept_since: t0 });
 //! ```
 
 use std::fmt;
@@ -186,24 +188,6 @@ impl fmt::Display for StateTransitionError {
 
 impl std::error::Error for StateTransitionError {}
 
-/// A completed sleep interval: the span the radio spent outside `Active`
-/// for one off-cycle (transition times included — this matches the
-/// scheduler's view of "time bought by sleeping").
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SleepInterval {
-    /// When the radio started turning off.
-    pub started: SimTime,
-    /// When the radio was fully active again.
-    pub ended: SimTime,
-}
-
-impl SleepInterval {
-    /// Length of the interval.
-    pub fn length(&self) -> SimDuration {
-        self.ended - self.started
-    }
-}
-
 /// Per-node radio with power-state machine and accounting.
 #[derive(Debug, Clone)]
 pub struct Radio {
@@ -212,8 +196,8 @@ pub struct Radio {
     state_since: SimTime,
     active_since: Option<SimTime>,
     wake_pending: bool,
-    sleep_started: Option<SimTime>,
-    sleep_intervals: Vec<SleepInterval>,
+    /// When the current (or last) off-cycle began turning off.
+    sleep_started: SimTime,
     active_ns: u64,
     off_ns: u64,
     transition_ns: u64,
@@ -229,8 +213,7 @@ impl Radio {
             state_since: SimTime::ZERO,
             active_since: Some(SimTime::ZERO),
             wake_pending: false,
-            sleep_started: None,
-            sleep_intervals: Vec::new(),
+            sleep_started: SimTime::ZERO,
             active_ns: 0,
             off_ns: 0,
             transition_ns: 0,
@@ -316,7 +299,7 @@ impl Radio {
                 requested: "begin sleep",
             });
         }
-        self.sleep_started = Some(now);
+        self.sleep_started = now;
         self.wake_pending = false;
         self.set_state(now, RadioState::TurningOff);
         Ok(self.params.turn_off)
@@ -373,36 +356,29 @@ impl Radio {
             }
             RadioState::TurningOn => {
                 self.set_state(now, RadioState::Active);
-                if let Some(started) = self.sleep_started.take() {
-                    self.sleep_intervals.push(SleepInterval {
-                        started,
-                        ended: now,
-                    });
+                // Only `begin_sleep` leads to `TurningOn` (through
+                // `TurningOff` and `Off`), so the off-cycle it started
+                // ends here.
+                TransitionOutcome::NowActive {
+                    slept_since: self.sleep_started,
                 }
-                TransitionOutcome::NowActive
             }
             s => panic!("finish_transition while radio is {s}"),
         }
-    }
-
-    /// Completed sleep intervals so far.
-    pub fn sleep_intervals(&self) -> &[SleepInterval] {
-        &self.sleep_intervals
     }
 
     /// Brings a node's radio back as fresh-`Active` at `now` without
     /// accounting the interval since the last [`Radio::settle`] — used
     /// when a churned node recovers: a dead node consumes nothing, so
     /// the caller settles accounting at the moment of death and revives
-    /// here. Any in-flight transition or partially recorded sleep
-    /// interval is discarded; accumulated time/energy totals are kept
-    /// (a recovered node does not get its battery back).
+    /// here. Any in-flight transition is discarded, so the off-cycle it
+    /// belonged to never reports a wake; accumulated time/energy totals
+    /// are kept (a recovered node does not get its battery back).
     pub fn resurrect(&mut self, now: SimTime) {
         self.state = RadioState::Active;
         self.state_since = now;
         self.active_since = Some(now);
         self.wake_pending = false;
-        self.sleep_started = None;
     }
 
     /// Flushes accounting up to `now` (call once at the end of a run
@@ -475,8 +451,14 @@ impl Radio {
 pub enum TransitionOutcome {
     /// The radio is now fully off.
     NowOff,
-    /// The radio is now fully active.
-    NowActive,
+    /// The radio is now fully active, ending the sleep interval that
+    /// began at `slept_since` (when it started turning off; transition
+    /// times count towards the interval, matching the scheduler's view
+    /// of "time bought by sleeping").
+    NowActive {
+        /// When the radio started turning off.
+        slept_since: SimTime,
+    },
     /// The radio reached `Off`, but a wake-up was requested while it was
     /// turning off — the caller should immediately `begin_wake` again.
     OffWakeQueued,
@@ -543,7 +525,12 @@ mod tests {
         r.finish_transition(ms(10) + d_off); // off at 11.25ms
         let d_on = r.begin_wake(ms(50)).unwrap();
         let out = r.finish_transition(ms(50) + d_on); // active at 51.25ms
-        assert_eq!(out, TransitionOutcome::NowActive);
+        assert_eq!(
+            out,
+            TransitionOutcome::NowActive {
+                slept_since: ms(10)
+            }
+        );
         r.settle(ms(100));
         assert_eq!(r.transition_ns(), 2_500_000);
         assert_eq!(r.off_ns(), (ms(50) - (ms(10) + d_off)).as_nanos());
@@ -561,12 +548,12 @@ mod tests {
         let d_off = r.begin_sleep(ms(0)).unwrap();
         r.finish_transition(ms(0) + d_off);
         let d_on = r.begin_wake(ms(20)).unwrap();
-        r.finish_transition(ms(20) + d_on);
-        let si = r.sleep_intervals();
-        assert_eq!(si.len(), 1);
-        assert_eq!(si[0].started, ms(0));
-        assert_eq!(si[0].ended, ms(20) + d_on);
-        assert_eq!(si[0].length(), SimDuration::from_micros(21_250));
+        let ended = ms(20) + d_on;
+        let TransitionOutcome::NowActive { slept_since } = r.finish_transition(ended) else {
+            panic!("a completed wake-up reports its sleep");
+        };
+        assert_eq!(slept_since, ms(0));
+        assert_eq!(ended - slept_since, SimDuration::from_micros(21_250));
     }
 
     #[test]
@@ -580,7 +567,7 @@ mod tests {
         // Caller restarts the wake.
         let d_on = r.begin_wake(ms(0) + d_off).unwrap();
         let out2 = r.finish_transition(ms(0) + d_off + d_on);
-        assert_eq!(out2, TransitionOutcome::NowActive);
+        assert_eq!(out2, TransitionOutcome::NowActive { slept_since: ms(0) });
         assert!(r.is_active());
     }
 
@@ -638,13 +625,17 @@ mod tests {
         let _ = r.begin_sleep(ms(5)).unwrap(); // dies mid-turn-off
         r.resurrect(ms(50));
         assert!(r.is_active());
-        // No sleep interval was completed by the aborted cycle.
+        // The aborted cycle never reports a wake: the next one ends the
+        // sleep begun after the revival.
         let d = r.begin_sleep(ms(60)).unwrap();
         r.finish_transition(ms(60) + d);
         let w = r.begin_wake(ms(80)).unwrap();
-        r.finish_transition(ms(80) + w);
-        assert_eq!(r.sleep_intervals().len(), 1);
-        assert_eq!(r.sleep_intervals()[0].started, ms(60));
+        assert_eq!(
+            r.finish_transition(ms(80) + w),
+            TransitionOutcome::NowActive {
+                slept_since: ms(60)
+            }
+        );
     }
 
     #[test]

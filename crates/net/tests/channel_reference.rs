@@ -20,7 +20,7 @@ use essat_net::geometry::Area;
 use essat_net::ids::NodeId;
 use essat_net::topology::Topology;
 use essat_sim::rng::SimRng;
-use essat_sim::time::{SimDuration, SimTime};
+use essat_sim::time::SimTime;
 
 /// A deterministic per-link loss process both sides evaluate alike.
 #[derive(Debug)]
@@ -233,18 +233,17 @@ proptest! {
         // (channel id, reference index) of every transmission in flight.
         let mut live: Vec<(TxId, usize)> = Vec::new();
         let mut t_us = 0u64;
-        let air = SimDuration::from_micros(416);
+        let mut busy = Vec::new();
         for (pos, &(kind, pick, dt)) in script.iter().enumerate() {
             // Steps of 0 µs keep same-instant begins and ends in the mix.
             t_us += dt * 100;
             let now = SimTime::from_micros(t_us);
             let sender = NodeId::new(pick % n);
             if kind < 6 && !ch.is_transmitting(sender) {
-                let start = ch.begin_tx(now, sender, air);
+                let id = ch.begin_tx(now, sender, &mut busy);
                 let want = rf.begin(pos, now, sender);
-                prop_assert_eq!(&start.now_busy, &want, "now_busy at position {}", pos);
-                ch.recycle_nodes(start.now_busy);
-                live.push((start.id, rf.txs.len() - 1));
+                prop_assert_eq!(&busy, &want, "now_busy at position {}", pos);
+                live.push((id, rf.txs.len() - 1));
             } else if !live.is_empty() {
                 let which = live.swap_remove(pick as usize % live.len());
                 end_both(&mut ch, &mut rf, &mut buf, pos, now, which);

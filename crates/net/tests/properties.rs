@@ -8,7 +8,7 @@ use essat_net::channel::{Channel, TxEndBuf};
 use essat_net::frame::airtime;
 use essat_net::geometry::Area;
 use essat_net::ids::NodeId;
-use essat_net::radio::{Radio, RadioParams};
+use essat_net::radio::{Radio, RadioParams, TransitionOutcome};
 use essat_net::topology::Topology;
 use essat_sim::rng::SimRng;
 use essat_sim::time::{SimDuration, SimTime};
@@ -59,7 +59,7 @@ proptest! {
         let mut rng = SimRng::seed_from_u64(seed);
         let topo = Arc::new(Topology::random(n, Area::new(200.0, 200.0), 70.0, &mut rng));
         let mut ch = Channel::new(Arc::clone(&topo), SimRng::seed_from_u64(seed ^ 1));
-        let air = SimDuration::from_micros(416);
+        let mut busy = Vec::new();
         // Start transmissions (skipping busy senders), then end them all.
         let mut live: Vec<(NodeId, essat_net::channel::TxId, usize)> = Vec::new();
         for &(s, t_us) in &txs {
@@ -68,9 +68,9 @@ proptest! {
                 continue;
             }
             let t = SimTime::from_micros(5_000 + t_us);
-            let start = ch.begin_tx(t, sender, air);
+            let id = ch.begin_tx(t, sender, &mut busy);
             let hearers = topo.neighbors(sender).len();
-            live.push((sender, start.id, hearers));
+            live.push((sender, id, hearers));
         }
         let mut end = TxEndBuf::default();
         for (i, (sender, id, hearers)) in live.iter().enumerate() {
@@ -107,6 +107,8 @@ proptest! {
     ) {
         let mut r = Radio::new(RadioParams::mica2());
         let mut now = SimTime::ZERO;
+        // (started, ended) of every sleep interval a wake-up closed.
+        let mut si = Vec::new();
         for (i, &g) in gaps_ms.iter().enumerate() {
             now += SimDuration::from_millis(g);
             if i % 2 == 0 {
@@ -116,7 +118,10 @@ proptest! {
             } else {
                 let d = r.begin_wake(now).expect("off");
                 now += d;
-                r.finish_transition(now);
+                let TransitionOutcome::NowActive { slept_since } = r.finish_transition(now) else {
+                    panic!("a completed wake-up reports its sleep");
+                };
+                si.push((slept_since, now));
             }
         }
         now += SimDuration::from_millis(5);
@@ -130,12 +135,12 @@ proptest! {
         let duty = r.duty_cycle();
         prop_assert!((0.0..=1.0).contains(&duty));
         // Sleep intervals are non-overlapping and positive.
-        let si = r.sleep_intervals();
+        prop_assert_eq!(si.len(), gaps_ms.len() / 2);
         for w in si.windows(2) {
-            prop_assert!(w[0].ended <= w[1].started);
+            prop_assert!(w[0].1 <= w[1].0);
         }
-        for s in si {
-            prop_assert!(s.ended > s.started);
+        for &(started, ended) in &si {
+            prop_assert!(ended > started);
         }
     }
 

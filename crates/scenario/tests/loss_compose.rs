@@ -38,17 +38,16 @@ fn baseline_drop_probability_survives_an_installed_model() {
     // A model that never drops must leave the measured loss at the
     // baseline rate, not at zero (the override bug).
     ch.set_loss_model(Box::new(never_dropping_links(2)));
-    let mut end = TxEndBuf::default();
+    let (mut busy, mut end) = (Vec::new(), TxEndBuf::default());
     let trials = 2_000u64;
     let mut dropped = 0u64;
     for i in 0..trials {
         let t0 = SimTime::from_micros(i * 1_000);
-        let tx = ch.begin_tx(t0, NodeId::new(0), SimDuration::from_micros(416));
-        ch.end_tx_into(t0 + SimDuration::from_micros(416), tx.id, &mut end);
+        let tx = ch.begin_tx(t0, NodeId::new(0), &mut busy);
+        ch.end_tx_into(t0 + SimDuration::from_micros(416), tx, &mut end);
         if end.corrupted().contains(&NodeId::new(1)) {
             dropped += 1;
         }
-        ch.recycle_nodes(tx.now_busy);
     }
     let frac = dropped as f64 / trials as f64;
     assert!(
@@ -76,13 +75,13 @@ fn bursty_bad_state_composes_with_baseline() {
     // states; drive long enough that the chain is certainly bad.
     let ge = GilbertElliott::new(2, params, SimRng::seed_from_u64(5));
     ch.set_loss_model(Box::new(ge));
-    let mut end = TxEndBuf::default();
+    let (mut busy, mut end) = (Vec::new(), TxEndBuf::default());
     let mut all_dropped = true;
     for i in 0..200u64 {
         // Well past any initial good sojourn (microseconds long).
         let t0 = SimTime::from_micros(1_000_000 + i * 1_000);
-        let tx = ch.begin_tx(t0, NodeId::new(0), SimDuration::from_micros(416));
-        ch.end_tx_into(t0 + SimDuration::from_micros(416), tx.id, &mut end);
+        let tx = ch.begin_tx(t0, NodeId::new(0), &mut busy);
+        ch.end_tx_into(t0 + SimDuration::from_micros(416), tx, &mut end);
         all_dropped &= end.corrupted().contains(&NodeId::new(1));
     }
     assert!(all_dropped, "certain bad-state loss must drop every copy");
@@ -92,8 +91,8 @@ fn bursty_bad_state_composes_with_baseline() {
     let mut dropped = 0u64;
     for i in 0..trials {
         let t0 = SimTime::from_micros(10_000_000 + i * 1_000);
-        let tx = ch.begin_tx(t0, NodeId::new(0), SimDuration::from_micros(416));
-        ch.end_tx_into(t0 + SimDuration::from_micros(416), tx.id, &mut end);
+        let tx = ch.begin_tx(t0, NodeId::new(0), &mut busy);
+        ch.end_tx_into(t0 + SimDuration::from_micros(416), tx, &mut end);
         if end.corrupted().contains(&NodeId::new(1)) {
             dropped += 1;
         }

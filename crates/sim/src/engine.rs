@@ -148,16 +148,13 @@ impl<M: Model> Engine<M> {
         Self::with_queue(model, EventQueue::new())
     }
 
-    /// Creates an engine at time zero reusing a recycled queue's
-    /// allocations (the caller obtained it from [`Engine::into_parts`]
-    /// of a previous run and must have [`EventQueue::clear`]ed it, or it
-    /// must otherwise be empty).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queue still holds pending events.
+    /// Creates an engine at time zero over `queue`, which may already
+    /// hold the model's first events: a model's construction can push
+    /// them straight into it, in order. The queue may also reuse a
+    /// previous run's allocations: one obtained from
+    /// [`Engine::into_parts`] and [`EventQueue::clear`]ed before the
+    /// model was built into it.
     pub fn with_queue(model: M, queue: EventQueue<M::Event>) -> Self {
-        assert!(queue.is_empty(), "recycled queue must be empty");
         Engine {
             now: SimTime::ZERO,
             queue,
@@ -168,7 +165,8 @@ impl<M: Model> Engine<M> {
 
     /// Consumes the engine, returning the model and the queue (whose
     /// slab, current-bucket and overflow allocations a pool can recycle
-    /// into the next run via [`Engine::with_queue`] after clearing it).
+    /// into the next run's construction and [`Engine::with_queue`] after
+    /// clearing it).
     pub fn into_parts(self) -> (M, EventQueue<M::Event>) {
         (self.model, self.queue)
     }
@@ -254,15 +252,13 @@ impl<M: Model> Engine<M> {
     ///
     /// One [`EventQueue::pop_before`] per event: a handler that cancels
     /// a later pending event, even one in the same wheel bucket or at
-    /// the same instant, removes it before it can be popped.
+    /// the same instant, removes it before it can be popped. This is
+    /// [`Engine::run_until_capped`] with a budget no run can spend.
     ///
     /// Returns the number of events processed by this call.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let before = self.processed;
-        while let Some((time, id, event)) = self.queue.pop_before(deadline) {
-            self.dispatch(time, id, event);
-        }
-        self.now = self.now.max(deadline);
+        self.run_until_capped(deadline, u64::MAX);
         self.processed - before
     }
 

@@ -3,6 +3,7 @@
 use std::collections::BTreeMap;
 
 use essat_net::ids::NodeId;
+use essat_net::mac::MacStats;
 use essat_query::model::QueryId;
 use essat_sim::stats::{Histogram, OnlineStats};
 use essat_sim::time::{SimDuration, SimTime};
@@ -226,6 +227,17 @@ pub struct MacTotals {
     pub failed: u64,
     /// Retransmissions.
     pub retries: u64,
+}
+
+impl MacTotals {
+    /// Adds one MAC's counters.
+    pub fn add(&mut self, s: &MacStats) {
+        self.enqueued += s.enqueued;
+        self.data_tx += s.data_tx;
+        self.delivered += s.delivered;
+        self.failed += s.failed;
+        self.retries += s.retries;
+    }
 }
 
 impl RunResult {

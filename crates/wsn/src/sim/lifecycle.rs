@@ -53,7 +53,7 @@ impl<P: Probe> World<P> {
             node.index() as u32,
             self.hot.battery_dead[node.index()],
         );
-        if self.hot.member[node.index()] {
+        if self.pre.tree.is_member(node) {
             self.lifetime.deaths.push((now, node));
             if self.lifetime.first_death.is_none() {
                 self.lifetime.first_death = Some(now);
@@ -75,7 +75,7 @@ impl<P: Probe> World<P> {
         }
         let mut alive = Vec::new();
         for m in self.topo.nodes() {
-            if !self.hot.member[m.index()] || self.hot.dead[m.index()] {
+            if !self.pre.tree.is_member(m) || self.hot.dead[m.index()] {
                 continue;
             }
             if !self.tree.is_member(m) {
@@ -111,8 +111,6 @@ impl<P: Probe> World<P> {
         {
             let i = node.index();
             self.hot.dead[i] = false;
-            self.hot.radio_active[i] = true;
-            self.hot.active_since[i] = now;
             // The outgoing MAC may still have timers pending (timers
             // armed while the node was dead no-op at dispatch but are
             // better off the queue entirely).
@@ -121,12 +119,7 @@ impl<P: Probe> World<P> {
             n.revivals += 1;
             n.radio.resurrect(now);
             let old = std::mem::replace(&mut n.mac, Mac::new(node, MacParams::paper(), mac_rng));
-            let ms = old.stats();
-            self.mac_lost.enqueued += ms.enqueued;
-            self.mac_lost.data_tx += ms.data_tx;
-            self.mac_lost.delivered += ms.delivered;
-            self.mac_lost.failed += ms.failed;
-            self.mac_lost.retries += ms.retries;
+            self.mac_lost.add(&old.stats());
             n.close_rounds(ctx);
             n.loss = essat_core::maintenance::LossDetector::new();
             n.child_fail =
@@ -141,7 +134,8 @@ impl<P: Probe> World<P> {
         self.probe.on_node_up(now, node.index() as u32);
         self.probe.on_radio_state(now, node.index() as u32, true);
         self.lifetime.recoveries += 1;
-        if self.hot.member[node.index()] {
+        let member = self.pre.tree.is_member(node);
+        if member {
             if self.tree.is_member(node) {
                 // Still in the tree: resume schedules where they stand.
                 self.refresh_node_schedule(node, now);
@@ -171,11 +165,11 @@ impl<P: Probe> World<P> {
             self.exec_policy_actions(node, &mut acts, ctx);
             self.put_acts(acts);
         }
-        if !self.hot.member[node.index()] {
+        if !member {
             // Never part of the tree: revive and go straight back to
             // sleep, as after setup.
-            let i = node.index();
-            if self.setup_over && self.hot.radio_active[i] && self.nodes[i].mac.can_suspend() {
+            let n = &self.nodes[node.index()];
+            if self.setup_over && n.radio.is_active() && n.mac.can_suspend() {
                 self.suspend_radio(node, ctx);
             }
             return;

@@ -58,7 +58,7 @@ mod tests {
 
     #[test]
     fn world_builds_paper_workload() {
-        let (world, initial) = World::new(quick_cfg(Protocol::DtsSs, 1));
+        let (world, queue) = World::new(quick_cfg(Protocol::DtsSs, 1));
         assert_eq!(world.queries.len(), 3, "one query per class");
         // Rate ratio 6:3:2.
         let p0 = world.queries[0].period;
@@ -71,7 +71,7 @@ mod tests {
             assert!(q.phase <= SimTime::from_secs(10));
         }
         // Setup end + round starts + (per-protocol chains) scheduled.
-        assert!(initial.len() > world.tree.member_count());
+        assert!(queue.len() > world.tree.member_count());
         // The tree is rooted near the centre and valid.
         world.tree().check_invariants();
     }
@@ -191,11 +191,11 @@ mod tests {
         assert!(ideal.forced_windows.is_empty());
         let mut cfg = quick_cfg(Protocol::DtsSs, 7);
         cfg.setup_mode = SetupMode::Flooded;
-        let (flooded, initial) = World::new(cfg);
+        let (flooded, mut queue) = World::new(cfg);
         assert_eq!(flooded.forced_windows.len(), 3);
-        assert!(initial
-            .iter()
-            .any(|(_, e)| matches!(e, Ev::FloodIssue { .. })));
+        assert!(
+            std::iter::from_fn(|| queue.pop()).any(|(_, _, e)| matches!(e, Ev::FloodIssue { .. }))
+        );
     }
 
     #[test]

@@ -148,12 +148,12 @@ pub(crate) struct RadioSnapshot {
 
 /// Per-node simulation state: the layered stack the executor drives.
 ///
-/// The scalar flags consulted on (nearly) every event — liveness, tree
-/// membership, radio mode, pending wake-up handles — do **not** live here:
-/// they are flattened into the structure-of-arrays
-/// [`Hot`](super::world::Hot) block on the `World`, so per-event guard
-/// checks and whole-network sweeps stay cache-linear instead of striding
-/// across these ~half-KB node records.
+/// Liveness and the pending wake-up handle do **not** live here: they
+/// sit in the structure-of-arrays [`Hot`](super::world::Hot) block on
+/// the `World`, so the dead guard and whole-network sweeps stay
+/// cache-linear. The radio's mode lives in `radio` alone, and the
+/// node's build-time place in the tree (membership, rank, level) in the
+/// world's pristine tree.
 #[derive(Debug)]
 pub(crate) struct NodeState {
     /// The pluggable power-management layer.
@@ -176,11 +176,39 @@ pub(crate) struct NodeState {
     /// completes.
     pub(crate) recheck_on_wake: bool,
     pub(crate) snap: RadioSnapshot,
-    pub(crate) rank0: u32,
-    pub(crate) level0: u32,
 }
 
 impl NodeState {
+    /// The node's measured `(duty cycle, energy in joules)`: its radio's
+    /// books at `now` less the setup-end snapshot. A dead radio's books
+    /// were settled at death and are read as they stand; projecting
+    /// them to `now` would bill the dead span. After
+    /// [`Radio::settle`](essat_net::radio::Radio::settle) at `now`, the
+    /// projection equals the settled books bit for bit, so the run's
+    /// totals and a probe's view at run end agree exactly.
+    ///
+    /// A node with no measured span (it died before the window opened,
+    /// or the window is empty) was never active in the window: its duty
+    /// cycle is 0 (`tests/fault_injection.rs` pins this).
+    pub(crate) fn measured(&self, dead: bool, now: SimTime) -> (f64, f64) {
+        let r = &self.radio;
+        let ((active, off, trans), energy) = if dead {
+            ((r.active_ns(), r.off_ns(), r.transition_ns()), r.energy_j())
+        } else {
+            (r.counters_at(now), r.energy_j_at(now))
+        };
+        let active = active - self.snap.active;
+        let off = off - self.snap.off;
+        let trans = trans - self.snap.trans;
+        let total = active + off + trans;
+        let duty = if total == 0 {
+            0.0
+        } else {
+            (active + trans) as f64 / total as f64
+        };
+        (duty, energy - self.snap.energy)
+    }
+
     /// Drops every open round, cancelling its pending collection
     /// timeout (revival, or leaving the tree).
     pub(crate) fn close_rounds(&mut self, ctx: &mut Context<'_, Ev>) {

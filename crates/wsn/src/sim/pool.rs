@@ -1,25 +1,27 @@
-//! Sweep-wide reuse: the per-worker scratch pool and the shared
+//! Sweep-wide reuse: the per-worker event queue and the shared
 //! immutable build cache.
 //!
 //! A paper figure is hundreds of independent runs, and without this
-//! module each of them pays the same two fixed costs: (1) allocating a
-//! fresh event-queue slab and current-bucket vector, channel buffer
-//! pools and policy/MAC action buffers, all of which immediately re-grow
-//! to the same steady-state shapes, and (2) re-deriving the identical
-//! topology and routing tree for every protocol and repetition sharing a
+//! module each of them pays two fixed costs: (1) growing a fresh
+//! event-queue slab, current-bucket vector and overflow heap to the
+//! run's pending set, and (2) re-deriving the identical topology and
+//! routing tree for every protocol and repetition sharing a
 //! `(topology parameters, seed)` sweep point.
 //!
 //! [`WorldScratch`] fixes (1): a sweep worker keeps one scratch per
 //! thread and threads it through
 //! [`World::run_instrumented`](super::world::World::run_instrumented),
-//! which adopts the warmed allocations at construction and salvages them
-//! at finalise. [`BuildCache`] fixes (2): a lock-guarded map from the
-//! build inputs to an [`Arc`]-shared immutable `Prebuilt` block
-//! (topology + pristine routing tree). Runs clone the cheap mutable tree
-//! from the pristine copy and share the topology, whose neighbour lists
-//! the channel reads, by reference.
+//! whose world construction pushes the first events straight into the
+//! recycled queue. Every other buffer lives and dies with its run: at
+//! run end a world holds one policy-action buffer, two MAC-action
+//! buffers, one carrier list and a few frame slots, too little to be
+//! worth carrying across runs. [`BuildCache`] fixes (2): a lock-guarded
+//! map from the build inputs to an [`Arc`]-shared immutable `Prebuilt`
+//! block (topology + pristine routing tree). Each world keeps its block,
+//! clones the cheap mutable tree from the pristine copy and shares the
+//! topology, whose neighbour lists the channel reads, by reference.
 //!
-//! Neither pool affects behaviour: recycled buffers arrive empty, the
+//! Neither affects behaviour: the recycled queue arrives empty, the
 //! cache is a pure function of the same inputs `World::new` hashes from
 //! the config, and `tests/determinism.rs` pins pooled runs byte-for-byte
 //! against fresh construction.
@@ -27,45 +29,30 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use essat_core::policy::PolicyAction;
-use essat_net::channel::ChannelPools;
-use essat_net::frame::Frame;
 use essat_net::geometry::Area;
 use essat_net::ids::NodeId;
-use essat_net::mac::MacAction;
 use essat_net::topology::{Topology, PAPER_RANGE_M, PAPER_TREE_RADIUS_M};
 use essat_query::tree::RoutingTree;
 use essat_sim::queue::EventQueue;
 use essat_sim::rng::SimRng;
-use essat_sim::time::SimTime;
 
 use super::events::Ev;
 #[cfg(test)]
 use super::world::World;
 use crate::config::ExperimentConfig;
-use crate::payload::Payload;
 
-/// A worker's recyclable run state: everything a
-/// [`World`](super::world::World) allocates that the *next* run on the
-/// same thread can reuse — the event queue (its slab, current-bucket
-/// vector and overflow heap, which follow the largest pending set; it
-/// keeps no per-bucket storage), the initial-event list, the channel's
-/// receiver-list buffer pool, the policy- and MAC-action buffers, and
-/// the in-flight frame slots. Policy calls borrow their tree view from
-/// the run's routing tree, so no tree buffers are pooled. See
+/// A worker's recyclable run state: the event queue, whose slab,
+/// current-bucket vector and overflow heap follow the largest pending
+/// set (it keeps no per-bucket storage). Each run's construction pushes
+/// its first events into it, and the run hands it back cleared. See
 /// [`World::run_instrumented`](super::world::World::run_instrumented).
 #[derive(Debug, Default)]
 pub struct WorldScratch {
     pub(crate) queue: EventQueue<Ev>,
-    pub(crate) initial: Vec<(SimTime, Ev)>,
-    pub(crate) act_pool: Vec<Vec<PolicyAction<Payload>>>,
-    pub(crate) mact_pool: Vec<Vec<MacAction<Payload>>>,
-    pub(crate) tx_frames: Vec<Option<Frame<Payload>>>,
-    pub(crate) channel: ChannelPools,
 }
 
 impl WorldScratch {
-    /// An empty scratch (pools warm up over the first run).
+    /// An empty scratch (the queue grows over the first run).
     pub fn new() -> Self {
         Self::default()
     }

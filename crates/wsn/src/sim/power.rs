@@ -29,7 +29,7 @@ impl<P: Probe> World<P> {
         NodeView {
             now,
             dead: self.hot.dead[i],
-            radio_active: self.hot.radio_active[i],
+            radio_active: n.radio.is_active(),
             mac_quiescent: n.mac.is_quiescent(),
             mac_can_suspend: n.mac.can_suspend(),
             may_sleep: self.setup_over && !self.in_forced_window(now),
@@ -148,8 +148,6 @@ impl<P: Probe> World<P> {
         // `radio_slept` disarmed every MAC timer; cancel their expiry
         // events so none ride the queue stale.
         self.cancel_mac_timers(node, ctx);
-        self.hot.radio_active[i] = false;
-        self.hot.active_since[i] = SimTime::MAX;
         self.probe.on_radio_state(now, i as u32, false);
         ctx.schedule_after(d, Ev::RadioDone { node });
     }
@@ -293,11 +291,11 @@ impl<P: Probe> World<P> {
                         airtime.as_nanos(),
                         frame.bytes,
                     );
-                    let start = self.channel.begin_tx(ctx.now(), node, airtime);
-                    for i in 0..start.now_busy.len() {
-                        let hn = start.now_busy[i];
+                    let mut busy = std::mem::take(&mut self.now_busy);
+                    let tx = self.channel.begin_tx(ctx.now(), node, &mut busy);
+                    for &hn in &busy {
                         let h = hn.index();
-                        if !self.hot.dead[h] && self.hot.radio_active[h] {
+                        if !self.hot.dead[h] && self.nodes[h].radio.is_active() {
                             // carrier_busy never emits actions, but it
                             // can freeze a Difs/Backoff timer.
                             if let Some(kind) = self.nodes[h].mac.carrier_busy(ctx.now()) {
@@ -305,21 +303,15 @@ impl<P: Probe> World<P> {
                             }
                         }
                     }
-                    self.channel.recycle_nodes(start.now_busy);
+                    self.now_busy = busy;
                     // Park the frame beside the in-flight transmission;
                     // `handle_tx_end` reclaims it by slot.
-                    let si = start.id.slot_index();
+                    let si = tx.slot_index();
                     if si >= self.tx_frames.len() {
                         self.tx_frames.resize_with(si + 1, || None);
                     }
                     self.tx_frames[si] = Some(frame);
-                    ctx.schedule_after(
-                        airtime,
-                        Ev::TxEnd {
-                            sender: node,
-                            tx: start.id,
-                        },
-                    );
+                    ctx.schedule_after(airtime, Ev::TxEnd { sender: node, tx });
                 }
                 MacAction::Deliver { frame } => {
                     // A dead node's MAC is parked at death and every
@@ -368,10 +360,10 @@ impl<P: Probe> World<P> {
         if self.hot.dead[i] {
             return;
         }
-        if self.hot.radio_active[i] {
+        let n = &self.nodes[i];
+        if n.radio.is_active() {
             return; // awake: normal event flow handles it
         }
-        let n = &self.nodes[i];
         let Some(earliest) = n.policy.earliest_commitment() else {
             return;
         };
@@ -414,9 +406,12 @@ impl<P: Probe> World<P> {
         let outcome = self.nodes[node.index()].radio.finish_transition(now);
         match outcome {
             TransitionOutcome::NowOff => {}
-            TransitionOutcome::NowActive => {
-                self.hot.radio_active[node.index()] = true;
-                self.hot.active_since[node.index()] = now;
+            TransitionOutcome::NowActive { slept_since } => {
+                // Figure 8 bins build-time members' sleeps that began
+                // inside the measured window, as each one closes.
+                if slept_since >= self.measure_from && self.pre.tree.is_member(node) {
+                    self.sleep_hist.add((now - slept_since).as_secs_f64());
+                }
                 self.probe.on_radio_state(now, node.index() as u32, true);
                 let busy = self.channel.carrier_busy(node);
                 let mut acts = self.take_macts();
@@ -476,7 +471,7 @@ impl<P: Probe> World<P> {
         for i in 0..end.now_idle().len() {
             let h = end.now_idle()[i];
             let hi = h.index();
-            if !self.hot.dead[hi] && self.hot.radio_active[hi] {
+            if !self.hot.dead[hi] && self.nodes[hi].radio.is_active() {
                 self.nodes[hi].mac.carrier_idle_into(now, &mut acts);
                 self.exec_mac_actions(h, &mut acts, ctx);
             }
@@ -492,9 +487,9 @@ impl<P: Probe> World<P> {
             if self.hot.dead[ri] {
                 continue;
             }
-            // The receiver must have been awake for the entire frame
-            // (`active_since` is `SimTime::MAX` while not fully active).
-            if self.hot.active_since[ri] <= end.started {
+            // The receiver must have been awake for the entire frame.
+            let since = self.nodes[ri].radio.active_since();
+            if since.is_some_and(|t| t <= end.started) {
                 delivered += 1;
                 self.probe.on_rx(now, ri as u32, sender.index() as u32);
                 // `Frame<Payload>` is `Copy`: the fan-out to receivers

@@ -448,7 +448,7 @@ impl<P: Probe> World<P> {
                 let node = NodeId::new(idx as u32);
                 if node == self.root
                     || self.hot.dead[idx]
-                    || !self.hot.member[idx]
+                    || !self.pre.tree.is_member(node)
                     || self.tree.is_member(node)
                 {
                     continue;

@@ -184,7 +184,7 @@ impl<P: Probe> World<P> {
             n.loss.skip(q.id, child, k);
         }
         n.policy.on_round_skipped(&q, k, expected, is_root, &info);
-        if !self.hot.dead[node.index()] && !self.hot.radio_active[node.index()] {
+        if !self.hot.dead[node.index()] && !n.radio.is_active() {
             // The radio is mid-turn-on for the expectation we just
             // moved; have the wake-up completion re-run the checkpoint.
             n.recheck_on_wake = true;
@@ -233,8 +233,10 @@ impl<P: Probe> World<P> {
             qs.finish_before(k + 1);
             // "Full" means every expected source reading arrived — the
             // root's children being complete is not enough, since their
-            // aggregates may themselves be partial.
-            let full = full && agg.count() == self.source_count;
+            // aggregates may themselves be partial. Every build-time
+            // tree member is a source (paper §5).
+            let sources = self.pre.tree.member_count() as u64;
+            let full = full && agg.count() == sources;
             self.probe
                 .on_round_sealed(now, node.index() as u32, qi as u32, k, full);
             // A fast clock can finish a round at a wall instant before
@@ -249,7 +251,7 @@ impl<P: Probe> World<P> {
                 qm.rounds_full += 1;
             }
             qm.delivered_readings += agg.count();
-            qm.expected_readings += self.source_count;
+            qm.expected_readings += sources;
             qm.records.push(crate::metrics::RoundRecord {
                 round: k,
                 at: now,
@@ -405,7 +407,7 @@ impl<P: Probe> World<P> {
             Payload::QuerySetup { query, hops } => {
                 // A build-time member forwards each flood once.
                 let (i, qi) = (node.index(), query.index());
-                if self.hot.member[i] && !self.nodes[i].queries[qi].registered {
+                if self.pre.tree.is_member(node) && !self.nodes[i].queries[qi].registered {
                     self.flood_setup(node, qi, hops + 1, ctx);
                 }
             }

@@ -6,9 +6,6 @@
 //! [`SWEEP_PERIOD`] events plus once at run end. The sweep asserts the
 //! structural invariants every protocol implicitly leans on:
 //!
-//! * **Mirror consistency** — the structure-of-arrays
-//!   `radio_active` / `active_since` hot flags agree exactly with each
-//!   node's [`essat_net::radio::Radio`] state machine.
 //! * **Energy monotonicity** — a live node's projected energy
 //!   ([`essat_net::radio::Radio::energy_j_at`]) never decreases.
 //!   (Dead nodes are settled at death and consume nothing; they are
@@ -16,6 +13,11 @@
 //! * **Routing-tree consistency** — the root is a member, every
 //!   member's parent chain reaches the root, and parent/children
 //!   links are symmetric — under churn, repair, and rejoin.
+//!
+//! The executor reads a radio's mode and active-since time from the
+//! node's [`essat_net::radio::Radio`] and build-time membership from the
+//! pristine routing tree; neither has a copy that could drift, so no
+//! sweep compares mirrors.
 //!
 //! More invariants live at their natural sites: no frame is ever
 //! delivered to a dead node (asserted at the MAC `Deliver` action);
@@ -85,18 +87,7 @@ impl<P: Probe> World<P> {
                 // monotonicity check from the settled-at-death total.
                 continue;
             }
-            let n = &self.nodes[i];
-            assert_eq!(
-                self.hot.radio_active[i],
-                n.radio.is_active(),
-                "sanitizer: node {i} radio_active mirror out of sync at {now}"
-            );
-            let since = n.radio.active_since().unwrap_or(SimTime::MAX);
-            assert_eq!(
-                self.hot.active_since[i], since,
-                "sanitizer: node {i} active_since mirror out of sync at {now}"
-            );
-            let e = n.radio.energy_j_at(now);
+            let e = self.nodes[i].radio.energy_j_at(now);
             assert!(
                 e >= self.san.last_energy[i] - 1e-12,
                 "sanitizer: node {i} energy decreased ({} J -> {e} J) at {now}",

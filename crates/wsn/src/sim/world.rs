@@ -1,5 +1,7 @@
 //! The [`World`]: one simulation run over the discrete-event engine.
 
+use std::sync::Arc;
+
 use essat_core::policy::{PolicyAction, SleepTrigger};
 use essat_core::shaper::TreeInfo;
 use essat_net::channel::{Channel, TxEndBuf};
@@ -16,7 +18,7 @@ use essat_query::tree::RoutingTree;
 use essat_scenario::compile::CompiledScenario;
 use essat_scenario::gilbert::GilbertElliott;
 use essat_sim::engine::{Context, Engine, Model};
-use essat_sim::queue::EventId;
+use essat_sim::queue::{EventId, EventQueue};
 use essat_sim::rng::SimRng;
 use essat_sim::stats::{Histogram, OnlineStats};
 use essat_sim::time::SimTime;
@@ -35,32 +37,19 @@ use crate::protocol::{PolicyEnv, PolicyFactory, Protocol};
 const SLEEP_HIST_BIN_S: f64 = 0.0005;
 const SLEEP_HIST_BINS: usize = 2000;
 
-/// Cache-linear per-node hot state, structure-of-arrays.
+/// Per-node run state that has no other home, structure-of-arrays:
+/// liveness, the pending Safe-Sleep wake-up handles and the battery
+/// deaths.
 ///
-/// These are the scalars consulted by (nearly) every event — the dead /
-/// member guards, the radio-mode test in the per-receiver transmission
-/// fan-out, the pending wake-up handles — plus the flags the
-/// periodic `BatteryCheck` sweep scans. Keeping them in flat arrays
-/// indexed by node keeps those whole-network walks inside a handful of
-/// cache lines instead of striding across the ~half-KB
-/// [`NodeState`](super::node::NodeState) records.
-///
-/// `radio_active` / `active_since` mirror the per-node
-/// [`essat_net::radio::Radio`] state machine exactly; every transition
-/// goes through a `World` method (`suspend_radio`, `wake_radio`,
-/// `handle_radio_done`, churn revival), which updates the mirror in the
-/// same breath.
+/// Liveness is consulted by (nearly) every event, and the whole-network
+/// walks (setup end, the `BatteryCheck` sweep, partition checks) scan
+/// it in a handful of cache lines. Nothing here copies state kept
+/// elsewhere: a radio's mode lives in its [`essat_net::radio::Radio`],
+/// and build-time tree membership in the world's pristine tree.
 #[derive(Debug, Default)]
 pub(crate) struct Hot {
     /// Node is dead (scripted failure, churn, or battery depletion).
     pub(crate) dead: Vec<bool>,
-    /// Node joined the routing tree at build time.
-    pub(crate) member: Vec<bool>,
-    /// Mirror of `radio.is_active()`.
-    pub(crate) radio_active: Vec<bool>,
-    /// Mirror of `radio.active_since()`; `SimTime::MAX` while the radio
-    /// is not fully active.
-    pub(crate) active_since: Vec<SimTime>,
     /// Handle of the node's pending Safe-Sleep wake-up, if any. A newer
     /// sleep decision cancels the superseded event on the queue through
     /// this handle instead of letting it dispatch stale.
@@ -71,14 +60,9 @@ pub(crate) struct Hot {
 }
 
 impl Hot {
-    fn new(n: usize, tree: &RoutingTree) -> Hot {
+    fn new(n: usize) -> Hot {
         Hot {
             dead: vec![false; n],
-            member: (0..n)
-                .map(|i| tree.is_member(NodeId::new(i as u32)))
-                .collect(),
-            radio_active: vec![true; n],
-            active_since: vec![SimTime::ZERO; n],
             wake_ev: vec![None; n],
             battery_dead: vec![false; n],
         }
@@ -120,18 +104,21 @@ pub struct World<P: Probe = NullProbe> {
     /// Master RNG (kept for deriving fresh per-node streams mid-run,
     /// e.g. the MAC of a churn-revived node).
     pub(crate) master: SimRng,
-    /// Immutable for the whole run; shared across jobs by the sweep
-    /// executor's build cache.
-    pub(crate) topo: std::sync::Arc<Topology>,
-    pub(crate) tree: RoutingTree,
+    /// The topology, root and pristine routing tree this run was built
+    /// from; immutable for the whole run and shared across jobs by the
+    /// sweep executor's build cache. Build-time tree facts (membership,
+    /// rank, level, member count) are read from `pre.tree`.
+    pub(crate) pre: Arc<Prebuilt>,
+    /// `pre.topo` and `pre.root`, the handles the hot code reads.
+    pub(crate) topo: Arc<Topology>,
     pub(crate) root: NodeId,
+    /// The live routing tree: a clone of `pre.tree` that failures,
+    /// churn and repair change.
+    pub(crate) tree: RoutingTree,
     pub(crate) channel: Channel,
     /// Compiled dynamic-environment scenario, if any.
     pub(crate) scenario: Option<CompiledScenario>,
     pub(crate) queries: Vec<Query>,
-    /// Readings a full round delivers: every build-time tree member is
-    /// a source (paper §5).
-    pub(crate) source_count: u64,
     pub(crate) nodes: Vec<NodeState>,
     /// Structure-of-arrays hot node state (see [`Hot`]).
     pub(crate) hot: Hot,
@@ -170,8 +157,13 @@ pub struct World<P: Probe = NullProbe> {
     /// MAC counters of MACs replaced by churn revivals (so totals keep
     /// the pre-death traffic).
     pub(crate) mac_lost: MacTotals,
+    /// The Figure 8 histogram: each build-time member's sleep intervals
+    /// that began at or after `measure_from`, binned as they close.
+    pub(crate) sleep_hist: Histogram,
     /// Recycled policy-action buffers, so steady-state event handling
-    /// allocates only until the pool warms up.
+    /// allocates only until the pool warms up. A pool, not one buffer,
+    /// because executing one node's actions can run another node's
+    /// policy.
     pub(crate) act_pool: Vec<Vec<PolicyAction<Payload>>>,
     /// Recycled MAC-action buffers (same purpose as `act_pool`).
     pub(crate) mact_pool: Vec<Vec<essat_net::mac::MacAction<Payload>>>,
@@ -182,6 +174,9 @@ pub struct World<P: Probe = NullProbe> {
     /// push/pop copy it; parking frames here keeps the event alphabet
     /// at pointer-ish sizes for the 40M-event runs.
     pub(crate) tx_frames: Vec<Option<Frame<Payload>>>,
+    /// Recycled carrier 0 → 1 list: the channel writes each new
+    /// transmission's newly busy nodes here.
+    pub(crate) now_busy: Vec<NodeId>,
     /// Recycled flat tx-end outcome buffer: the channel partitions each
     /// finished transmission's clean / corrupted / now-idle fan-out into
     /// this one contiguous list instead of three per-call vectors.
@@ -191,27 +186,28 @@ pub struct World<P: Probe = NullProbe> {
 }
 
 impl World {
-    /// Builds the world and the initial event list for `cfg`, with the
-    /// default policy factory ([`Protocol::build_policy`]).
-    pub fn new(cfg: ExperimentConfig) -> (World, Vec<(SimTime, Ev)>) {
-        let mut initial = Vec::new();
-        let world =
-            World::new_prebuilt(cfg, &Protocol::build_policy, None, &mut initial, NullProbe);
-        (world, initial)
+    /// Builds the world for `cfg`, with the default policy factory
+    /// ([`Protocol::build_policy`]), and the event queue holding its
+    /// first events.
+    pub fn new(cfg: ExperimentConfig) -> (World, EventQueue<Ev>) {
+        let mut queue = EventQueue::new();
+        let world = World::new_prebuilt(cfg, &Protocol::build_policy, None, &mut queue, NullProbe);
+        (world, queue)
     }
 }
 
 impl<P: Probe> World<P> {
     /// Builds the world for `cfg` with a policy factory, over an
-    /// optional cached build block, appending the initial event list to
-    /// a caller-recycled buffer. The probe is installed before any
+    /// optional cached build block, pushing its first events onto
+    /// `queue` (which must be empty) and recording the handles of the
+    /// initial chain policy timers. The probe is installed before any
     /// event runs (and told about the scenario's scripted clock
     /// glitches, which are compiled ahead of time).
     pub(crate) fn new_prebuilt(
         cfg: ExperimentConfig,
         factory: &PolicyFactory<'_>,
-        pre: Option<std::sync::Arc<Prebuilt>>,
-        initial: &mut Vec<(SimTime, Ev)>,
+        pre: Option<Arc<Prebuilt>>,
+        queue: &mut EventQueue<Ev>,
         probe: P,
     ) -> World<P> {
         cfg.validate();
@@ -224,15 +220,12 @@ impl<P: Probe> World<P> {
         // provides one, else build them here (the builder consumes the
         // same `master.derive(1)` stream either way, so cached and fresh
         // construction are indistinguishable).
-        let pre = match pre {
-            Some(p) => p,
-            None => std::sync::Arc::new(Prebuilt::build(&cfg)),
-        };
-        let topo = std::sync::Arc::clone(&pre.topo);
+        let pre = pre.unwrap_or_else(|| Arc::new(Prebuilt::build(&cfg)));
+        let topo = Arc::clone(&pre.topo);
         let root = pre.root;
         let tree = pre.tree.clone();
 
-        let mut channel = Channel::new(std::sync::Arc::clone(&topo), channel_rng);
+        let mut channel = Channel::new(Arc::clone(&topo), channel_rng);
         channel.set_drop_probability(cfg.drop_probability);
 
         // Dynamic environment: compile the scenario (or replay its
@@ -266,7 +259,6 @@ impl<P: Probe> World<P> {
                 queries.push(q);
             }
         }
-        let source_count = tree.member_count() as u64;
 
         let run_end = SimTime::ZERO + cfg.duration;
         let measure_from = SimTime::ZERO + SETUP_SLOT;
@@ -274,7 +266,7 @@ impl<P: Probe> World<P> {
         // The policy factory sees the finished tree (SPAN derives its
         // backbone from it) and builds one policy per node.
         let env = PolicyEnv::new(&cfg, &tree, topo.node_count(), run_end);
-        let hot = Hot::new(topo.node_count(), &tree);
+        let hot = Hot::new(topo.node_count());
         let nodes = topo
             .nodes()
             .map(|id| NodeState {
@@ -293,8 +285,6 @@ impl<P: Probe> World<P> {
                 revivals: 0,
                 recheck_on_wake: false,
                 snap: RadioSnapshot::default(),
-                rank0: tree.rank(id),
-                level0: tree.level(id).unwrap_or(0),
             })
             .collect();
 
@@ -325,13 +315,13 @@ impl<P: Probe> World<P> {
         let mut world = World {
             cfg,
             master,
+            pre,
             topo,
-            tree,
             root,
+            tree,
             channel,
             scenario,
             queries,
-            source_count,
             nodes,
             hot,
             chain_ev: vec![Vec::new(); topo_nodes],
@@ -351,9 +341,11 @@ impl<P: Probe> World<P> {
             lifetime: LifetimeStats::default(),
             repair,
             mac_lost: MacTotals::default(),
+            sleep_hist: Histogram::new(SLEEP_HIST_BIN_S, SLEEP_HIST_BINS),
             act_pool: Vec::new(),
             mact_pool: Vec::new(),
             tx_frames: Vec::new(),
+            now_busy: Vec::new(),
             tx_end_buf: TxEndBuf::default(),
             probe,
         };
@@ -368,7 +360,7 @@ impl<P: Probe> World<P> {
             }
         }
 
-        initial.push((world.measure_from, Ev::SetupEnd));
+        queue.push(world.measure_from, Ev::SetupEnd);
 
         match world.cfg.setup_mode {
             SetupMode::Idealized => {
@@ -377,14 +369,14 @@ impl<P: Probe> World<P> {
                     for node in world.tree.members().to_vec() {
                         if let Some((round, at)) = world.register_query_at(node, qi, SimTime::ZERO)
                         {
-                            initial.push((
+                            queue.push(
                                 world.to_wall(node, at),
                                 Ev::RoundStart {
                                     node,
                                     query: qi,
                                     round,
                                 },
-                            ));
+                            );
                         }
                     }
                 }
@@ -392,19 +384,21 @@ impl<P: Probe> World<P> {
             SetupMode::Flooded => {
                 for (qi, q) in world.queries.iter().enumerate() {
                     let issue = q.phase.saturating_sub(SETUP_SLOT);
-                    initial.push((issue, Ev::FloodIssue { query: qi }));
+                    queue.push(issue, Ev::FloodIssue { query: qi });
                     for node in world.tree.members() {
-                        initial.push((issue, Ev::ForceWake { node: *node }));
+                        queue.push(issue, Ev::ForceWake { node: *node });
                     }
                 }
-                for &(_, end) in &world.forced_windows.clone() {
-                    initial.push((end, Ev::ForcedWindowEnd));
+                for &(_, end) in &world.forced_windows {
+                    queue.push(end, Ev::ForcedWindowEnd);
                 }
             }
         }
 
         // Policy schedule chains (SYNC edges / PSM beacons, …): each
-        // member's policy may arm its initial timers.
+        // member's policy may arm its initial timers. Chain links are
+        // tracked like every later one, or churn cancellation would
+        // miss them.
         {
             let mut acts = Vec::new();
             for m in world.tree.members().to_vec() {
@@ -412,14 +406,17 @@ impl<P: Probe> World<P> {
                 for a in acts.drain(..) {
                     match a {
                         PolicyAction::SetTimer { timer, at } => {
-                            initial.push((
+                            let id = queue.push(
                                 world.to_wall(m, at),
                                 Ev::Policy {
                                     node: m,
                                     timer,
                                     local: at,
                                 },
-                            ));
+                            );
+                            if timer.is_chain() {
+                                world.chain_ev[m.index()].push(id);
+                            }
                         }
                         other => panic!("initial_actions may only arm timers, got {other:?}"),
                     }
@@ -428,13 +425,13 @@ impl<P: Probe> World<P> {
         }
 
         // Scripted failures.
-        for &(at, node) in &world.cfg.node_failures.clone() {
-            initial.push((
+        for &(at, node) in &world.cfg.node_failures {
+            queue.push(
                 at,
                 Ev::NodeFail {
                     node: NodeId::new(node),
                 },
-            ));
+            );
         }
 
         // Scenario event stream: churn + the battery sweep chain.
@@ -446,10 +443,10 @@ impl<P: Probe> World<P> {
                 } else {
                     Ev::NodeFail { node }
                 };
-                initial.push((e.at, ev));
+                queue.push(e.at, ev);
             }
             if let Some(b) = s.battery {
-                initial.push((SimTime::ZERO + b.check_period, Ev::BatteryCheck));
+                queue.push(SimTime::ZERO + b.check_period, Ev::BatteryCheck);
             }
         }
 
@@ -490,12 +487,11 @@ impl<P: Probe> World<P> {
     /// returns its metrics together with the probe, so callers can
     /// drain what it recorded.
     ///
-    /// * `cache` shares the immutable topology / routing-tree / channel
-    ///   adjacency block across runs at the same sweep point, and
-    ///   `scratch` recycles a worker's warmed allocations across calls
-    ///   (see [`BuildCache`] and [`WorldScratch`]). Neither changes the
-    ///   result, only the allocator traffic (pinned by
-    ///   `tests/determinism.rs`).
+    /// * `cache` shares the immutable topology / routing-tree block
+    ///   across runs at the same sweep point, and `scratch` recycles a
+    ///   worker's event queue across calls (see [`BuildCache`] and
+    ///   [`WorldScratch`]). Neither changes the result, only the
+    ///   allocator traffic (pinned by `tests/determinism.rs`).
     /// * `budget` caps the events processed: the result is `None` when
     ///   the run hits it before the configured duration — an event
     ///   count, not a wall clock, so the same job trips (or doesn't)
@@ -516,34 +512,14 @@ impl<P: Probe> World<P> {
     ) -> (Option<RunResult>, P) {
         let t_build = std::time::Instant::now();
         let pre = cache.map(|c| c.get_or_build(cfg));
-        let mut initial = std::mem::take(&mut scratch.initial);
-        initial.clear();
-        let mut world = World::new_prebuilt(cfg.clone(), factory, pre, &mut initial, probe);
-        world.adopt_scratch(scratch);
+        let mut queue = std::mem::take(&mut scratch.queue);
+        assert!(queue.is_empty(), "recycled queue must be empty");
+        let world = World::new_prebuilt(cfg.clone(), factory, pre, &mut queue, probe);
         let run_end = world.run_end;
-        let mut engine = Engine::with_queue(world, std::mem::take(&mut scratch.queue));
-        for (at, ev) in initial.drain(..) {
-            // Initial chain policy timers must be tracked like every
-            // later one, or churn cancellation would miss them.
-            let chain_node = match &ev {
-                Ev::Policy { node, timer, .. } if timer.is_chain() => Some(*node),
-                _ => None,
-            };
-            let id = engine.schedule_at(at, ev);
-            if let Some(n) = chain_node {
-                engine.model_mut().chain_ev[n.index()].push(id);
-            }
-        }
-        scratch.initial = initial;
+        let mut engine = Engine::with_queue(world, queue);
         timings.build += t_build.elapsed();
         let t_run = std::time::Instant::now();
-        let reached_end = match budget {
-            Some(b) => engine.run_until_capped(run_end, b),
-            None => {
-                engine.run_until(run_end);
-                true
-            }
-        };
+        let reached_end = engine.run_until_capped(run_end, budget.unwrap_or(u64::MAX));
         let events = engine.processed();
         let peak = engine.peak_pending() as u64;
         let (world, mut queue) = engine.into_parts();
@@ -551,22 +527,14 @@ impl<P: Probe> World<P> {
         scratch.queue = queue;
         timings.run += t_run.elapsed();
         if !reached_end {
-            // Budget exhausted: drop the world (its pools are rebuilt
-            // on the worker's next run) and report the abandonment.
+            // Budget exhausted: drop the world and report the
+            // abandonment.
             return (None, world.probe);
         }
         let t_fin = std::time::Instant::now();
-        let (result, probe) = world.finalize_into(run_end, events, peak, Some(scratch));
+        let (result, probe) = world.finalize_into(run_end, events, peak);
         timings.finalize += t_fin.elapsed();
         (Some(result), probe)
-    }
-
-    /// Moves a scratch's warmed buffer pools into this (fresh) world.
-    pub(crate) fn adopt_scratch(&mut self, scratch: &mut WorldScratch) {
-        std::mem::swap(&mut self.act_pool, &mut scratch.act_pool);
-        std::mem::swap(&mut self.mact_pool, &mut scratch.mact_pool);
-        std::mem::swap(&mut self.tx_frames, &mut scratch.tx_frames);
-        self.channel.adopt_pools(&mut scratch.channel);
     }
 
     // ------------------------------------------------------------------
@@ -647,8 +615,8 @@ impl<P: Probe> World<P> {
                 continue;
             }
             let node = NodeId::new(i as u32);
-            if !self.hot.member[i] {
-                if self.hot.radio_active[i] && self.nodes[i].mac.can_suspend() {
+            if !self.pre.tree.is_member(node) {
+                if self.nodes[i].radio.is_active() && self.nodes[i].mac.can_suspend() {
                     self.suspend_radio(node, ctx);
                 }
                 continue;
@@ -668,16 +636,13 @@ impl<P: Probe> World<P> {
         }
     }
 
-    /// Collects the run's metrics; with a scratch, salvages the world's
-    /// warmed buffer pools into it for the worker's next run. Returns
-    /// the probe alongside the result so callers can drain what it
-    /// recorded.
+    /// Collects the run's metrics. Returns the probe alongside the
+    /// result so callers can drain what it recorded.
     pub(crate) fn finalize_into(
         mut self,
         end: SimTime,
         events_processed: u64,
         peak_queue_depth: u64,
-        scratch: Option<&mut WorldScratch>,
     ) -> (RunResult, P) {
         // A node still orphaned at run end is right-censored: its
         // open orphan interval closes at the measurement boundary.
@@ -694,24 +659,19 @@ impl<P: Probe> World<P> {
         if self.probe.enabled() {
             let view = WorldView {
                 nodes: &self.nodes,
-                hot: &self.hot,
+                dead: &self.hot.dead,
+                tree: &self.pre.tree,
             };
             self.probe.on_run_end(end, &view);
         }
-        if let Some(s) = scratch {
-            s.act_pool.append(&mut self.act_pool);
-            s.mact_pool.append(&mut self.mact_pool);
-            self.tx_frames.clear();
-            std::mem::swap(&mut self.tx_frames, &mut s.tx_frames);
-            self.channel.harvest_pools(&mut s.channel);
-        }
         let mut node_metrics = Vec::new();
-        let mut sleep_hist = Histogram::new(SLEEP_HIST_BIN_S, SLEEP_HIST_BINS);
-        let mut mac = MacTotals::default();
+        // MACs replaced by churn revivals contributed traffic too.
+        let mut mac = self.mac_lost;
         for i in 0..self.nodes.len() {
             let id = NodeId::new(i as u32);
+            let dead = self.hot.dead[i];
             let n = &mut self.nodes[i];
-            if !self.hot.dead[i] {
+            if !dead {
                 n.radio.settle(end);
             }
             // Settlement: a node that never died must have its whole
@@ -724,49 +684,21 @@ impl<P: Probe> World<P> {
                     "sanitizer: node {i} radio accounting does not settle to the run length"
                 );
             }
-            if !self.hot.member[i] {
+            if !self.pre.tree.is_member(id) {
                 continue;
             }
-            let active = n.radio.active_ns() - n.snap.active;
-            let off = n.radio.off_ns() - n.snap.off;
-            let trans = n.radio.transition_ns() - n.snap.trans;
-            let total = active + off + trans;
-            // A dead radio's books are settled at death, so `total`
-            // already clamps to the node's death time. A node that died
-            // *before* the window opened (or a zero-length window) has
-            // no measured span at all — it was never active in the
-            // window, so its duty cycle is 0, not the former 1.0
-            // (tests/fault_injection.rs pins this).
-            let duty = if total == 0 {
-                0.0
-            } else {
-                (active + trans) as f64 / total as f64
-            };
+            // Settled above, so the books read at `end` are the settled
+            // ones.
+            let (duty_cycle, energy_j) = n.measured(dead, end);
             node_metrics.push(NodeMetrics {
                 node: id,
-                rank: n.rank0,
-                level: n.level0,
-                duty_cycle: duty,
-                energy_j: n.radio.energy_j() - n.snap.energy,
+                rank: self.pre.tree.rank(id),
+                level: self.pre.tree.level(id).unwrap_or(0),
+                duty_cycle,
+                energy_j,
             });
-            for si in n.radio.sleep_intervals() {
-                if si.started >= self.measure_from {
-                    sleep_hist.add(si.length().as_secs_f64());
-                }
-            }
-            let ms = n.mac.stats();
-            mac.enqueued += ms.enqueued;
-            mac.data_tx += ms.data_tx;
-            mac.delivered += ms.delivered;
-            mac.failed += ms.failed;
-            mac.retries += ms.retries;
+            mac.add(&n.mac.stats());
         }
-        // MACs replaced by churn revivals contributed traffic too.
-        mac.enqueued += self.mac_lost.enqueued;
-        mac.data_tx += self.mac_lost.data_tx;
-        mac.delivered += self.mac_lost.delivered;
-        mac.failed += self.mac_lost.failed;
-        mac.retries += self.mac_lost.retries;
         let ch = self.channel.stats();
         let result = RunResult {
             seed: self.cfg.seed,
@@ -774,7 +706,7 @@ impl<P: Probe> World<P> {
             measured_until: end,
             nodes: node_metrics,
             queries: std::mem::take(&mut self.qmetrics),
-            sleep_intervals: sleep_hist,
+            sleep_intervals: self.sleep_hist,
             phase_piggybacks: self.phase_piggybacks,
             phase_requests: self.phase_requests,
             reports_sent: self.reports_sent,
@@ -820,18 +752,20 @@ impl<P: Probe> World<P> {
         }
         let view = WorldView {
             nodes: &self.nodes,
-            hot: &self.hot,
+            dead: &self.hot.dead,
+            tree: &self.pre.tree,
         };
         self.probe.on_event(now, kind, &view);
     }
 }
 
 /// The read-only per-node projection handed to probes: borrows only
-/// the node stacks and the hot flags, so it can coexist with a
-/// mutable borrow of the probe itself.
+/// the node stacks, the liveness flags and the pristine tree, so it can
+/// coexist with a mutable borrow of the probe itself.
 struct WorldView<'a> {
     nodes: &'a [NodeState],
-    hot: &'a Hot,
+    dead: &'a [bool],
+    tree: &'a RoutingTree,
 }
 
 impl SampleView for WorldView<'_> {
@@ -840,45 +774,19 @@ impl SampleView for WorldView<'_> {
     }
 
     fn is_alive(&self, node: usize) -> bool {
-        !self.hot.dead[node]
+        !self.dead[node]
     }
 
     fn in_tree(&self, node: usize) -> bool {
-        self.hot.member[node]
+        self.tree.is_member(NodeId::new(node as u32))
     }
 
     fn energy_j(&self, node: usize, now: SimTime) -> f64 {
-        let n = &self.nodes[node];
-        // Dead radios were settled at death; projecting them to `now`
-        // would bill the dead span.
-        let e = if self.hot.dead[node] {
-            n.radio.energy_j()
-        } else {
-            n.radio.energy_j_at(now)
-        };
-        e - n.snap.energy
+        self.nodes[node].measured(self.dead[node], now).1
     }
 
     fn duty_cycle(&self, node: usize, now: SimTime) -> f64 {
-        let n = &self.nodes[node];
-        let (active, off, trans) = if self.hot.dead[node] {
-            (
-                n.radio.active_ns(),
-                n.radio.off_ns(),
-                n.radio.transition_ns(),
-            )
-        } else {
-            n.radio.counters_at(now)
-        };
-        let active = active - n.snap.active;
-        let off = off - n.snap.off;
-        let trans = trans - n.snap.trans;
-        let total = active + off + trans;
-        if total == 0 {
-            0.0
-        } else {
-            (active + trans) as f64 / total as f64
-        }
+        self.nodes[node].measured(self.dead[node], now).0
     }
 
     fn queue_depth(&self, node: usize) -> usize {

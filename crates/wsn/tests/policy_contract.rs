@@ -1,6 +1,7 @@
 //! The executor's side of the `PowerPolicy` contract, observed from a
-//! policy: a `Quiesce` sleep checkpoint means the MAC went quiescent,
-//! and a policy may sleep the radio from inside a frame delivery.
+//! policy: a `Quiesce` sleep checkpoint means the MAC went quiescent, a
+//! policy may sleep the radio from inside a frame delivery, and a sleep
+//! a policy takes during setup stays out of the Figure 8 histogram.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -9,14 +10,16 @@ use essat_core::policy::{NodeView, PolicyAction, PolicyTimer, PowerPolicy, Sleep
 use essat_core::shaper::{Release, TreeInfo};
 use essat_net::frame::Frame;
 use essat_net::ids::NodeId;
+use essat_obs::profile::RunTimings;
+use essat_obs::Probe;
 use essat_query::model::{Query, QueryId};
 use essat_scenario::presets;
 use essat_scenario::spec::Scenario;
 use essat_sim::time::{SimDuration, SimTime};
-use essat_wsn::config::{ExperimentConfig, Protocol, WorkloadSpec};
+use essat_wsn::config::{ExperimentConfig, Protocol, WorkloadSpec, SETUP_SLOT};
 use essat_wsn::payload::Payload;
 use essat_wsn::runner;
-use essat_wsn::sim::World;
+use essat_wsn::sim::{World, WorldScratch};
 
 /// Counts of the `Quiesce` checkpoints a policy saw.
 #[derive(Debug, Default)]
@@ -33,7 +36,18 @@ struct Recording {
     seen: Arc<Seen>,
     /// Also sleep the radio for 5 ms after every report dispatch.
     nap: bool,
+    /// Also sleep the radio for 50 ms at [`SETUP_NAP_AT`], before setup
+    /// ends, ignoring `may_sleep`.
+    setup_nap: bool,
 }
+
+/// The custom timer that starts a setup nap.
+const SETUP_NAP: PolicyTimer = PolicyTimer::Custom {
+    key: 7,
+    chain: false,
+};
+/// When a setup nap starts: well inside the setup slot.
+const SETUP_NAP_AT: SimTime = SimTime::from_millis(100);
 
 impl PowerPolicy<Payload> for Recording {
     fn name(&self) -> &'static str {
@@ -165,7 +179,13 @@ impl PowerPolicy<Payload> for Recording {
     }
 
     fn initial_actions(&mut self, out: &mut Vec<PolicyAction<Payload>>) {
-        self.inner.initial_actions(out)
+        self.inner.initial_actions(out);
+        if self.setup_nap {
+            out.push(PolicyAction::SetTimer {
+                timer: SETUP_NAP,
+                at: SETUP_NAP_AT,
+            });
+        }
     }
 
     fn on_timer(
@@ -174,7 +194,14 @@ impl PowerPolicy<Payload> for Recording {
         view: &NodeView,
         out: &mut Vec<PolicyAction<Payload>>,
     ) {
-        self.inner.on_timer(timer, view, out)
+        if timer != SETUP_NAP {
+            return self.inner.on_timer(timer, view, out);
+        }
+        if view.radio_active && view.mac_can_suspend && !view.dead {
+            out.push(PolicyAction::Sleep {
+                wake_at: Some(view.now + SimDuration::from_millis(50)),
+            });
+        }
     }
 
     fn on_revive(&mut self, now: SimTime, out: &mut Vec<PolicyAction<Payload>>) {
@@ -190,6 +217,7 @@ fn run_recorded(cfg: &ExperimentConfig) -> Arc<Seen> {
             inner: Protocol::build_policy(cfg, node, env),
             seen: Arc::clone(&seen),
             nap: false,
+            setup_nap: false,
         })
     });
     // The wrapper forwards everything, so the run is the protocol's own.
@@ -257,8 +285,72 @@ fn sleep_inside_a_delivery_matches_pinned_digests() {
                 inner: Protocol::build_policy(cfg, node, env),
                 seen: Arc::new(Seen::default()),
                 nap: true,
+                setup_nap: false,
             })
         });
         assert_eq!(result.digest(), want, "{protocol}");
     }
+}
+
+/// Every radio transition the executor reports, in order.
+#[derive(Debug, Default)]
+struct RadioLog(Vec<(SimTime, u32, bool)>);
+
+impl Probe for RadioLog {
+    fn on_radio_state(&mut self, now: SimTime, node: u32, active: bool) {
+        self.0.push((now, node, active));
+    }
+}
+
+/// Figure 8 bins a member's sleep only if it began inside the measured
+/// window. Every member naps once during setup here, so the histogram
+/// must hold exactly the member sleeps that began at or after the end
+/// of setup, as the radio transitions show them.
+#[test]
+fn setup_sleeps_stay_out_of_the_sleep_histogram() {
+    let mut cfg = ExperimentConfig::quick(Protocol::DtsSs, WorkloadSpec::paper(1.0), 3);
+    cfg.duration = SimDuration::from_secs(8);
+    let (result, log) = World::run_instrumented(
+        &cfg,
+        &|cfg, node, env| {
+            Box::new(Recording {
+                inner: Protocol::build_policy(cfg, node, env),
+                seen: Arc::new(Seen::default()),
+                nap: false,
+                setup_nap: true,
+            })
+        },
+        None,
+        &mut WorldScratch::new(),
+        None,
+        RadioLog::default(),
+        &mut RunTimings::default(),
+    );
+    let result = result.expect("uncapped run");
+    // The run's node metrics list exactly the build-time members.
+    let mut member = vec![false; cfg.nodes as usize];
+    for n in &result.nodes {
+        member[n.node.index()] = true;
+    }
+    let measure_from = SimTime::ZERO + SETUP_SLOT;
+    let mut slept_since = vec![None; cfg.nodes as usize];
+    let (mut in_setup, mut in_window) = (0, 0);
+    for &(at, node, active) in &log.0 {
+        let i = node as usize;
+        if !active {
+            slept_since[i] = Some(at);
+        } else if let Some(since) = slept_since[i].take() {
+            if !member[i] {
+                continue;
+            }
+            if since < measure_from {
+                in_setup += 1;
+            } else {
+                in_window += 1;
+            }
+        }
+    }
+    assert!(in_setup > 0, "no member napped during setup");
+    assert!(in_window > 0, "no member slept in the measured window");
+    assert_eq!(result.sleep_intervals.total(), in_window);
 }

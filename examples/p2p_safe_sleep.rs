@@ -46,6 +46,8 @@ struct Peers {
     /// Pending wake-up per peer: re-planning a sleep cancels the old
     /// wake event outright instead of letting it fire stale.
     wake_ev: [Option<EventId>; 2],
+    /// Completed sleeps per peer: each wake-up that ends one.
+    sleeps: [u32; 2],
     rounds_ok: u64,
     missed: u64,
 }
@@ -116,14 +118,14 @@ impl Model for Peers {
                 self.ss[0].update_next_receive(FLOW, PEER1, next_send + 2 * HOP);
                 self.reconsider(0, ctx);
             }
-            Ev::RadioDone { peer } => {
-                if let TransitionOutcome::OffWakeQueued =
-                    self.radio[peer].finish_transition(ctx.now())
-                {
+            Ev::RadioDone { peer } => match self.radio[peer].finish_transition(ctx.now()) {
+                TransitionOutcome::NowActive { .. } => self.sleeps[peer] += 1,
+                TransitionOutcome::OffWakeQueued => {
                     let d = self.radio[peer].begin_wake(ctx.now()).expect("off");
                     ctx.schedule_after(d, Ev::RadioDone { peer });
                 }
-            }
+                TransitionOutcome::NowOff => {}
+            },
             Ev::Wake { peer } => {
                 // Superseded wakes were cancelled on the queue, so a
                 // dispatch is always the planned one.
@@ -146,6 +148,7 @@ fn main() {
         radio: [Radio::new(params), Radio::new(params)],
         ss: [SafeSleep::new(t_be, t_on), SafeSleep::new(t_be, t_on)],
         wake_ev: [None, None],
+        sleeps: [0, 0],
         rounds_ok: 0,
         missed: 0,
     };
@@ -169,7 +172,7 @@ fn main() {
         println!(
             "  peer {i}: duty {:5.2}%  sleeps {:4}  energy {:.4} J",
             100.0 * r.duty_cycle(),
-            r.sleep_intervals().len(),
+            model.sleeps[i],
             r.energy_j(),
         );
     }

@@ -194,10 +194,9 @@ fn scenario_trace_replay_is_exact() {
 }
 
 /// Sweep-wide reuse must be invisible in the results: a run through a
-/// **warmed** worker scratch (recycled event-queue slab, channel buffer
-/// pools, action buffers) sharing a [`BuildCache`]d topology/tree
-/// block produces a byte-identical `RunResult::digest()` to fresh
-/// construction — including under scenarios (churn revivals, battery
+/// **warmed** worker scratch (a recycled event queue) sharing a
+/// [`BuildCache`]d topology/tree block produces a byte-identical
+/// `RunResult::digest()` to fresh construction — including under scenarios (churn revivals, battery
 /// deaths) and across protocols interleaved on the same scratch.
 #[test]
 fn pooled_worlds_and_build_cache_match_fresh_construction() {

@@ -2,8 +2,8 @@
 //! representative grid: every protocol under every scenario preset plus
 //! clock drift, at reduced quick scale. A single invariant violation —
 //! non-monotone time or energy, a frame delivered to a dead node, a
-//! mirror out of sync with the radio, a broken routing tree, an
-//! unsettled energy total — panics the run and fails this test.
+//! stale timer dispatched, a broken routing tree, an unsettled energy
+//! total — panics the run and fails this test.
 
 #![cfg(feature = "sanitize")]
 
