@@ -466,8 +466,9 @@ impl SweepExecutor {
         // Shared immutable build cache: every job at the same
         // (topology, seed) sweep point — all protocols, all repetitions
         // with the same derived seed — reuses one topology + routing
-        // tree instead of rebuilding them per job.
-        let cache = BuildCache::new();
+        // tree instead of rebuilding them per job. Each job asks once,
+        // so the cache lets a block go when the last of its jobs asks.
+        let cache = BuildCache::for_jobs(jobs.iter().map(|(_, _, cfg)| cfg));
         std::thread::scope(|scope| {
             for w in 0..workers {
                 let (jobs, cursor, slots, cache) = (&jobs, &cursor, &slots, &cache);
@@ -544,6 +545,10 @@ impl SweepExecutor {
     /// scratch — a panic can leave the recycled buffers inconsistent),
     /// and turn whatever is left into a structured failure. `timings`
     /// receives the per-phase wall-clock of the last attempt.
+    ///
+    /// Only the first attempt asks `cache`: the cache counts one ask per
+    /// job, so a retry builds its own topology and tree (identical to
+    /// the cached ones) rather than take a later job's ask.
     #[allow(clippy::too_many_arguments)]
     fn run_job(
         cfg: &ExperimentConfig,
@@ -569,22 +574,23 @@ impl SweepExecutor {
                 budget.unwrap_or(0)
             )
         };
-        let attempt = |scratch: &mut WorldScratch, timings: &mut RunTimings| {
-            *timings = RunTimings::default();
-            catch_unwind(AssertUnwindSafe(|| {
-                World::run_instrumented(
-                    cfg,
-                    &|c, n, e| factory(c, n, e),
-                    Some(cache),
-                    scratch,
-                    budget,
-                    NullProbe,
-                    timings,
-                )
-                .0
-            }))
-        };
-        match attempt(scratch, timings) {
+        let attempt =
+            |cache: Option<&BuildCache>, scratch: &mut WorldScratch, timings: &mut RunTimings| {
+                *timings = RunTimings::default();
+                catch_unwind(AssertUnwindSafe(|| {
+                    World::run_instrumented(
+                        cfg,
+                        &|c, n, e| factory(c, n, e),
+                        cache,
+                        scratch,
+                        budget,
+                        NullProbe,
+                        timings,
+                    )
+                    .0
+                }))
+            };
+        match attempt(Some(cache), scratch, timings) {
             Ok(Some(r)) => Ok(r),
             // Budget exhaustion is deterministic: a retry would burn
             // the same events to the same end. Fail immediately.
@@ -592,7 +598,7 @@ impl SweepExecutor {
             Err(payload) => {
                 let first = panic_message(payload);
                 *scratch = WorldScratch::new();
-                match attempt(scratch, timings) {
+                match attempt(None, scratch, timings) {
                     Ok(Some(r)) => Ok(r),
                     Ok(None) => Err(fail(budget_reason(), true)),
                     Err(payload2) => {

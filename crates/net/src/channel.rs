@@ -137,10 +137,11 @@ struct ActiveTx {
 /// Reusable outcome buffer for [`Channel::end_tx_into`]: the outcome of
 /// finishing a transmission, without allocating in steady state.
 ///
-/// The three receiver classes live in **one contiguous list** partitioned
-/// as `[clean | corrupted | now-idle]`; each class is exposed as a slice.
-/// One buffer per world keeps the fan-out loops on a single warm
-/// allocation.
+/// The clean hearers and the nodes whose carrier went idle share one
+/// list partitioned as `[clean | now-idle]`; the corrupted hearers have a
+/// list of their own, filled in the same pass as the clean ones. Each
+/// class is exposed as a slice. One buffer per world keeps the fan-out
+/// loops on warm allocations.
 #[derive(Debug)]
 pub struct TxEndBuf {
     /// The transmitting node.
@@ -149,7 +150,7 @@ pub struct TxEndBuf {
     pub started: SimTime,
     nodes: Vec<NodeId>,
     clean_end: usize,
-    corrupted_end: usize,
+    corrupted: Vec<NodeId>,
 }
 
 impl Default for TxEndBuf {
@@ -159,7 +160,7 @@ impl Default for TxEndBuf {
             started: SimTime::ZERO,
             nodes: Vec::new(),
             clean_end: 0,
-            corrupted_end: 0,
+            corrupted: Vec::new(),
         }
     }
 }
@@ -178,20 +179,20 @@ impl TxEndBuf {
     /// injected loss), in ascending id order.
     #[inline]
     pub fn corrupted(&self) -> &[NodeId] {
-        &self.nodes[self.clean_end..self.corrupted_end]
+        &self.corrupted
     }
 
     /// Nodes at which the medium just became idle (carrier 1 → 0), in
     /// ascending id order; their MACs must be notified.
     #[inline]
     pub fn now_idle(&self) -> &[NodeId] {
-        &self.nodes[self.corrupted_end..]
+        &self.nodes[self.clean_end..]
     }
 
     /// Number of corrupted hearers (probe reporting).
     #[inline]
     pub fn corrupted_len(&self) -> u32 {
-        (self.corrupted_end - self.clean_end) as u32
+        self.corrupted.len() as u32
     }
 
     fn reset(&mut self, sender: NodeId, started: SimTime) {
@@ -199,7 +200,7 @@ impl TxEndBuf {
         self.started = started;
         self.nodes.clear();
         self.clean_end = 0;
-        self.corrupted_end = 0;
+        self.corrupted.clear();
     }
 }
 
@@ -380,11 +381,11 @@ impl Channel {
     /// Finishes a transmission, writing delivery outcomes and carrier
     /// transitions into a caller-recycled [`TxEndBuf`].
     ///
-    /// The fan-out is vectorised: receivers are classified with slice
-    /// passes over the sender's neighbour lists — one pass writes
-    /// the clean hearers (loss injection draws happen here, in
-    /// ascending-id order, one per copy that no overlap corrupted), the
-    /// next the rest, as contiguous partitions of the flat outcome list.
+    /// The fan-out is vectorised: one pass over the sender's hearers
+    /// puts each on the clean or the corrupted list (loss injection
+    /// draws happen here, in ascending-id order, one per copy that no
+    /// overlap corrupted), and a second pass over its interference
+    /// neighbours appends the carrier 1 → 0 transitions.
     ///
     /// # Panics
     ///
@@ -401,15 +402,16 @@ impl Channel {
         out.reset(sender, tx.start);
         self.free.push(slot as u32);
         self.transmitting[sender.index()] = false;
-        let hearers = self.topo.neighbors(sender);
 
-        // Pass 1 — the clean hearers, in hearer (ascending-id) order.
-        // Loss draws happen here and only here: one per copy no overlap
-        // corrupted, in hearer order, which fixes the RNG draw sequence.
+        // Pass 1 — classify each hearer once, in hearer (ascending-id)
+        // order. Loss draws happen here and only here: one per copy no
+        // overlap corrupted, in hearer order, which fixes the RNG draw
+        // sequence.
         let lossy = self.loss_model.is_some() || self.drop_prob > 0.0;
-        for &h in hearers {
+        for &h in self.topo.neighbors(sender) {
             if self.overlap[h.index()] >= epoch {
                 self.stats.collisions += 1;
+                out.corrupted.push(h);
                 continue;
             }
             if lossy {
@@ -421,6 +423,7 @@ impl Channel {
                 } || (self.drop_prob > 0.0 && self.rng.chance(self.drop_prob));
                 if injected {
                     self.stats.injected_drops += 1;
+                    out.corrupted.push(h);
                     continue;
                 }
             }
@@ -428,20 +431,8 @@ impl Channel {
         }
         out.clean_end = out.nodes.len();
 
-        // Pass 2 — the corrupted hearers: every hearer missing from the
-        // (ascending) clean partition, in hearer order.
-        let mut next_clean = 0;
-        for &h in hearers {
-            if next_clean < out.clean_end && out.nodes[next_clean] == h {
-                next_clean += 1;
-            } else {
-                out.nodes.push(h);
-            }
-        }
-        out.corrupted_end = out.nodes.len();
-
-        // Pass 3 — decrement carrier counts over the interference range,
-        // appending the 1 → 0 transitions as the final partition.
+        // Pass 2 — decrement carrier counts over the interference range,
+        // appending the 1 → 0 transitions after the clean hearers.
         for &h in self.topo.interference_neighbors(sender) {
             let cc = &mut self.carrier_count[h.index()];
             debug_assert!(*cc > 0, "carrier count underflow at {h}");

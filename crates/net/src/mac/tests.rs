@@ -301,6 +301,52 @@ fn overheard_unicast_not_delivered() {
     assert!(a.is_empty());
 }
 
+/// The executor hands a clean copy only to its addressee; that is exact
+/// because a MAC ignores every frame addressed to another node, even
+/// while it waits for an ACK of its own.
+#[test]
+fn overheard_frames_in_wait_ack_change_nothing() {
+    let mut mac = mk(0);
+    let f = data(&mut mac, Dest::Unicast(NodeId::new(1)), 7);
+    let a1 = acts(|o| mac.enqueue_into(f, t(0), o));
+    assert!(has_tx(&fire(&mut mac, &a1, t(50))));
+    let _ = acts(|o| mac.tx_ended_into(t(466), o));
+    assert!(mac.is_armed(MacTimer::AckTimeout));
+    let before = mac.stats();
+    // Node 0 overhears node 2's data to node 3 and node 3's ACK of it,
+    // which carries a note. The ACK names a frame of node 2: ids are
+    // namespaced by sender, so it cannot name node 0's head frame.
+    let mut n2 = mk(2);
+    let other = data(&mut n2, Dest::Unicast(NodeId::new(3)), 9);
+    let ack = Frame {
+        id: mk(3).alloc_frame_id(),
+        src: NodeId::new(3),
+        dest: Dest::Unicast(NodeId::new(2)),
+        kind: FrameKind::Ack(other.id),
+        bytes: ACK_BYTES,
+        payload: 5,
+    };
+    for (i, frame) in [other, ack].into_iter().enumerate() {
+        let out = acts(|o| mac.frame_arrived_into(frame, t(480 + i as u64), o));
+        assert!(out.is_empty(), "overheard frame {i} emitted {out:?}");
+    }
+    assert_eq!(mac.stats(), before);
+    assert!(mac.is_armed(MacTimer::AckTimeout));
+    // Its own ACK still completes the exchange.
+    let own = Frame {
+        src: NodeId::new(1),
+        dest: Dest::Unicast(NodeId::new(0)),
+        kind: FrameKind::Ack(f.id),
+        bytes: ACK_BYTES,
+        payload: 0,
+        ..f
+    };
+    let done = acts(|o| mac.frame_arrived_into(own, t(588), o));
+    assert!(done
+        .iter()
+        .any(|a| matches!(a, MacAction::TxDone { attempts: 1, .. })));
+}
+
 #[test]
 fn suspend_retains_queue_and_resumes() {
     let mut mac = mk(0);

@@ -3,8 +3,8 @@
 //! * [`OnlineStats`] — Welford's single-pass mean/variance, with Student-t
 //!   confidence intervals matching the paper's reporting style (90% CIs
 //!   over 5 runs).
-//! * [`Histogram`] — fixed-width binning, used for the paper's Figure 8
-//!   sleep-interval histogram (25 ms bins).
+//! * [`Histogram`] — fixed-width binning that stores only its filled
+//!   bins, used for the paper's Figure 8 sleep-interval histogram.
 //!
 //! # Examples
 //!
@@ -223,6 +223,13 @@ impl Confidence {
 /// Fixed-width histogram over `[0, bin_width × bins)` with explicit
 /// overflow counting.
 ///
+/// Only non-empty bins are stored, as ascending `(bin, count)` pairs, so
+/// a histogram costs memory in proportion to the bins it filled, not to
+/// its range: the simulator's sleep histogram spans 2,000 bins, and a
+/// run fills a few hundred of them. Every accessor answers as if the
+/// bins were dense ([`Histogram::iter`] yields all [`Histogram::bins`]
+/// pairs, empty ones included), bit for bit.
+///
 /// # Examples
 ///
 /// ```
@@ -241,7 +248,10 @@ impl Confidence {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     bin_width: f64,
-    counts: Vec<u64>,
+    bins: usize,
+    /// The non-empty bins as `(bin, count)`, ascending by bin; no count
+    /// is zero, so equal histograms have equal lists.
+    filled: Vec<(usize, u64)>,
     overflow: u64,
     total: u64,
     sum: f64,
@@ -262,7 +272,8 @@ impl Histogram {
         assert!(bins > 0, "histogram needs at least one bin");
         Histogram {
             bin_width,
-            counts: vec![0; bins],
+            bins,
+            filled: Vec::new(),
             overflow: 0,
             total: 0,
             sum: 0.0,
@@ -281,13 +292,21 @@ impl Histogram {
         } else {
             (x / self.bin_width) as usize
         };
-        if idx < self.counts.len() {
-            self.counts[idx] += 1;
+        if idx < self.bins {
+            self.bump(idx, 1);
         } else {
             self.overflow += 1;
         }
         self.total += 1;
         self.sum += x.max(0.0);
+    }
+
+    /// Adds `count` to in-range bin `idx`, keeping the list ascending.
+    fn bump(&mut self, idx: usize, count: u64) {
+        match self.filled.binary_search_by_key(&idx, |&(b, _)| b) {
+            Ok(at) => self.filled[at].1 += count,
+            Err(at) => self.filled.insert(at, (idx, count)),
+        }
     }
 
     /// Width of each bin.
@@ -297,7 +316,7 @@ impl Histogram {
 
     /// Number of in-range bins.
     pub fn bins(&self) -> usize {
-        self.counts.len()
+        self.bins
     }
 
     /// Count in bin `idx` (covering `[idx·w, (idx+1)·w)`).
@@ -306,7 +325,15 @@ impl Histogram {
     ///
     /// Panics if `idx` is out of range.
     pub fn bin_count(&self, idx: usize) -> u64 {
-        self.counts[idx]
+        assert!(
+            idx < self.bins,
+            "bin {idx} out of range ({} bins)",
+            self.bins
+        );
+        match self.filled.binary_search_by_key(&idx, |&(b, _)| b) {
+            Ok(at) => self.filled[at].1,
+            Err(_) => 0,
+        }
     }
 
     /// Observations beyond the last bin.
@@ -330,32 +357,41 @@ impl Histogram {
 
     /// Fraction of observations strictly below `x` (approximated by whole
     /// bins plus linear interpolation in the partial bin).
+    ///
+    /// Only the filled bins are visited, yet the result is bit for bit
+    /// that of a scan over every bin: an empty bin adds nothing, and
+    /// where such a scan stops at an empty bin (the first whose rounded
+    /// upper edge `lo + w` exceeds `x`), the next filled bin adds
+    /// nothing either, because that edge is at most one ulp above the
+    /// following bin's lower edge, so `x` is at or below it.
     pub fn fraction_below(&self, x: f64) -> f64 {
         if self.total == 0 || x <= 0.0 {
             return 0.0;
         }
+        let w = self.bin_width;
         let mut below = 0.0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            let lo = i as f64 * self.bin_width;
-            let hi = lo + self.bin_width;
-            if x >= hi {
+        for &(i, c) in &self.filled {
+            let lo = i as f64 * w;
+            if x >= lo + w {
                 below += c as f64;
-            } else if x > lo {
-                below += c as f64 * (x - lo) / self.bin_width;
-                break;
             } else {
+                if x > lo {
+                    below += c as f64 * (x - lo) / w;
+                }
                 break;
             }
         }
         below / self.total as f64
     }
 
-    /// Iterates over `(bin_upper_edge, count)` pairs, paper-figure style.
+    /// Iterates over `(bin_upper_edge, count)` pairs, paper-figure style:
+    /// one pair for every bin, empty bins included.
     pub fn iter(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .map(move |(i, &c)| ((i + 1) as f64 * self.bin_width, c))
+        let mut filled = self.filled.iter().peekable();
+        (0..self.bins).map(move |i| {
+            let count = filled.next_if(|&&(b, _)| b == i).map_or(0, |&(_, c)| c);
+            ((i + 1) as f64 * self.bin_width, count)
+        })
     }
 
     /// Merges another histogram with identical geometry.
@@ -365,9 +401,9 @@ impl Histogram {
     /// Panics if bin width or bin count differ.
     pub fn merge(&mut self, other: &Histogram) {
         assert_eq!(self.bin_width, other.bin_width, "bin width mismatch");
-        assert_eq!(self.counts.len(), other.counts.len(), "bin count mismatch");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
+        assert_eq!(self.bins, other.bins, "bin count mismatch");
+        for &(idx, count) in &other.filled {
+            self.bump(idx, count);
         }
         self.overflow += other.overflow;
         self.total += other.total;

@@ -580,3 +580,197 @@ mod wheel_vs_reference {
         }
     }
 }
+
+/// Differential test of the sparse [`Histogram`] against a dense
+/// reference: one counter per bin, scanned bin by bin, as the histogram
+/// was stored before it kept only its filled bins. Observations include
+/// values at or below zero, exact bin edges (computed both ways a scan
+/// computes them, and one ulp to either side) and overflow; every query
+/// must agree bit for bit.
+mod histogram_vs_dense {
+    use super::*;
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Dense {
+        bin_width: f64,
+        counts: Vec<u64>,
+        overflow: u64,
+        total: u64,
+        sum: f64,
+    }
+
+    impl Dense {
+        fn new(bin_width: f64, bins: usize) -> Self {
+            Dense {
+                bin_width,
+                counts: vec![0; bins],
+                overflow: 0,
+                total: 0,
+                sum: 0.0,
+            }
+        }
+
+        fn add(&mut self, x: f64) {
+            let idx = if x <= 0.0 {
+                0
+            } else {
+                (x / self.bin_width) as usize
+            };
+            if idx < self.counts.len() {
+                self.counts[idx] += 1;
+            } else {
+                self.overflow += 1;
+            }
+            self.total += 1;
+            self.sum += x.max(0.0);
+        }
+
+        fn mean(&self) -> f64 {
+            if self.total == 0 {
+                0.0
+            } else {
+                self.sum / self.total as f64
+            }
+        }
+
+        fn fraction_below(&self, x: f64) -> f64 {
+            if self.total == 0 || x <= 0.0 {
+                return 0.0;
+            }
+            let mut below = 0.0;
+            for (i, &c) in self.counts.iter().enumerate() {
+                let lo = i as f64 * self.bin_width;
+                let hi = lo + self.bin_width;
+                if x >= hi {
+                    below += c as f64;
+                } else if x > lo {
+                    below += c as f64 * (x - lo) / self.bin_width;
+                    break;
+                } else {
+                    break;
+                }
+            }
+            below / self.total as f64
+        }
+
+        fn merge(&mut self, other: &Dense) {
+            for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+                *a += b;
+            }
+            self.overflow += other.overflow;
+            self.total += other.total;
+            self.sum += other.sum;
+        }
+    }
+
+    /// Both edges of bin `k` as a scan computes them, and one ulp to
+    /// either side of each.
+    fn edges(w: f64, k: usize) -> [f64; 6] {
+        let lo = k as f64 * w;
+        let hi = lo + w;
+        [
+            lo,
+            lo.next_down(),
+            lo.next_up(),
+            hi,
+            hi.next_down(),
+            hi.next_up(),
+        ]
+    }
+
+    /// An observation: `(kind, bin, fraction)` picks a value at or below
+    /// zero, an edge of bin `bin` (possibly past the last bin), or a
+    /// uniform value over the range plus a little overflow.
+    fn value(w: f64, bins: usize, (kind, k, frac): (u8, usize, f64)) -> f64 {
+        match kind {
+            0 => -frac.abs() * w,
+            1 => edges(w, k)[(frac.abs() * 6.0) as usize % 6],
+            _ => frac.abs() * (bins as f64 + 2.0) * w,
+        }
+    }
+
+    fn assert_same(s: &Histogram, d: &Dense) {
+        assert_eq!(s.bins(), d.counts.len());
+        assert_eq!(s.bin_width(), d.bin_width);
+        for (i, &c) in d.counts.iter().enumerate() {
+            assert_eq!(s.bin_count(i), c, "bin {i}");
+        }
+        let want: Vec<(u64, u64)> = d
+            .counts
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| (((i + 1) as f64 * d.bin_width).to_bits(), c))
+            .collect();
+        let got: Vec<(u64, u64)> = s.iter().map(|(e, c)| (e.to_bits(), c)).collect();
+        assert_eq!(got, want, "iter");
+        assert_eq!(s.total(), d.total);
+        assert_eq!(s.overflow(), d.overflow);
+        assert_eq!(s.mean().to_bits(), d.mean().to_bits(), "mean");
+        let w = d.bin_width;
+        let mut queries = vec![0.0, -w, w * 0.5, f64::INFINITY, f64::MAX];
+        for k in 0..d.counts.len() + 2 {
+            queries.extend(edges(w, k));
+            queries.push((k as f64 + 0.37) * w);
+        }
+        for x in queries {
+            assert_eq!(
+                s.fraction_below(x).to_bits(),
+                d.fraction_below(x).to_bits(),
+                "fraction_below({x:e})"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn sparse_histogram_matches_dense_reference(
+            w in prop_oneof![Just(0.0005), Just(0.1), Just(0.025), Just(1.0 / 3.0), Just(0.7)],
+            bins in 1usize..40,
+            obs in proptest::collection::vec((0u8..4, 0usize..45, -1.0f64..1.0), 0..120),
+            split in 0usize..120,
+        ) {
+            let xs: Vec<f64> = obs.iter().map(|&o| value(w, bins, o)).collect();
+            let (mut s, mut d) = (Histogram::new(w, bins), Dense::new(w, bins));
+            for &x in &xs {
+                s.add(x);
+                d.add(x);
+            }
+            assert_same(&s, &d);
+
+            // Merge two halves.
+            let cut = split.min(xs.len());
+            let (mut sa, mut da) = (Histogram::new(w, bins), Dense::new(w, bins));
+            let (mut sb, mut db) = (Histogram::new(w, bins), Dense::new(w, bins));
+            for &x in &xs[..cut] {
+                sa.add(x);
+                da.add(x);
+            }
+            for &x in &xs[cut..] {
+                sb.add(x);
+                db.add(x);
+            }
+            sa.merge(&sb);
+            da.merge(&db);
+            assert_same(&sa, &da);
+
+            // Equality agrees with the reference's: same observations in
+            // reverse order (bins equal, the float sum may differ), and
+            // the first half alone.
+            let (mut sr, mut dr) = (Histogram::new(w, bins), Dense::new(w, bins));
+            for &x in xs.iter().rev() {
+                sr.add(x);
+                dr.add(x);
+            }
+            prop_assert_eq!(s == sr, d == dr);
+            prop_assert_eq!(s == sa, d == da);
+            let (mut sh, mut dh) = (Histogram::new(w, bins), Dense::new(w, bins));
+            for &x in &xs[..cut] {
+                sh.add(x);
+                dh.add(x);
+            }
+            prop_assert_eq!(s == sh, d == dh);
+        }
+    }
+}

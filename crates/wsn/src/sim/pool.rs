@@ -20,6 +20,9 @@
 //! block (topology + pristine routing tree). Each world keeps its block,
 //! clones the cheap mutable tree from the pristine copy and shares the
 //! topology, whose neighbour lists the channel reads, by reference.
+//! Made for a job list ([`BuildCache::for_jobs`]), the cache lets a
+//! block go at the last ask the list announced for it, so sweep memory
+//! follows the live jobs rather than every sweep point of the pass.
 //!
 //! Neither affects behaviour: the recycled queue arrives empty, the
 //! cache is a pure function of the same inputs `World::new` hashes from
@@ -119,26 +122,56 @@ impl BuildKey {
 /// Shared, thread-safe cache of prebuilt topology / routing-tree blocks
 /// for one sweep.
 ///
-/// The executor creates one per job list and hands it to every worker;
-/// repetitions and protocols at the same `(topology, seed)` point then
-/// build the topology and routing tree **once**.
+/// Repetitions and protocols at the same `(topology, seed)` point build
+/// the topology and routing tree **once**. The executor makes one per
+/// job list with [`BuildCache::for_jobs`], which counts how many jobs
+/// will ask for each block and lets go of a block at the last of those
+/// asks, so a block lives exactly as long as the worlds that use it. A
+/// cache made with [`BuildCache::new`] (or a key the job list did not
+/// name) keeps every block until the cache is dropped.
 #[derive(Debug, Default)]
 pub struct BuildCache {
-    map: Mutex<HashMap<BuildKey, Arc<Prebuilt>>>,
+    map: Mutex<HashMap<BuildKey, Entry>>,
+}
+
+#[derive(Debug)]
+struct Entry {
+    /// Built at the first ask.
+    block: Option<Arc<Prebuilt>>,
+    /// Asks still to come, or `None` to keep the block.
+    asks_left: Option<u32>,
 }
 
 impl BuildCache {
-    /// An empty cache.
+    /// An empty cache that keeps every block it builds.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Number of distinct sweep points built so far.
-    pub fn len(&self) -> usize {
-        self.map.lock().expect("build cache poisoned").len()
+    /// An empty cache for a job list: each job will ask once for the
+    /// block of its config, and the block is let go at the last ask.
+    pub fn for_jobs<'a>(jobs: impl IntoIterator<Item = &'a ExperimentConfig>) -> Self {
+        let mut map = HashMap::new();
+        for cfg in jobs {
+            let entry = map.entry(BuildKey::of(cfg)).or_insert(Entry {
+                block: None,
+                asks_left: Some(0),
+            });
+            entry.asks_left = entry.asks_left.map(|n| n + 1);
+        }
+        BuildCache {
+            map: Mutex::new(map),
+        }
     }
 
-    /// True if nothing has been built yet.
+    /// Number of blocks the cache holds now: the sweep points asked for
+    /// so far, less those whose last counted ask has come.
+    pub fn len(&self) -> usize {
+        let map = self.map.lock().expect("build cache poisoned");
+        map.values().filter(|e| e.block.is_some()).count()
+    }
+
+    /// True if the cache holds no block.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -146,12 +179,24 @@ impl BuildCache {
     pub(crate) fn get_or_build(&self, cfg: &ExperimentConfig) -> Arc<Prebuilt> {
         let key = BuildKey::of(cfg);
         let mut map = self.map.lock().expect("build cache poisoned");
+        let entry = map.entry(key).or_insert(Entry {
+            block: None,
+            asks_left: None,
+        });
         // The lock is held across a miss's build: topologies are cheap
         // relative to a run, and this keeps duplicate concurrent builds
         // from racing each other.
-        map.entry(key)
-            .or_insert_with(|| Arc::new(Prebuilt::build(cfg)))
-            .clone()
+        let block = entry
+            .block
+            .get_or_insert_with(|| Arc::new(Prebuilt::build(cfg)))
+            .clone();
+        if let Some(left) = &mut entry.asks_left {
+            *left -= 1;
+            if *left == 0 {
+                map.remove(&key);
+            }
+        }
+        block
     }
 }
 
@@ -177,6 +222,32 @@ mod tests {
         let p3 = cache.get_or_build(&c);
         assert!(!Arc::ptr_eq(&p1, &p3));
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn counted_cache_builds_once_and_lets_go_at_the_last_ask() {
+        let a = ExperimentConfig::quick(Protocol::DtsSs, WorkloadSpec::paper(1.0), 7);
+        let b = ExperimentConfig::quick(Protocol::Sync, WorkloadSpec::paper(5.0), 7);
+        let c = ExperimentConfig::quick(Protocol::DtsSs, WorkloadSpec::paper(1.0), 8);
+        // Three jobs at a's sweep point (b shares it), one at c's.
+        let cache = BuildCache::for_jobs([&a, &b, &c, &a]);
+        assert!(cache.is_empty(), "nothing is built before the first ask");
+        let p1 = cache.get_or_build(&a);
+        let p2 = cache.get_or_build(&b);
+        assert!(Arc::ptr_eq(&p1, &p2), "a shared point is built once");
+        assert_eq!(cache.len(), 1);
+        let p3 = cache.get_or_build(&c);
+        assert_eq!(cache.len(), 1, "c's only job asked: its block is let go");
+        assert_eq!(Arc::strong_count(&p3), 1, "only the asking world holds it");
+        let p4 = cache.get_or_build(&a);
+        assert!(Arc::ptr_eq(&p1, &p4), "still the first build");
+        assert!(cache.is_empty(), "the last of a's three jobs asked");
+        assert_eq!(Arc::strong_count(&p1), 3, "only the three worlds hold it");
+        // A point the list did not name is kept, as by an uncounted cache.
+        let d = ExperimentConfig::quick(Protocol::DtsSs, WorkloadSpec::paper(1.0), 9);
+        let p5 = cache.get_or_build(&d);
+        assert!(Arc::ptr_eq(&p5, &cache.get_or_build(&d)));
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

@@ -492,10 +492,17 @@ impl<P: Probe> World<P> {
             if since.is_some_and(|t| t <= end.started) {
                 delivered += 1;
                 self.probe.on_rx(now, ri as u32, sender.index() as u32);
-                // `Frame<Payload>` is `Copy`: the fan-out to receivers
-                // is a bitwise copy, not an allocation.
-                self.nodes[ri].mac.frame_arrived_into(frame, now, &mut acts);
-                self.exec_mac_actions(r, &mut acts, ctx);
+                // A MAC acts only on frames addressed to it: it drops
+                // data for another node at once, and an overheard ACK
+                // cannot match its head frame (frame ids are namespaced
+                // by sender, so an ACK's `of` names a frame of the ACK's
+                // destination). Only the addressee gets a copy.
+                if frame.dest.accepts(r) {
+                    // `Frame<Payload>` is `Copy`: the fan-out to
+                    // receivers is a bitwise copy, not an allocation.
+                    self.nodes[ri].mac.frame_arrived_into(frame, now, &mut acts);
+                    self.exec_mac_actions(r, &mut acts, ctx);
+                }
             }
         }
         self.put_macts(acts);

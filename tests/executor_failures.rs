@@ -3,10 +3,13 @@
 //! not the sweep, and the deterministic event budget turns runaway
 //! cells into failures instead of hung sweeps.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use essat::harness::executor::{SweepCell, SweepExecutor};
 use essat::net::ids::NodeId;
 use essat::sim::time::SimDuration;
 use essat::wsn::config::{ExperimentConfig, Protocol, WorkloadSpec};
+use essat::wsn::metrics::RunResult;
 use essat::wsn::payload::Payload;
 use essat::wsn::protocol::{PolicyEnv, PowerPolicy};
 
@@ -56,6 +59,34 @@ fn panicking_policy_yields_failure_report_while_others_complete() {
     assert_eq!(seeds, vec![7, 8], "failures carry the derived seeds");
     let summary = out.failure_summary().expect("failures present");
     assert!(summary.contains("PSM") && summary.contains("injected"));
+}
+
+/// A job that panics once succeeds on its retry with the result a clean
+/// sweep gives, and so do the later jobs at its sweep point: the retry
+/// builds its own topology and tree instead of asking the build cache a
+/// second time, which would let the block go before their asks.
+#[test]
+fn retried_job_and_its_sweep_point_match_a_clean_sweep() {
+    let cells = vec![
+        SweepCell::new(cfg(Protocol::DtsSs, 7), 2),
+        SweepCell::new(cfg(Protocol::Sync, 7), 1),
+        SweepCell::new(cfg(Protocol::NtsSs, 7), 1),
+    ];
+    let panicked = AtomicBool::new(false);
+    let once = |c: &ExperimentConfig, node: NodeId, env: &PolicyEnv<'_>| {
+        if !panicked.swap(true, Ordering::Relaxed) {
+            panic!("injected: first policy construction fails");
+        }
+        Protocol::build_policy(c, node, env)
+    };
+    let out = SweepExecutor::with_threads(1).run_checked_with(&cells, &once);
+    assert!(panicked.load(Ordering::Relaxed));
+    assert!(out.failures.is_empty(), "{:?}", out.failure_summary());
+    let clean = SweepExecutor::with_threads(1).run(&cells);
+    let digests = |rs: &[Vec<RunResult>]| -> Vec<String> {
+        rs.iter().flatten().map(RunResult::digest).collect()
+    };
+    assert_eq!(digests(&out.results), digests(&clean));
 }
 
 #[test]
